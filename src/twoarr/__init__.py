@@ -52,6 +52,7 @@ from .linalg import (
 from .matroid import (
     IntersectionLattice,
     NbcComplex,
+    NotAdmissible,
     SizeMismatch,
     betti_vector,
     circuits,

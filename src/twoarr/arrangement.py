@@ -29,9 +29,10 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .linalg import Matrix, Vector, dot, kernel_basis, rank, vec
+from .linalg import Matrix, Vector, dot, integer_rank, integer_row, kernel_basis, rank, vec
 
 
 class ParseError(ValueError):
@@ -186,6 +187,22 @@ class Arrangement:
             rows += [p.first.coeffs, p.second.coeffs]
         return Matrix.from_rows(rows, self.dim)
 
+    # The two caches below sit in the instance __dict__, outside the
+    # dataclass fields, so ==, hash and repr ignore them.
+
+    @cached_property
+    def _integer_forms(self) -> tuple[tuple[list[int], list[int]], ...]:
+        """Each subspace's two forms scaled to integer rows, in index order."""
+        return tuple(
+            (integer_row(s.first.coeffs), integer_row(s.second.coeffs))
+            for s in self.subspaces
+        )
+
+    @cached_property
+    def _codim_cache(self) -> dict[int, int]:
+        """codim by subset bitmask; bit a-1 stands for subspace a."""
+        return {}
+
     @property
     def is_holomorphic_input(self) -> bool:
         """True when every subspace came from a z-linear complex block."""
@@ -212,13 +229,26 @@ class ValidationReport:
 
 
 def codim(arr: Arrangement, subset: Iterable[int]) -> int:
-    """Real codimension of the intersection over a subset: rank of its stacked forms."""
-    subset = tuple(subset)
+    """Real codimension of the intersection over a subset: rank of its stacked forms.
+
+    Order and repeats in the subset do not matter. Results are cached on the
+    arrangement, keyed by the subset, and computed by integer elimination
+    over the forms scaled to integers.
+    """
+    mask = 0
     for a in subset:
         arr.pair(a)
-    if not subset:
-        return 0
-    return rank(arr.forms_matrix(subset))
+        mask |= 1 << (a - 1)
+    cache = arr._codim_cache
+    r = cache.get(mask)
+    if r is None:
+        r = cache[mask] = integer_rank(
+            row
+            for i, rows in enumerate(arr._integer_forms)
+            if mask >> i & 1
+            for row in rows
+        )
+    return r
 
 
 def _span_closure(arr: Arrangement, subset: tuple[int, ...]) -> tuple[int, ...]:

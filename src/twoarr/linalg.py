@@ -1,14 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices of Fraction entries. Everything this package solves stays
-tiny (a few dozen rows at most), so determinism beats speed throughout:
-pivots are always the first nonzero entry scanning left to right, kernel
-bases come out in free-column order, and nothing is ever rounded.
+Dense matrices of Fraction entries; nothing is ever rounded. `rref`,
+`solve_unique`, `kernel_basis` and `det_sign` eliminate over Fraction with
+a fixed pivot policy: pivots are always the first nonzero entry scanning
+left to right, and kernel bases come out in free-column order. `rank` only
+needs a count, so it scales each row to integers and runs fraction-free
+elimination on Python ints (`integer_rank`), which the arrangement rank
+oracle shares.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -126,9 +130,40 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return Matrix.from_rows(a, m.cols), tuple(pivots)
 
 
+def integer_row(row: Sequence[Fraction]) -> list[int]:
+    """The row times the positive lcm of its denominators: same span, int entries."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+def integer_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Row rank over the rationals of integer rows, by fraction-free elimination.
+
+    Each row is reduced against the rows kept so far, one pivot column each,
+    and is kept, divided by its content, when anything nonzero is left.
+    """
+    kept: list[tuple[int, list[int]]] = []
+    for row in rows:
+        r = list(row)
+        for c, b in kept:
+            x = r[c]
+            if x:
+                p = b[c]
+                g = math.gcd(p, x)
+                p, x = p // g, x // g
+                r = [p * u - x * v for u, v in zip(r, b)]
+        content = math.gcd(*r)
+        if content:
+            c = next(j for j, x in enumerate(r) if x)
+            kept.append((c, [x // content for x in r]))
+            if len(kept) == len(r):
+                break  # full column rank: no later row can add to it
+    return len(kept)
+
+
 def rank(m: Matrix) -> int:
     """Row rank over the rationals."""
-    return len(rref(m)[1])
+    return integer_rank(integer_row(m.row(i)) for i in range(m.rows))
 
 
 def solve_unique(a: Matrix, b: Sequence[Fraction]) -> Vector:

@@ -18,9 +18,15 @@ class SizeMismatch(ValueError):
     """Two arrangements with different ground set sizes were compared."""
 
 
+class NotAdmissible(ValueError):
+    """A subset's intersection has odd codimension, so there is no matroid rank."""
+
+
 def matroid_rank(arr: Arrangement, subset: Iterable[int]) -> int:
+    subset = tuple(subset)
     c = codim(arr, subset)
-    assert c % 2 == 0, "odd codimension: arrangement not admissible"
+    if c % 2 != 0:
+        raise NotAdmissible(f"subset {set(subset)} has odd codimension {c}")
     return c // 2
 
 

@@ -1,4 +1,4 @@
-"""Signed presentation of the complement's integral cohomology algebra.
+r"""Signed presentation of the complement's integral cohomology algebra.
 
 One degree-1 generator e_a per subspace and one relation per circuit. For
 a circuit a_0 < a_1 < ... < a_k the forms of the members a_1..a_k are a

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -20,6 +21,8 @@ from twoarr.arrangement import (
     serialize_arrangement,
     validate,
 )
+from twoarr.fixtures import FIXTURES, load_fixture
+from twoarr.linalg import rref
 from twoarr.matroid import closure
 from conftest import form, pair
 
@@ -209,6 +212,33 @@ def test_codim_unknown_label(arr_b):
         codim(arr_b, (9,))
 
 
+def all_subsets(n):
+    return [s for k in range(n + 1) for s in itertools.combinations(range(1, n + 1), k)]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_codim_ignores_order_and_repeats(name):
+    arr = load_fixture(name)
+    rng = random.Random(41)
+    for s in all_subsets(arr.n):
+        expected = len(rref(arr.forms_matrix(s))[1])
+        # a fresh copy has an empty cache, so the scrambled subset is computed
+        fresh = Arrangement(arr.dim, arr.subspaces)
+        scrambled = list(s) + [rng.choice(s) for _ in range(len(s))] if s else []
+        rng.shuffle(scrambled)
+        assert codim(fresh, scrambled) == expected
+        assert codim(fresh, s) == expected
+        assert codim(arr, s) == expected
+
+
+def test_codim_unknown_label_after_cached_subset(arr_b):
+    fresh = Arrangement(arr_b.dim, arr_b.subspaces)
+    assert codim(fresh, (1,)) == 2
+    with pytest.raises(UnknownLabel):
+        codim(fresh, (1, 99))
+    assert fresh == arr_b and hash(fresh) == hash(arr_b) and repr(fresh) == repr(arr_b)
+
+
 # --- restriction -------------------------------------------------------------
 
 
@@ -240,6 +270,16 @@ def test_restrict_two_subspaces(independent_pair):
 
 def test_restrict_accepts_index(arr_bhat):
     assert restrict(arr_bhat, 3).labels == ("H1", "H2", "H4", "H5")
+
+
+def test_restrict_has_own_codim_cache(arr_bhat):
+    for label in arr_bhat.labels:
+        r = restrict(arr_bhat, label)
+        reparsed = parse_arrangement(serialize_arrangement(r))
+        for s in all_subsets(r.n):
+            assert codim(r, s) == codim(reparsed, s)
+        assert r._codim_cache is not arr_bhat._codim_cache
+        assert r._codim_cache == reparsed._codim_cache
 
 
 def test_restrict_unknown_label(arr_b):

@@ -185,3 +185,47 @@ def test_kernel_dimension_and_membership():
         zero = vec([0] * m.rows)
         for v in basis:
             assert m.mul_vec(v) == zero
+
+
+def rational_matrices() -> list[Matrix]:
+    """Seeded rational matrices: edge shapes, zero and duplicate rows, low rank."""
+    rng = random.Random(19)
+    out = [
+        Matrix(0, 3, ()),
+        Matrix(3, 0, ()),
+        Matrix.from_rows([[0]]),
+        Matrix.from_rows([["-2/3"]]),
+    ]
+    for _ in range(300):
+        rows, cols, k = rng.randint(1, 7), rng.randint(1, 6), rng.randint(1, 4)
+        base = [
+            [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 12))) for _ in range(cols)]
+            for _ in range(k)
+        ]
+        # rows are rational combinations of k base rows, so rank <= k
+        data = []
+        for _ in range(rows):
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in base]
+            data.append([sum((c * b[j] for c, b in zip(coeffs, base)), Fraction(0)) for j in range(cols)])
+        if rng.random() < 0.3:
+            data[rng.randrange(rows)] = [Fraction(0)] * cols
+        if rng.random() < 0.3:
+            data.append(list(rng.choice(data)))
+        rng.shuffle(data)
+        out.append(Matrix.from_rows(data, cols))
+    return out
+
+
+def test_integer_rank_matches_rref_pivots():
+    ranks = set()
+    for m in rational_matrices():
+        ranks.add(rank(m))
+        assert rank(m) == len(rref(m)[1])
+    assert ranks == {0, 1, 2, 3, 4}
+
+
+def test_integer_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in rational_matrices():
+        entries = [sympy.Rational(x.numerator, x.denominator) for x in m.entries]
+        assert rank(m) == sympy.Matrix(m.rows, m.cols, entries).rank()

@@ -5,6 +5,7 @@ import pytest
 
 from twoarr.arrangement import Arrangement, codim
 from twoarr.matroid import (
+    NotAdmissible,
     SizeMismatch,
     betti_vector,
     circuits,
@@ -19,6 +20,21 @@ from twoarr.matroid import (
 from conftest import pair
 
 U24_NBC = [(), (1,), (2,), (3,), (4,), (1, 2), (1, 3), (1, 4)]
+
+
+def test_matroid_rank_rejects_odd_codimension():
+    # built directly, so parse-time validation never sees it
+    arr = Arrangement(
+        4,
+        (
+            pair("H1", (1, 0, 0, 0), (0, 1, 0, 0)),
+            pair("H2", (0, 0, 1, 0), (0, 0, 0, 1)),
+            pair("H3", (1, 0, 0, 0), (0, 0, 1, 0)),
+        ),
+    )
+    assert matroid_rank(arr, (1, 2)) == 2
+    with pytest.raises(NotAdmissible):
+        matroid_rank(arr, iter((3, 1)))
 
 
 def test_closure_empty(arr_bprime):
