@@ -67,7 +67,10 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"malformed rational {text!r}")
     if "/" in text and text.split("/")[1].lstrip("0") == "":
         raise ParseError(f"zero denominator in {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as e:  # more digits than int() accepts
+        raise ParseError(f"rational of {len(text)} characters: {e}") from e
 
 
 def format_rational(q: Fraction) -> str:
@@ -426,8 +429,10 @@ def arrangement_from_document(doc: dict) -> Arrangement:
 def parse_arrangement(text: str) -> Arrangement:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or a bare number with too many digits
         raise ParseError(f"invalid JSON: {e}") from e
+    except RecursionError as e:
+        raise ParseError("invalid JSON: nested too deeply") from e
     return arrangement_from_document(doc)
 
 

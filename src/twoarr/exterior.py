@@ -2,18 +2,18 @@
 
 Monomials are strictly increasing index tuples; elements are integer
 combinations of monomials. Ranks of graded spans are taken over the
-rationals.
+rationals by sparse integer elimination (`linalg.sparse_echelon`) on rows
+built from bitmask monomials. Only the echelon basis needs the
+back-substitution pass; a rank alone comes from forward elimination.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, rref
+from .linalg import SparseRow, sparse_echelon
 
 Monomial = tuple[int, ...]
 
@@ -141,33 +141,23 @@ class ExtElement:
         return " ".join(parts)
 
 
-def _element_from_row(row: Sequence[Fraction], mons: Sequence[Monomial]) -> ExtElement:
-    # clear denominators, then divide by the content; rref pivots are +1 so
-    # the leading coefficient stays positive
-    den = 1
-    for x in row:
-        den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ExtElement.from_terms({m: c for m, c in zip(mons, ints) if c})
+def _mask(mon: Monomial) -> int:
+    """Bitmask of a monomial; bit i-1 stands for generator e_i."""
+    out = 0
+    for i in mon:
+        out |= 1 << (i - 1)
+    return out
 
 
-def degree_span_rank(
-    generators: Sequence[ExtElement], p: int, n: int
-) -> tuple[int, list[ExtElement]]:
-    """Rank and echelon basis of the degree-p slice of the ideal the generators span.
+def _slice_rows(
+    generators: Sequence[ExtElement], p: int, n: int, column: Mapping[int, int]
+) -> Iterable[SparseRow]:
+    """The nonzero rows g ^ m over columns `column[bitmask]`, computed on bitmasks.
 
-    The slice is the span of g ^ m over all generators g and monomials m of
-    complementary degree. The echelon basis is read off a reduced row echelon
-    form over monomial columns in lexicographic order, each row rescaled to a
-    primitive integer vector.
+    A term t of g times m is zero when t and m share a generator; otherwise
+    its sign is the parity of the pairs (i in t, j in m) with i > j, the
+    inversions of the concatenation t + m.
     """
-    cols = monomials(n, p)
-    rows: list[tuple[int, ...]] = []
     for g in generators:
         if g.is_zero:
             continue
@@ -176,12 +166,35 @@ def degree_span_rank(
             raise ValueError("generators must be homogeneous")
         if q > p:
             continue
+        terms = [(_mask(t), c) for t, c in g.terms]
         for m in monomials(n, p - q):
-            w = g.wedge(ExtElement.monomial(m))
-            if not w.is_zero:
-                rows.append(w.coeff_vector(cols))
-    if not rows or not cols:
-        return 0, []
-    reduced, pivots = rref(Matrix.from_rows(rows, len(cols)))
-    basis = [_element_from_row(reduced.row(i), cols) for i in range(len(pivots))]
-    return len(pivots), basis
+            mm = _mask(m)
+            row = {}
+            for t, c in terms:
+                if t & mm:
+                    continue
+                inversions = sum((t >> j).bit_count() for j in m)
+                row[column[t | mm]] = -c if inversions & 1 else c
+            if row:
+                yield row
+
+
+def degree_span_rank(
+    generators: Sequence[ExtElement], p: int, n: int, basis: bool = True
+) -> tuple[int, list[ExtElement]]:
+    """Rank and echelon basis of the degree-p slice of the ideal the generators span.
+
+    The slice is the span of g ^ m over all generators g and monomials m of
+    complementary degree. The echelon basis is read off the reduced row
+    echelon form over monomial columns in lexicographic order, each row
+    scaled to a primitive integer vector with a positive leading coefficient.
+    With `basis=False` only the rank is computed and the list is empty.
+    """
+    cols = monomials(n, p)
+    column = {_mask(m): j for j, m in enumerate(cols)}
+    echelon = sparse_echelon(_slice_rows(generators, p, n, column), reduced=basis)
+    if not basis:
+        return len(echelon), []
+    return len(echelon), [
+        ExtElement(tuple((cols[j], row[j]) for j in sorted(row))) for row in echelon
+    ]

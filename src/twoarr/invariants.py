@@ -17,9 +17,9 @@ from typing import Sequence
 
 from .arrangement import Arrangement
 from .exterior import ExtElement, degree_span_rank, monomials
-from .linalg import Matrix, det_sign, rank
+from .linalg import Matrix, det_sign, integer_rank
 from .matroid import SizeMismatch, betti_vector, same_labeled_matroid
-from .presentation import full_presentation, ideal_rank_profile
+from .presentation import Presentation, full_presentation, ideal_rank_profile
 
 VERDICT_DISTINGUISHED = "DISTINGUISHED"
 VERDICT_UNRESOLVED = "OTHERWISE_UNRESOLVED"
@@ -64,19 +64,19 @@ def gram_of_basis(basis: Sequence[ExtElement], n: int) -> tuple[tuple[GramVector
 
 def kappa(arr: Arrangement) -> KappaForm:
     """Kappa form of an arrangement, over the echelon basis of the degree-2 slice."""
-    pres = full_presentation(arr)
-    _, basis = degree_span_rank(pres.elements(), 2, arr.n)
-    return KappaForm(arr.n, tuple(basis), gram_of_basis(basis, arr.n))
+    return _kappa_of(full_presentation(arr))
+
+
+def _kappa_of(pres: Presentation) -> KappaForm:
+    _, basis = degree_span_rank(pres.elements(), 2, pres.n)
+    return KappaForm(pres.n, tuple(basis), gram_of_basis(basis, pres.n))
 
 
 def kappa_rank(form: KappaForm) -> int:
     """Rank over the rationals of the flattened Gram data."""
     if not form.basis:
         return 0
-    rows = [tuple(itertools.chain.from_iterable(row)) for row in form.gram]
-    if not rows[0]:
-        return 0
-    return rank(Matrix.from_rows(rows))
+    return integer_rank(itertools.chain.from_iterable(row) for row in form.gram)
 
 
 def pairwise_linking(arr: Arrangement) -> tuple[tuple[int, ...], ...]:
@@ -145,13 +145,11 @@ def compare(
     betti = (betti_vector(a1), betti_vector(a2))
     if betti[0] != betti[1]:
         differing.append("betti")
-    profiles = (
-        ideal_rank_profile(full_presentation(a1)),
-        ideal_rank_profile(full_presentation(a2)),
-    )
+    presentations = (full_presentation(a1), full_presentation(a2))
+    profiles = (ideal_rank_profile(presentations[0]), ideal_rank_profile(presentations[1]))
     if profiles[0] != profiles[1]:
         differing.append("ideal-ranks")
-    kranks = (kappa_rank(kappa(a1)), kappa_rank(kappa(a2)))
+    kranks = (kappa_rank(_kappa_of(presentations[0])), kappa_rank(_kappa_of(presentations[1])))
     if kranks[0] != kranks[1]:
         differing.append("kappa-rank")
     triples = None

@@ -1,12 +1,23 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices of Fraction entries; nothing is ever rounded. `rref`,
-`solve_unique`, `kernel_basis` and `det_sign` eliminate over Fraction with
-a fixed pivot policy: pivots are always the first nonzero entry scanning
-left to right, and kernel bases come out in free-column order. `rank` only
-needs a count, so it scales each row to integers and runs fraction-free
-elimination on Python ints (`integer_rank`), which the arrangement rank
-oracle shares.
+Nothing is ever rounded. Two integer kernels do the hot work, both
+fraction-free on Python ints with every kept row divided by its content:
+
+- `integer_rank` counts the rank of short dense rows; `rank`, after scaling
+  each row by the lcm of its denominators, and the arrangement rank oracle
+  use it.
+- `sparse_echelon` eliminates sparse rows, `{column: int}` dicts. Forward
+  elimination alone gives the rank, which is all the ideal slices' rank
+  profile needs. With `reduced=True` a back-substitution pass returns the
+  unique reduced echelon form with each row primitive and its pivot
+  positive; the degree-2 slice basis of kappa and the circuit dependency
+  solves read it.
+
+Dense matrices of Fraction entries remain for the small systems outside
+those paths: `rref`, `solve_unique`, `kernel_basis` and `det_sign`
+eliminate over Fraction with a fixed pivot policy: pivots are always the
+first nonzero entry scanning left to right, and kernel bases come out in
+free-column order.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
+SparseRow = dict[int, int]
 
 
 class NotSquare(ValueError):
@@ -38,7 +50,8 @@ def vec(entries: Iterable) -> Vector:
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    assert len(u) == len(v)
+    if len(u) != len(v):
+        raise ValueError(f"dot product of vectors of lengths {len(u)} and {len(v)}")
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
@@ -159,6 +172,61 @@ def integer_rank(rows: Iterable[Sequence[int]]) -> int:
             if len(kept) == len(r):
                 break  # full column rank: no later row can add to it
     return len(kept)
+
+
+def _primitive(row: SparseRow, pivot: int) -> SparseRow:
+    """The row divided by its content, negated if needed so the pivot is positive."""
+    g = math.gcd(*row.values())
+    if row[pivot] < 0:
+        g = -g
+    return row if g == 1 else {c: x // g for c, x in row.items()}
+
+
+def _cancel(r: SparseRow, b: SparseRow, c: int) -> SparseRow:
+    """p*r - x*b with the common factor of p = b[c] and x = r[c] divided out; zero at c."""
+    p, x = b[c], r[c]
+    g = math.gcd(p, x)
+    p, x = p // g, x // g
+    out = {k: p * v for k, v in r.items()} if p != 1 else dict(r)
+    for k, v in b.items():
+        w = out.get(k, 0) - x * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    return out
+
+
+def sparse_echelon(rows: Iterable[SparseRow], reduced: bool = False) -> list[SparseRow]:
+    """Echelon basis of the row span of sparse integer rows, in pivot-column order.
+
+    Each row is cancelled, at its smallest column, against the kept row with
+    that pivot until it is zero or has a new pivot; then it is kept, primitive
+    with a positive pivot. The number of rows returned is the rank over the
+    rationals. With `reduced`, each kept row is also cleared in every other
+    pivot column, from the last pivot back: the result is the reduced row
+    echelon form with each row scaled to a primitive integer row.
+    """
+    kept: dict[int, SparseRow] = {}
+    for row in rows:
+        r = {c: x for c, x in row.items() if x}
+        while r:
+            c = min(r)
+            b = kept.get(c)
+            if b is None:
+                kept[c] = _primitive(r, c)
+                break
+            r = _cancel(r, b, c)
+    pivots = sorted(kept)
+    if reduced:
+        for c in reversed(pivots):
+            r = kept[c]
+            later = [k for k in r if k > c and k in kept]
+            if later:
+                for k in later:
+                    r = _cancel(r, kept[k], k)
+                kept[c] = _primitive(r, c)
+    return [kept[c] for c in pivots]
 
 
 def rank(m: Matrix) -> int:

@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .arrangement import Arrangement
 from .exterior import ExtElement, degree_span_rank
-from .linalg import Matrix, det_sign, solve_unique
+from .linalg import integer_row, sparse_echelon
 from .matroid import circuits, matroid_rank, nbc_sets
 
 MODE_REAL = "real-2-arrangement"
@@ -90,20 +90,29 @@ def _checked_circuit(arr: Arrangement, circuit: Sequence[int]) -> tuple[int, ...
 
 
 def circuit_dependencies(arr: Arrangement, circuit: Sequence[int]) -> DependencyPair:
-    """Solve the two normalized dependencies of a circuit exactly."""
+    """Solve the two normalized dependencies of a circuit exactly.
+
+    Both right-hand sides are solved in one integer system: coordinate i
+    gives the equation row (l_{a_1}[i], l'_{a_1}[i], ..., l'_{a_k}[i] |
+    l_{a_0}[i], l'_{a_0}[i]), scaled to integers, which leaves the solutions
+    unchanged. In its reduced echelon form the pivots are the 2k unknowns'
+    columns, and row j reads row[j] * (x_j, y_j) = (row[2k], row[2k + 1]).
+    """
     c = _checked_circuit(arr, circuit)
-    a0, rest = c[0], c[1:]
-    columns = []
-    for a in rest:
+    forms = []
+    for a in c[1:] + c[:1]:
         p = arr.pair(a)
-        columns += [p.first.coeffs, p.second.coeffs]
-    basis = Matrix.from_columns(columns, arr.dim)
-    p0 = arr.pair(a0)
-    x = solve_unique(basis, p0.first.coeffs)
-    y = solve_unique(basis, p0.second.coeffs)
+        forms += [p.first.coeffs, p.second.coeffs]
+    unknowns = len(forms) - 2
+    rows = (dict(enumerate(integer_row([f[i] for f in forms]))) for i in range(arr.dim))
+    echelon = sparse_echelon(rows, reduced=True)
+    if [min(row) for row in echelon] != list(range(unknowns)):
+        raise ValueError(f"circuit {c} has no unique dependency")
+    x = [Fraction(row.get(unknowns, 0), row[j]) for j, row in enumerate(echelon)]
+    y = [Fraction(row.get(unknowns + 1, 0), row[j]) for j, row in enumerate(echelon)]
     quads = [(Fraction(-1), Fraction(0), Fraction(0), Fraction(-1))]
-    for j in range(len(rest)):
-        quads.append((x[2 * j], x[2 * j + 1], y[2 * j], y[2 * j + 1]))
+    for j in range(0, unknowns, 2):
+        quads.append((x[j], x[j + 1], y[j], y[j + 1]))
     return DependencyPair(c, tuple(quads))
 
 
@@ -120,7 +129,8 @@ def circuit_relation(arr: Arrangement, circuit: Sequence[int]) -> CircuitRelatio
     dep = circuit_dependencies(arr, circuit)
     signs = []
     for al, be, ga, de in dep.quads:
-        s = det_sign(Matrix.from_rows([[al, be], [ga, de]]))
+        det = al * de - be * ga
+        s = (det > 0) - (det < 0)
         if s == 0:
             raise ValueError(
                 f"degenerate coefficient block in circuit {dep.circuit}; "
@@ -170,7 +180,7 @@ def normalize_signs(pres: Presentation) -> Presentation:
 
 def ideal_rank(pres: Presentation, degree: int) -> int:
     """Rank over the rationals of the degree slice of the relation ideal."""
-    return degree_span_rank(pres.elements(), degree, pres.n)[0]
+    return degree_span_rank(pres.elements(), degree, pres.n, basis=False)[0]
 
 
 def ideal_rank_profile(pres: Presentation) -> tuple[int, ...]:

@@ -1,8 +1,17 @@
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from twoarr.arrangement import Arrangement, LinearForm, SubspacePair
+from twoarr.arrangement import (
+    Arrangement,
+    ComplexFormSpec,
+    LinearForm,
+    SubspacePair,
+    from_complex_form,
+    validate,
+)
 from twoarr.fixtures import load_fixture
 
 
@@ -12,6 +21,40 @@ def form(*coeffs) -> LinearForm:
 
 def pair(name, first, second) -> SubspacePair:
     return SubspacePair(name, form(*first), form(*second))
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Pin the interpreter's int-from-string digit limit to its default; yields it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def generic_lines(n, seed, conjugate_last=False):
+    """n seeded generic complex lines a z1 + b z2 = 0 in C^2, Gaussian-integer coefficients.
+
+    With `conjugate_last` the last member is conjugate-linear in z2.
+    """
+    rng = random.Random(seed)
+    zero = (Fraction(0), Fraction(0))
+
+    def gaussian():
+        return (Fraction(rng.randint(-50, 50)), Fraction(rng.randint(-50, 50)))
+
+    pairs = []
+    for k in range(1, n + 1):
+        a, b = gaussian(), gaussian()
+        if conjugate_last and k == n:
+            spec = ComplexFormSpec((a, zero), (zero, b))
+        else:
+            spec = ComplexFormSpec((a, b), (zero, zero))
+        first, second = from_complex_form(spec)
+        pairs.append(SubspacePair(f"L{k}", first, second, spec))
+    arr = Arrangement(4, tuple(pairs))
+    assert validate(arr).ok, f"seed {seed} gives a non-generic arrangement"
+    return arr
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,7 @@ from twoarr.arrangement import (
     codim,
     from_complex_form,
     parse_arrangement,
+    parse_rational,
     restrict,
     serialize_arrangement,
     validate,
@@ -137,6 +138,23 @@ def test_parse_duplicate_names():
 def test_parse_invalid_json():
     with pytest.raises(ParseError):
         parse_arrangement("{not json")
+
+
+def test_parse_overlong_rational(int_digit_limit):
+    digits = "1" * (int_digit_limit + 700)
+    with pytest.raises(ParseError):
+        parse_rational(digits)
+    with pytest.raises(ParseError):
+        parse_rational(f"1/{digits}")
+    with pytest.raises(ParseError):
+        arrangement_from_document(doc(2, forms_rec("H1", (digits, 0), (0, 1))))
+    with pytest.raises(ParseError):
+        parse_arrangement(f'{{"dim": {digits}, "subspaces": []}}')
+
+
+def test_parse_deeply_nested_json():
+    with pytest.raises(ParseError):
+        parse_arrangement("[" * 100_000 + "]" * 100_000)
 
 
 def test_parse_rejects_inadmissible():

@@ -53,6 +53,25 @@ def test_parse_error_exit_3(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.arr"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 3
+    assert err.startswith("parse error: ") and out == ""
+
+
+def test_overlong_rational_is_a_parse_error(tmp_path, capsys, int_digit_limit):
+    digits = "7" * (int_digit_limit + 700)
+    document = json.loads(fixture_text("example22-B"))
+    document["subspaces"][0]["complex"]["z"][0][0] = digits
+    path = tmp_path / "long.arr"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 3
+    assert err.startswith("parse error: ") and out == ""
+
+
 def test_missing_file_exit_3(capsys):
     code, _, err = run(capsys, "kappa", "/nonexistent/nope.arr")
     assert code == 3

@@ -1,7 +1,20 @@
 import itertools
 import random
+from fractions import Fraction
+from math import gcd, lcm
+
+import pytest
 
 from twoarr.exterior import ExtElement, degree_span_rank, monomials, normalize
+from twoarr.linalg import Matrix, rref
+from twoarr.presentation import full_presentation
+from conftest import generic_lines
+
+try:
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+except ImportError:  # the large-slice reference and the sympy rank check need it
+    sympy = None
 
 E = ExtElement.monomial
 
@@ -144,3 +157,96 @@ def test_degree_span_rank_echelon_basis_spans():
 def test_monomials_lexicographic():
     assert monomials(4, 2) == tuple(itertools.combinations(range(1, 5), 2))
     assert monomials(3, 0) == ((),)
+
+
+# --- the sparse slice kernel against the dense Fraction path -------------------
+
+# Slices up to this many cells go through linalg.rref; larger ones through
+# sympy's sparse rref over QQ, because the dense Fraction rref takes minutes
+# on the n = 9, 10 slices.
+DENSE_CELLS = 40_000
+
+
+def dense_slice_rows(generators, p, n):
+    """Rows g ^ m of the degree-p slice as dense vectors, built with ExtElement.wedge."""
+    cols = monomials(n, p)
+    rows = []
+    for g in generators:
+        if g.is_zero or g.degree > p:
+            continue
+        for m in monomials(n, p - g.degree):
+            w = g.wedge(E(m))
+            if not w.is_zero:
+                rows.append(w.coeff_vector(cols))
+    return cols, rows
+
+
+def primitive_element(row, cols):
+    """A reduced echelon row cleared of denominators and divided by its content."""
+    den = lcm(*(x.denominator for x in row))
+    ints = [int(x * den) for x in row]
+    g = gcd(*ints)
+    return ExtElement.from_terms({m: c // g for m, c in zip(cols, ints) if c})
+
+
+def reference_span(generators, p, n):
+    """Rank and reduced echelon basis by dense elimination over the rationals.
+
+    None when the slice is too large for linalg.rref and sympy is missing.
+    """
+    cols, rows = dense_slice_rows(generators, p, n)
+    if not rows or not cols:
+        return 0, []
+    if len(rows) * len(cols) <= DENSE_CELLS:
+        reduced, pivots = rref(Matrix.from_rows(rows, len(cols)))
+        reduced_rows = [reduced.row(i) for i in range(len(pivots))]
+    elif sympy is None:
+        return None
+    else:
+        sparse = {i: {j: sympy.ZZ(x) for j, x in enumerate(r) if x} for i, r in enumerate(rows)}
+        dm = DomainMatrix(sparse, (len(rows), len(cols)), sympy.ZZ).convert_to(sympy.QQ)
+        reduced, pivots = dm.rref()
+        entries = reduced.to_sdm()
+        reduced_rows = [[Fraction(0)] * len(cols) for _ in pivots]
+        for i, row in enumerate(reduced_rows):
+            for j, x in entries.get(i, {}).items():
+                row[j] = Fraction(int(x.numerator), int(x.denominator))
+    return len(pivots), [primitive_element(r, cols) for r in reduced_rows]
+
+
+def assert_matches_reference(generators, n):
+    for p in range(n + 1):
+        expected = reference_span(generators, p, n)
+        if expected is None:
+            continue
+        assert degree_span_rank(generators, p, n) == expected, p
+        assert degree_span_rank(generators, p, n, basis=False) == (expected[0], []), p
+
+
+def test_slice_kernel_matches_dense_path_on_random_generators():
+    rng = random.Random(37)
+    for _ in range(60):
+        n = rng.randint(3, 7)
+        gens = [
+            random_element(rng, n, rng.randint(1, min(3, n)), rng.randint(1, 4))
+            for _ in range(rng.randint(1, 5))
+        ]
+        assert_matches_reference(gens, n)
+        if sympy is not None:
+            for p in range(n + 1):
+                _, rows = dense_slice_rows(gens, p, n)
+                if rows and p <= 4:
+                    assert degree_span_rank(gens, p, n)[0] == sympy.Matrix(rows).rank()
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_slice_kernel_matches_dense_path_on_generic_lines(n):
+    arr = generic_lines(n, seed=n, conjugate_last=n % 2 == 0)
+    assert_matches_reference(full_presentation(arr).elements(), n)
+
+
+def test_slice_rows_skip_zero_generators_and_reject_mixed_degrees():
+    rels = COMPLEX_PATTERN_RELATIONS
+    assert degree_span_rank(rels + [ExtElement.zero()], 2, 4) == degree_span_rank(rels, 2, 4)
+    with pytest.raises(ValueError):
+        degree_span_rank([elem(((1,), 1), ((2, 3), 1))], 3, 4)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,9 +18,12 @@ from twoarr.invariants import (
     pairwise_linking,
     triple_coefficients,
 )
+from twoarr import linalg
 from twoarr.linalg import Matrix, rank
+from twoarr.presentation import full_presentation, ideal_rank_profile
 from twoarr.matroid import SizeMismatch
 from test_presentation import complex_line_arrangement, recombined
+from conftest import generic_lines
 
 
 def kappa_entry_oracle(u, v, n):
@@ -228,3 +232,31 @@ def test_compare_permutation_search(arr_b):
     report = compare(arr_b, rotated, permutation_search=True)
     assert report.matroids_equal
     assert report.verdict == VERDICT_UNRESOLVED
+
+
+# --- no Fraction elimination on the slice and presentation paths ---------------
+
+
+def test_slices_and_presentations_never_eliminate_over_fraction(
+    monkeypatch, arr_b, arr_bprime, arr_bhat, arr_bhat_complex
+):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Fraction elimination on the slice or presentation path")
+
+    modules = [m for name, m in sys.modules.items() if name == "twoarr" or name.startswith("twoarr.")]
+    patched = 0
+    for original in (linalg.rref, linalg.solve_unique):
+        for module in modules:
+            for binding, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, binding, forbidden)
+                    patched += 1
+    assert patched >= 4  # twoarr.linalg and the twoarr re-exports, at least
+    lines = generic_lines(7, seed=3)
+    lines_conj = generic_lines(7, seed=3, conjugate_last=True)
+    for arr in (arr_b, arr_bprime, arr_bhat, arr_bhat_complex, lines, lines_conj):
+        ideal_rank_profile(full_presentation(arr))
+        kappa(arr)
+    assert compare(arr_b, arr_bprime).verdict == VERDICT_DISTINGUISHED
+    assert compare(arr_bhat, arr_bhat_complex).verdict == VERDICT_UNRESOLVED
+    assert compare(lines, lines_conj).verdict == VERDICT_DISTINGUISHED

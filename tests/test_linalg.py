@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,10 +10,13 @@ from twoarr.linalg import (
     NotSquare,
     NotUnique,
     det_sign,
+    dot,
+    integer_row,
     kernel_basis,
     rank,
     rref,
     solve_unique,
+    sparse_echelon,
     vec,
 )
 
@@ -229,3 +233,33 @@ def test_integer_rank_matches_sympy():
     for m in rational_matrices():
         entries = [sympy.Rational(x.numerator, x.denominator) for x in m.entries]
         assert rank(m) == sympy.Matrix(m.rows, m.cols, entries).rank()
+
+
+def test_sparse_echelon_is_the_primitive_rref():
+    for m in rational_matrices():
+        rows = [dict(enumerate(integer_row(m.row(i)))) for i in range(m.rows)]
+        reduced, pivots = rref(m)
+        expected = []
+        for i in range(len(pivots)):
+            ints = integer_row(reduced.row(i))
+            g = math.gcd(*ints)
+            expected.append({j: x // g for j, x in enumerate(ints) if x})
+        assert sparse_echelon(rows, reduced=True) == expected
+        forward = sparse_echelon(rows)
+        assert [min(r) for r in forward] == list(pivots)
+        for r in forward:
+            assert r[min(r)] > 0 and math.gcd(*r.values()) == 1 and all(r.values())
+
+
+def test_sparse_echelon_forward_rows_span_the_input():
+    for m in rational_matrices():
+        rows = [dict(enumerate(integer_row(m.row(i)))) for i in range(m.rows)]
+        forward = [[r.get(j, 0) for j in range(m.cols)] for r in sparse_echelon(rows)]
+        # equal rank, and stacking them on the input adds none: the same span
+        assert len(forward) == rank(m)
+        assert rank(Matrix.from_rows(m.to_rows() + forward, m.cols)) == rank(m)
+
+
+def test_dot_length_mismatch_raises():
+    with pytest.raises(ValueError):
+        dot(vec([1, 2]), vec([1]))

@@ -21,7 +21,7 @@ from twoarr.presentation import (
     nbc_basis_check,
     normalize_signs,
 )
-from conftest import pair
+from conftest import generic_lines, pair
 
 
 def elem(*terms):
@@ -268,3 +268,15 @@ def test_rank_nbc_identity_all_degrees(arr_b, arr_bprime, arr_bhat, arr_bhat_com
         for p in range(arr.n + 1):
             nbc_p = counts[p] if p < len(counts) else 0
             assert ideal_rank(pres, p) + nbc_p == comb(arr.n, p)
+
+
+@pytest.mark.parametrize("conjugate_last", [False, True])
+@pytest.mark.parametrize("n", [8, 10])
+def test_rank_nbc_identity_generic_lines(n, conjugate_last):
+    arr = generic_lines(n, seed=n + 1, conjugate_last=conjugate_last)
+    counts = nbc_sets(arr).counts
+    profile = ideal_rank_profile(full_presentation(arr))
+    assert len(profile) == n
+    for p, r in enumerate(profile, start=1):
+        nbc_p = counts[p] if p < len(counts) else 0
+        assert r + nbc_p == comb(n, p)
