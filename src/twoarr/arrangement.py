@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from ._value import Value
 from .linalg import Matrix, Vector, dot, integer_rank, integer_row, kernel_basis, rank, vec
 
 
@@ -77,8 +77,7 @@ def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(Value):
     """A real linear form given by its coefficient vector."""
 
     coeffs: Vector
@@ -100,8 +99,7 @@ class LinearForm:
         return LinearForm(tuple(dot(self.coeffs, b) for b in basis))
 
 
-@dataclass(frozen=True)
-class ComplexFormSpec:
+class ComplexFormSpec(Value):
     """Coefficients of sum(z_coeffs[j] * z_j) + sum(zbar_coeffs[j] * conj(z_j))."""
 
     z: tuple[tuple[Fraction, Fraction], ...]
@@ -142,8 +140,7 @@ def from_complex_form(spec: ComplexFormSpec, d: int | None = None) -> tuple[Line
     return LinearForm(tuple(re_part)), LinearForm(tuple(im_part))
 
 
-@dataclass(frozen=True)
-class SubspacePair:
+class SubspacePair(Value):
     """A named codimension-2 subspace, cut out by an ordered form pair."""
 
     name: str
@@ -152,8 +149,7 @@ class SubspacePair:
     complex_spec: ComplexFormSpec | None = None
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(Value):
     dim: int
     subspaces: tuple[SubspacePair, ...]
 
@@ -190,8 +186,8 @@ class Arrangement:
             rows += [p.first.coeffs, p.second.coeffs]
         return Matrix.from_rows(rows, self.dim)
 
-    # The two caches below sit in the instance __dict__, outside the
-    # dataclass fields, so ==, hash and repr ignore them.
+    # The caches below sit in the instance __dict__, outside the value
+    # fields, so ==, hash and repr ignore them.
 
     @cached_property
     def _integer_forms(self) -> tuple[tuple[list[int], list[int]], ...]:
@@ -206,6 +202,13 @@ class Arrangement:
         """codim by subset bitmask; bit a-1 stands for subspace a."""
         return {}
 
+    @cached_property
+    def _circuits(self) -> tuple[tuple[int, ...], ...]:
+        """The circuits, found once; `matroid.circuits` hands out copies."""
+        from .matroid import _scan_circuits
+
+        return tuple(_scan_circuits(self))
+
     @property
     def is_holomorphic_input(self) -> bool:
         """True when every subspace came from a z-linear complex block."""
@@ -215,15 +218,13 @@ class Arrangement:
         )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
     kind: str  # pair-rank | not-essential | pairwise-rank | odd-rank
     subset: tuple[int, ...]
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Value):
     violations: tuple[Violation, ...]
 
     @property

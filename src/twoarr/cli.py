@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
+# Every verb and main's error handling need the arrangement module; each
+# cmd_* imports the rest of what it runs, so a verb loads only its own code.
 from .arrangement import (
     Arrangement,
     ParseError,
@@ -25,15 +26,6 @@ from .arrangement import (
     serialize_arrangement,
     validate,
 )
-from .invariants import (
-    compare,
-    kappa,
-    kappa_rank,
-    pairwise_linking,
-    triple_coefficients,
-)
-from .matroid import betti_vector, circuits, flats, nbc_sets, whitney_check
-from .presentation import full_presentation, ideal_rank_profile, normalize_signs
 
 
 class UsageError(Exception):
@@ -55,7 +47,8 @@ def _sign_char(s: int) -> str:
 
 def _read_arrangement(path: str) -> Arrangement:
     try:
-        text = Path(path).read_text()
+        with open(path) as f:
+            text = f.read()
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e}") from e
     return parse_arrangement(text)
@@ -98,6 +91,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_lattice(args) -> int:
+    from .matroid import flats
+
     arr = _read_arrangement(args.file)
     lattice = flats(arr)
     lines = []
@@ -114,6 +109,8 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_circuits(args) -> int:
+    from .matroid import circuits
+
     arr = _read_arrangement(args.file)
     cs = circuits(arr)
     lines = [_fmt_set(c) for c in cs] or ["no circuits"]
@@ -122,6 +119,8 @@ def cmd_circuits(args) -> int:
 
 
 def cmd_betti(args) -> int:
+    from .matroid import betti_vector, nbc_sets, whitney_check
+
     arr = _read_arrangement(args.file)
     order = None
     if args.order:
@@ -150,6 +149,8 @@ def cmd_betti(args) -> int:
 
 
 def cmd_present(args) -> int:
+    from .presentation import full_presentation, ideal_rank_profile, normalize_signs
+
     arr = _read_arrangement(args.file)
     pres = full_presentation(arr, args.mode)
     if args.normalize_signs:
@@ -175,6 +176,8 @@ def cmd_present(args) -> int:
 
 
 def cmd_kappa(args) -> int:
+    from .invariants import kappa, kappa_rank
+
     arr = _read_arrangement(args.file)
     form = kappa(arr)
     krank = kappa_rank(form)
@@ -207,6 +210,8 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_linking(args) -> int:
+    from .invariants import pairwise_linking, triple_coefficients
+
     arr = _read_arrangement(args.file)
     lk = pairwise_linking(arr)
     triples = triple_coefficients(arr)
@@ -239,6 +244,8 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .invariants import compare
+
     a1 = _read_arrangement(args.file)
     a2 = _read_arrangement(args.other)
     report = compare(a1, a2, permutation_search=args.permutation_search)

@@ -10,9 +10,9 @@ back-substitution pass; a rank alone comes from forward elimination.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from ._value import Value
 from .linalg import SparseRow, sparse_echelon
 
 Monomial = tuple[int, ...]
@@ -50,8 +50,7 @@ def _mon_str(mon: Monomial) -> str:
     return "e(" + ",".join(str(i) for i in mon) + ")"
 
 
-@dataclass(frozen=True)
-class ExtElement:
+class ExtElement(Value):
     """An integer combination of wedge monomials, terms in graded-lex order."""
 
     terms: tuple[tuple[Monomial, int], ...]

@@ -12,9 +12,9 @@ orientations at all.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._value import Value
 from .arrangement import Arrangement
 from .exterior import ExtElement, degree_span_rank, monomials
 from .linalg import Matrix, det_sign, integer_rank
@@ -32,8 +32,7 @@ class DimensionNot4(ValueError):
 GramVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class KappaForm:
+class KappaForm(Value):
     """Gram data of the multiplication pairing on the degree-2 relation slice.
 
     gram[i][j] is the coefficient vector of basis_i ^ basis_j over the
@@ -113,8 +112,7 @@ def triple_coefficients(arr: Arrangement) -> dict[tuple[int, int, int], int]:
     }
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Value):
     matroids_equal: bool
     betti: tuple[tuple[int, ...], tuple[int, ...]]
     ideal_ranks: tuple[tuple[int, ...], tuple[int, ...]]

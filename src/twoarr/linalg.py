@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from ._value import Value
 
 Vector = tuple[Fraction, ...]
 SparseRow = dict[int, int]
@@ -55,8 +56,7 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Value):
     """Immutable dense matrix; `entries` is row-major."""
 
     rows: int

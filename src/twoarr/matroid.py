@@ -8,9 +8,9 @@ the arrangement has already passed validation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._value import Value
 from .arrangement import Arrangement, codim
 
 
@@ -41,14 +41,12 @@ def closure(arr: Arrangement, subset: Iterable[int]) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(Value):
     elements: tuple[int, ...]
     rank: int
 
 
-@dataclass(frozen=True)
-class IntersectionLattice:
+class IntersectionLattice(Value):
     """Flats grouped by rank, bottom first; a geometric lattice."""
 
     flats_by_rank: tuple[tuple[Flat, ...], ...]
@@ -96,7 +94,15 @@ def flats(arr: Arrangement) -> IntersectionLattice:
 
 
 def circuits(arr: Arrangement) -> list[tuple[int, ...]]:
-    """Minimal dependent subsets, in lexicographic order."""
+    """Minimal dependent subsets, in lexicographic order.
+
+    They are computed once per arrangement; each call returns a new list.
+    """
+    return list(arr._circuits)
+
+
+def _scan_circuits(arr: Arrangement) -> list[tuple[int, ...]]:
+    """Scan the subsets by size for minimal dependent ones; see `circuits`."""
     found: list[tuple[int, ...]] = []
     for size in range(2, arr.n + 1):
         for comb in itertools.combinations(range(1, arr.n + 1), size):
@@ -108,8 +114,7 @@ def circuits(arr: Arrangement) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
-@dataclass(frozen=True)
-class NbcComplex:
+class NbcComplex(Value):
     """Subsets containing no broken circuit, grouped by cardinality."""
 
     sets_by_size: tuple[tuple[tuple[int, ...], ...], ...]

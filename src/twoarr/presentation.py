@@ -26,11 +26,11 @@ route that skips the solves: there every sigma_j is +1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Sequence
 
+from ._value import Value
 from .arrangement import Arrangement
 from .exterior import ExtElement, degree_span_rank
 from .linalg import integer_row, sparse_echelon
@@ -49,8 +49,7 @@ class ModeMismatch(ValueError):
     """Complex mode requested for input that is not purely z-linear."""
 
 
-@dataclass(frozen=True)
-class DependencyPair:
+class DependencyPair(Value):
     """The two normalized linear dependencies of a circuit.
 
     quads[j] = (alpha_j, beta_j, gamma_j, delta_j), with quads[0] fixed to
@@ -61,15 +60,13 @@ class DependencyPair:
     quads: tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class CircuitRelation:
+class CircuitRelation(Value):
     circuit: tuple[int, ...]
     signs: tuple[int, ...]
     element: ExtElement
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Value):
     n: int
     relations: tuple[CircuitRelation, ...]
     mode: str
@@ -98,7 +95,11 @@ def circuit_dependencies(arr: Arrangement, circuit: Sequence[int]) -> Dependency
     unchanged. In its reduced echelon form the pivots are the 2k unknowns'
     columns, and row j reads row[j] * (x_j, y_j) = (row[2k], row[2k + 1]).
     """
-    c = _checked_circuit(arr, circuit)
+    return _dependencies(arr, _checked_circuit(arr, circuit))
+
+
+def _dependencies(arr: Arrangement, c: tuple[int, ...]) -> DependencyPair:
+    """`circuit_dependencies` for a circuit known to be one, in increasing order."""
     forms = []
     for a in c[1:] + c[:1]:
         p = arr.pair(a)
@@ -126,7 +127,10 @@ def _os_element(c: tuple[int, ...], signs: Sequence[int]) -> ExtElement:
 
 def circuit_relation(arr: Arrangement, circuit: Sequence[int]) -> CircuitRelation:
     """The signed relation a circuit imposes."""
-    dep = circuit_dependencies(arr, circuit)
+    return _relation(circuit_dependencies(arr, circuit))
+
+
+def _relation(dep: DependencyPair) -> CircuitRelation:
     signs = []
     for al, be, ga, de in dep.quads:
         det = al * de - be * ga
@@ -157,7 +161,8 @@ def full_presentation(arr: Arrangement, mode: str = MODE_REAL) -> Presentation:
             CircuitRelation(c, (1,) * len(c), _os_element(c, (1,) * len(c))) for c in cs
         )
     else:
-        relations = tuple(circuit_relation(arr, c) for c in cs)
+        # circuits() found these, so they skip _checked_circuit's re-check
+        relations = tuple(_relation(_dependencies(arr, c)) for c in cs)
     return Presentation(arr.n, relations, mode)
 
 

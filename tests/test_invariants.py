@@ -18,6 +18,7 @@ from twoarr.invariants import (
     pairwise_linking,
     triple_coefficients,
 )
+import twoarr
 from twoarr import linalg
 from twoarr.linalg import Matrix, rank
 from twoarr.presentation import full_presentation, ideal_rank_profile
@@ -243,6 +244,8 @@ def test_slices_and_presentations_never_eliminate_over_fraction(
     def forbidden(*args, **kwargs):
         raise AssertionError("Fraction elimination on the slice or presentation path")
 
+    # the package binds a lazy re-export only once it is first looked up
+    assert (twoarr.rref, twoarr.solve_unique) == (linalg.rref, linalg.solve_unique)
     modules = [m for name, m in sys.modules.items() if name == "twoarr" or name.startswith("twoarr.")]
     patched = 0
     for original in (linalg.rref, linalg.solve_unique):

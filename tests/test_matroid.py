@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from twoarr.arrangement import Arrangement, codim
+from twoarr.arrangement import Arrangement, codim, restrict
+from twoarr import matroid
+from twoarr.fixtures import load_fixture
 from twoarr.matroid import (
     NotAdmissible,
     SizeMismatch,
@@ -79,6 +81,25 @@ def test_circuits_uniform_rank_two(arr_bprime):
 
 def test_circuits_bhat(arr_bhat):
     assert circuits(arr_bhat) == list(itertools.combinations(range(1, 6), 4))
+
+
+def test_circuits_found_once_per_arrangement(monkeypatch):
+    arr = load_fixture("thm32-Bhat")  # fresh, with empty caches
+    calls = []
+    rank = matroid.matroid_rank
+    monkeypatch.setattr(matroid, "matroid_rank", lambda a, s: calls.append(s) or rank(a, s))
+    first = circuits(arr)
+    scanned = len(calls)
+    assert scanned > 0
+    first.append((99,))
+    nbc_sets(arr)
+    betti_vector(arr)
+    same_labeled_matroid(arr, arr)
+    assert len(calls) == scanned
+    again = circuits(arr)
+    assert again == first[:-1] and again is not circuits(arr)
+    assert len(circuits(restrict(arr, 3))) == 4  # a restriction scans its own
+    assert len(calls) > scanned
 
 
 def test_circuits_independent(independent_pair):

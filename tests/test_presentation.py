@@ -4,6 +4,7 @@ from math import comb, prod
 
 import pytest
 
+from twoarr import presentation
 from twoarr.arrangement import Arrangement, LinearForm, SubspacePair
 from twoarr.exterior import ExtElement, monomials
 from twoarr.linalg import Matrix, rref
@@ -62,6 +63,19 @@ def test_dependencies_reject_non_circuit(arr_b):
         circuit_dependencies(arr_b, (1, 2))
     with pytest.raises(NotACircuit):
         circuit_dependencies(arr_b, (1, 2, 3, 4))
+
+
+def test_full_presentation_does_not_recheck_its_circuits(monkeypatch, arr_bprime, arr_bhat):
+    expected = {arr: [circuit_relation(arr, c) for c in circuits(arr)] for arr in (arr_bprime, arr_bhat)}
+
+    def recheck(arr, circuit):
+        raise AssertionError("circuit from circuits() checked again")
+
+    monkeypatch.setattr(presentation, "_checked_circuit", recheck)
+    for arr, relations in expected.items():
+        assert list(full_presentation(arr).relations) == relations
+    with pytest.raises(AssertionError):
+        circuit_dependencies(arr_bprime, (1, 2, 3))  # the public path still checks
 
 
 def reconstruct_zero(arr, dep):

@@ -1,0 +1,161 @@
+"""The public surface: lazy package names and the immutable value classes."""
+
+import copy
+import hashlib
+import pickle
+import sys
+from fractions import Fraction
+
+import pytest
+
+import twoarr
+from twoarr._value import Value
+from twoarr.arrangement import (
+    Arrangement,
+    LinearForm,
+    SubspacePair,
+    parse_arrangement,
+    restrict,
+    validate,
+)
+from twoarr.fixtures import fixture_text, load_fixture
+from twoarr.invariants import compare, kappa
+from twoarr.linalg import Matrix
+from twoarr.matroid import Flat, flats, nbc_sets
+from twoarr.presentation import circuit_dependencies, full_presentation
+
+# repr(parse_arrangement(example22-B)) as the dataclass-based value classes gave it
+EXAMPLE22_B_REPR = (
+    "Arrangement(dim=4, subspaces=(SubspacePair(name='H1', "
+    "first=LinearForm(coeffs=(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, "
+    "1))), second=LinearForm(coeffs=(Fraction(0, 1), Fraction(1, 1), Fraction(0, 1), "
+    "Fraction(0, 1))), complex_spec=ComplexFormSpec(z=((Fraction(1, 1), Fraction(0, 1)), "
+    "(Fraction(0, 1), Fraction(0, 1))), zbar=((Fraction(0, 1), Fraction(0, 1)), "
+    "(Fraction(0, 1), Fraction(0, 1))))), SubspacePair(name='H2', "
+    "first=LinearForm(coeffs=(Fraction(0, 1), Fraction(0, 1), Fraction(1, 1), Fraction(0, "
+    "1))), second=LinearForm(coeffs=(Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), "
+    "Fraction(1, 1))), complex_spec=ComplexFormSpec(z=((Fraction(0, 1), Fraction(0, 1)), "
+    "(Fraction(1, 1), Fraction(0, 1))), zbar=((Fraction(0, 1), Fraction(0, 1)), "
+    "(Fraction(0, 1), Fraction(0, 1))))), SubspacePair(name='H3', "
+    "first=LinearForm(coeffs=(Fraction(-1, 1), Fraction(0, 1), Fraction(1, 1), Fraction(0, "
+    "1))), second=LinearForm(coeffs=(Fraction(0, 1), Fraction(-1, 1), Fraction(0, 1), "
+    "Fraction(1, 1))), complex_spec=ComplexFormSpec(z=((Fraction(-1, 1), Fraction(0, 1)), "
+    "(Fraction(1, 1), Fraction(0, 1))), zbar=((Fraction(0, 1), Fraction(0, 1)), "
+    "(Fraction(0, 1), Fraction(0, 1))))), SubspacePair(name='H4', "
+    "first=LinearForm(coeffs=(Fraction(-2, 1), Fraction(0, 1), Fraction(1, 1), Fraction(0, "
+    "1))), second=LinearForm(coeffs=(Fraction(0, 1), Fraction(-2, 1), Fraction(0, 1), "
+    "Fraction(1, 1))), complex_spec=ComplexFormSpec(z=((Fraction(-2, 1), Fraction(0, 1)), "
+    "(Fraction(1, 1), Fraction(0, 1))), zbar=((Fraction(0, 1), Fraction(0, 1)), "
+    "(Fraction(0, 1), Fraction(0, 1)))))))"
+)
+# sha256 of the reprs in test_reprs_match_the_dataclass_reprs, joined by newlines,
+# as the dataclass-based value classes gave them
+REPRS_SHA256 = "064a94940bd4e26a36503d9de32d65942bef96c714d196b9f4bca49477d6d166"
+
+
+def test_every_exported_name_is_its_submodule_object():
+    assert len(twoarr.__all__) == len(set(twoarr.__all__)) == 64
+    for name in twoarr.__all__:
+        obj = getattr(twoarr, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+        assert obj.__module__.startswith("twoarr.")
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from twoarr import *", namespace)
+    assert set(twoarr.__all__) <= set(namespace)
+    assert namespace["parse_arrangement"] is parse_arrangement
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        twoarr.no_such_name
+    assert not hasattr(twoarr, "Value")
+    assert twoarr.linalg is sys.modules["twoarr.linalg"]
+    assert {"Arrangement", "compare", "__version__"} <= set(dir(twoarr))
+
+
+def test_reprs_match_the_dataclass_reprs(arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
+    assert repr(parse_arrangement(fixture_text("example22-B"))) == EXAMPLE22_B_REPR
+    objs = [
+        arr_b,
+        arr_bprime,
+        arr_bhat,
+        arr_bhat_complex,
+        validate(arr_b),
+        flats(arr_bhat),
+        nbc_sets(arr_bhat),
+        full_presentation(arr_bprime),
+        circuit_dependencies(arr_bprime, (1, 2, 3)),
+        kappa(arr_b),
+        compare(arr_b, arr_bprime),
+        compare(arr_bhat, arr_bhat_complex),
+        restrict(arr_bhat, 3),
+        Matrix.from_rows([[1, 2], [3, 4]]),
+    ]
+    text = "\n".join(repr(o) for o in objs)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPRS_SHA256
+
+
+class Point(Value):
+    x: int
+    y: int = 0
+
+
+class Other(Value):
+    x: int
+    y: int = 0
+
+
+def test_construction_positional_keyword_and_defaults():
+    assert Point._fields == ("x", "y")
+    assert Point(1, 2) == Point(x=1, y=2) == Point(1, y=2)
+    assert Point(1).y == 0
+    f = LinearForm((Fraction(1), Fraction(0)))
+    assert SubspacePair("H", f, f).complex_spec is None
+    assert SubspacePair("H", f, f) == SubspacePair(name="H", second=f, first=f, complex_spec=None)
+    for args, kwargs in [((), {}), ((1, 2, 3), {}), ((1,), {"x": 1}), ((1,), {"z": 1})]:
+        with pytest.raises(TypeError):
+            Point(*args, **kwargs)
+
+
+def test_post_init_checks_the_matrix_shape():
+    with pytest.raises(ValueError, match="entry count"):
+        Matrix(2, 2, (Fraction(1),) * 3)
+    with pytest.raises(ValueError, match="negative shape"):
+        Matrix(-1, 0, ())
+
+
+def test_equality_only_within_one_class_and_hash_of_fields():
+    assert Point(1, 2) != Point(2, 1)
+    assert Point(1, 2) != Other(1, 2)
+    assert Point(1, 2).__eq__(Other(1, 2)) is NotImplemented
+    assert Point(1, 2) != (1, 2)
+    assert hash(Point(1, 2)) == hash((1, 2))
+    assert Flat((1, 2), 1) == Flat((1, 2), 1)
+    assert len({Flat((1, 2), 1), Flat((1, 2), 1), Flat((1,), 1)}) == 2
+    assert repr(Point(1, "a")) == "Point(x=1, y='a')"
+
+
+def test_instances_are_immutable_but_keep_cached_properties():
+    arr = load_fixture("example22-B")
+    for target in (arr, Point(1)):
+        with pytest.raises(AttributeError):
+            target.x = 5
+        with pytest.raises(AttributeError):
+            target.new_attribute = 5
+        with pytest.raises(AttributeError):
+            del target.x
+    before = (repr(arr), hash(arr))
+    assert validate(arr).ok  # fills the rank cache
+    assert vars(arr)["_codim_cache"]
+    assert (repr(arr), hash(arr)) == before
+    assert arr == load_fixture("example22-B")
+
+
+def test_copies_and_pickles_are_equal():
+    arr = load_fixture("thm32-Bhat")
+    assert copy.deepcopy(arr) == arr
+    assert pickle.loads(pickle.dumps(arr)) == arr
+    assert isinstance(arr, Arrangement)
