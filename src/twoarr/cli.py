@@ -119,7 +119,7 @@ def cmd_circuits(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    from .matroid import betti_vector, nbc_sets, whitney_check
+    from .matroid import nbc_sets, whitney_numbers
 
     arr = _read_arrangement(args.file)
     order = None
@@ -132,8 +132,9 @@ def cmd_betti(args) -> int:
         complex_ = nbc_sets(arr, order)
     except ValueError as e:
         raise UsageError(str(e)) from e
-    betti = betti_vector(arr)
-    whitney_ok = whitney_check(arr)
+    # the Betti numbers are the counts of the default-order complex
+    betti = (complex_ if order is None else nbc_sets(arr)).counts
+    whitney_ok = whitney_numbers(arr) == betti
     lines = [
         "nbc sets: " + " ".join(_fmt_set(s) for s in complex_.all_sets()),
         "betti: " + " ".join(str(b) for b in betti),
@@ -210,11 +211,11 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_linking(args) -> int:
-    from .invariants import pairwise_linking, triple_coefficients
+    from .invariants import _triples, pairwise_linking
 
     arr = _read_arrangement(args.file)
     lk = pairwise_linking(arr)
-    triples = triple_coefficients(arr)
+    triples = _triples(lk)
     lines = ["pairwise:"]
     for i, row in enumerate(lk):
         cells = [_sign_char(x) if i != j else "." for j, x in enumerate(row)]

@@ -5,11 +5,15 @@ combinations of monomials. Ranks of graded spans are taken over the
 rationals by sparse integer elimination (`linalg.sparse_echelon`) on rows
 built from bitmask monomials. Only the echelon basis needs the
 back-substitution pass; a rank alone comes from forward elimination.
+`ideal_ranks` grows each graded slice of an ideal from the echelon basis
+of the slice below, and `gram_of_basis` multiplies elements on bitmasks;
+`ExtElement.wedge` is on neither path.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from ._value import Value
@@ -148,34 +152,61 @@ def _mask(mon: Monomial) -> int:
     return out
 
 
-def _slice_rows(
-    generators: Sequence[ExtElement], p: int, n: int, column: Mapping[int, int]
-) -> Iterable[SparseRow]:
-    """The nonzero rows g ^ m over columns `column[bitmask]`, computed on bitmasks.
+def _inversions(t: int, m: Monomial) -> int:
+    """The pairs (i in t, j in m) with i > j: t ^ m has sign (-1) to this power.
 
-    A term t of g times m is zero when t and m share a generator; otherwise
-    its sign is the parity of the pairs (i in t, j in m) with i > j, the
-    inversions of the concatenation t + m.
+    They are the inversions of the concatenation t + m; `t` is a bitmask.
     """
+    return sum((t >> j).bit_count() for j in m)
+
+
+def _masked(generators: Sequence[ExtElement]) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The nonzero generators as (degree, [(bitmask, coefficient)]).
+
+    Raises ValueError for a generator that is not homogeneous.
+    """
+    out = []
     for g in generators:
         if g.is_zero:
             continue
         q = g.degree
         if q is None:
             raise ValueError("generators must be homogeneous")
+        out.append((q, [(_mask(t), c) for t, c in g.terms]))
+    return out
+
+
+def _slice_rows(
+    generators: Sequence[tuple[int, list[tuple[int, int]]]],
+    p: int,
+    n: int,
+    column: Mapping[int, int],
+) -> Iterable[SparseRow]:
+    """The nonzero rows g ^ m over columns `column[bitmask]`, computed on bitmasks.
+
+    `generators` come as `_masked` gives them; those above degree p add no
+    row. A term t of g times m is zero when t and m share a generator, and
+    otherwise has the sign of `_inversions(t, m)`.
+    """
+    cofactors: dict[int, list[tuple[int, Monomial]]] = {}
+    for q, terms in generators:
         if q > p:
             continue
-        terms = [(_mask(t), c) for t, c in g.terms]
-        for m in monomials(n, p - q):
-            mm = _mask(m)
+        if q not in cofactors:
+            cofactors[q] = [(_mask(m), m) for m in monomials(n, p - q)]
+        for mm, m in cofactors[q]:
             row = {}
             for t, c in terms:
-                if t & mm:
-                    continue
-                inversions = sum((t >> j).bit_count() for j in m)
-                row[column[t | mm]] = -c if inversions & 1 else c
+                if not t & mm:
+                    row[column[t | mm]] = -c if _inversions(t, m) & 1 else c
             if row:
                 yield row
+
+
+def _columns(n: int, p: int) -> tuple[tuple[Monomial, ...], dict[int, int]]:
+    """The degree-p monomials in lexicographic order, and each one's index by bitmask."""
+    cols = monomials(n, p)
+    return cols, {_mask(m): j for j, m in enumerate(cols)}
 
 
 def degree_span_rank(
@@ -189,11 +220,60 @@ def degree_span_rank(
     scaled to a primitive integer vector with a positive leading coefficient.
     With `basis=False` only the rank is computed and the list is empty.
     """
-    cols = monomials(n, p)
-    column = {_mask(m): j for j, m in enumerate(cols)}
-    echelon = sparse_echelon(_slice_rows(generators, p, n, column), reduced=basis)
+    cols, column = _columns(n, p)
+    rows = _slice_rows(_masked(generators), p, n, column)
+    echelon = sparse_echelon(rows, basis, len(cols))
     if not basis:
         return len(echelon), []
     return len(echelon), [
         ExtElement(tuple((cols[j], row[j]) for j in sorted(row))) for row in echelon
     ]
+
+
+def ideal_ranks(generators: Sequence[ExtElement], n: int) -> tuple[int, ...]:
+    """Ranks of the degree 0..n slices of the ideal the generators span.
+
+    Each slice grows from the one below: I^p is spanned by b ^ e_j over an
+    echelon basis b of I^(p-1) and the generators of degree p, which is
+    rank(I^(p-1)) * n rows at most rather than one per generator and
+    monomial of complementary degree. Once a slice is all of E^(p-1), so is
+    every slice above it, and no more rows are built. Raises ValueError for
+    a generator that is not homogeneous.
+    """
+    generators = _masked(generators)
+    ranks: list[int] = []
+    below: list[tuple[int, list[tuple[int, int]]]] = []
+    for p in range(n + 1):
+        if p and ranks[-1] == comb(n, p - 1):
+            ranks.append(comb(n, p))  # E^(p-1) ^ E^1 = E^p
+            continue
+        cols, column = _columns(n, p)
+        rows = _slice_rows(below + [g for g in generators if g[0] == p], p, n, column)
+        echelon = sparse_echelon(rows, columns=len(cols))
+        ranks.append(len(echelon))
+        masks = list(column)
+        below = [(p, [(masks[j], c) for j, c in row.items()]) for row in echelon]
+    return tuple(ranks)
+
+
+def gram_of_basis(basis: Sequence[ExtElement], n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Coefficient vectors over the degree-4 monomials of each product b_i ^ b_j.
+
+    The products are taken on bitmasks, each term's sign the parity of its
+    `_inversions`; terms of other degrees are dropped.
+    """
+    cols, column = _columns(n, 4)
+    masked = [[(_mask(t), t, c) for t, c in b.terms] for b in basis]
+    gram = []
+    for left in masked:
+        row = []
+        for right in masked:
+            v = [0] * len(cols)
+            for t, _, c in left:
+                for u, um, d in right:
+                    k = None if t & u else column.get(t | u)
+                    if k is not None:
+                        v[k] += -c * d if _inversions(t, um) & 1 else c * d
+            row.append(tuple(v))
+        gram.append(tuple(row))
+    return tuple(gram)

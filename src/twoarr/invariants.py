@@ -3,10 +3,12 @@
 The kappa pairing multiplies two degree-2 relation-ideal elements into
 degree 4; its rank is invariant under graded algebra isomorphism. For
 arrangements in R^4 the degree-4 slice is one-dimensional, so kappa is an
-honest symmetric bilinear form. Pairwise linking signs of the great
-circles cut out on the unit 3-sphere are determinant signs of stacked
-forms; triple products of those signs do not depend on the member
-orientations at all.
+honest symmetric bilinear form. Its Gram data comes from
+`exterior.gram_of_basis`, which multiplies on bitmasks, and its rank from
+integer elimination. Pairwise linking signs of the great circles cut out
+on the unit 3-sphere are determinant signs of stacked forms, taken by
+integer Bareiss elimination; triple products of those signs do not depend
+on the member orientations at all, and are read off one pairwise table.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 
 from ._value import Value
 from .arrangement import Arrangement
-from .exterior import ExtElement, degree_span_rank, monomials
+from .exterior import ExtElement, degree_span_rank, gram_of_basis
 from .linalg import Matrix, det_sign, integer_rank
 from .matroid import SizeMismatch, betti_vector, same_labeled_matroid
 from .presentation import Presentation, full_presentation, ideal_rank_profile
@@ -52,13 +54,6 @@ class KappaForm(Value):
         if not self.is_scalar:
             raise ValueError("scalar view exists only for n = 4")
         return tuple(tuple(v[0] for v in row) for row in self.gram)
-
-
-def gram_of_basis(basis: Sequence[ExtElement], n: int) -> tuple[tuple[GramVector, ...], ...]:
-    mons4 = monomials(n, 4)
-    return tuple(
-        tuple(bi.wedge(bj).coeff_vector(mons4) for bj in basis) for bi in basis
-    )
 
 
 def kappa(arr: Arrangement) -> KappaForm:
@@ -101,14 +96,16 @@ def pairwise_linking(arr: Arrangement) -> tuple[tuple[int, ...], ...]:
 
 def triple_coefficients(arr: Arrangement) -> dict[tuple[int, int, int], int]:
     """Orientation-independent +-1 per triple: product of its three pairwise signs."""
-    if arr.dim != 4:
-        raise DimensionNot4(f"dim is {arr.dim}")
-    if arr.n < 3:
+    return _triples(pairwise_linking(arr))
+
+
+def _triples(lk: Sequence[Sequence[int]]) -> dict[tuple[int, int, int], int]:
+    """`triple_coefficients` read off a `pairwise_linking` table."""
+    if len(lk) < 3:
         raise ValueError("need at least three subspaces")
-    lk = pairwise_linking(arr)
     return {
         (a, b, c): lk[a - 1][b - 1] * lk[a - 1][c - 1] * lk[b - 1][c - 1]
-        for a, b, c in itertools.combinations(range(1, arr.n + 1), 3)
+        for a, b, c in itertools.combinations(range(1, len(lk) + 1), 3)
     }
 
 

@@ -1,23 +1,25 @@
 """Exact linear algebra over the rationals.
 
-Nothing is ever rounded. Two integer kernels do the hot work, both
-fraction-free on Python ints with every kept row divided by its content:
+Nothing is ever rounded. The hot work runs on Python ints, fraction-free,
+after scaling each rational row by the positive lcm of its denominators
+(`integer_row`), which leaves rank, row span and determinant sign as they
+were:
 
-- `integer_rank` counts the rank of short dense rows; `rank`, after scaling
-  each row by the lcm of its denominators, and the arrangement rank oracle
-  use it.
-- `sparse_echelon` eliminates sparse rows, `{column: int}` dicts. Forward
-  elimination alone gives the rank, which is all the ideal slices' rank
-  profile needs. With `reduced=True` a back-substitution pass returns the
-  unique reduced echelon form with each row primitive and its pivot
-  positive; the degree-2 slice basis of kappa and the circuit dependency
-  solves read it.
+- `integer_rank` counts the rank of short dense rows; `rank` and the
+  arrangement rank oracle use it.
+- `sparse_echelon` eliminates sparse rows, `{column: int}` dicts, and stops
+  once every column has a pivot. Forward elimination alone gives the rank
+  and an echelon basis, which is all the ideal slices' rank profile needs.
+  With `reduced=True` a back-substitution pass returns the unique reduced
+  echelon form with each row primitive and its pivot positive; the
+  degree-2 slice basis of kappa and the circuit dependency solves read it.
+- `det_sign` runs Bareiss elimination on integer rows.
 
 Dense matrices of Fraction entries remain for the small systems outside
-those paths: `rref`, `solve_unique`, `kernel_basis` and `det_sign`
-eliminate over Fraction with a fixed pivot policy: pivots are always the
-first nonzero entry scanning left to right, and kernel bases come out in
-free-column order.
+those paths: `rref`, `solve_unique` and `kernel_basis` eliminate over
+Fraction with a fixed pivot policy: pivots are always the first nonzero
+entry scanning left to right, and kernel bases come out in free-column
+order.
 """
 
 from __future__ import annotations
@@ -197,15 +199,19 @@ def _cancel(r: SparseRow, b: SparseRow, c: int) -> SparseRow:
     return out
 
 
-def sparse_echelon(rows: Iterable[SparseRow], reduced: bool = False) -> list[SparseRow]:
+def sparse_echelon(
+    rows: Iterable[SparseRow], reduced: bool = False, columns: int | None = None
+) -> list[SparseRow]:
     """Echelon basis of the row span of sparse integer rows, in pivot-column order.
 
     Each row is cancelled, at its smallest column, against the kept row with
-    that pivot until it is zero or has a new pivot; then it is kept, primitive
-    with a positive pivot. The number of rows returned is the rank over the
-    rationals. With `reduced`, each kept row is also cleared in every other
-    pivot column, from the last pivot back: the result is the reduced row
-    echelon form with each row scaled to a primitive integer row.
+    that pivot until it is zero or has a new pivot; then it is kept,
+    primitive with a positive pivot. When the rows' keys lie in
+    range(columns), no row can add a pivot once all `columns` have one, so
+    the rest of `rows` is not read. The number of rows returned is the rank
+    over the rationals. With `reduced`, each kept row is also cleared in
+    every other pivot column, from the last pivot back: the result is the
+    reduced row echelon form with each row scaled to a primitive integer row.
     """
     kept: dict[int, SparseRow] = {}
     for row in rows:
@@ -217,6 +223,8 @@ def sparse_echelon(rows: Iterable[SparseRow], reduced: bool = False) -> list[Spa
                 kept[c] = _primitive(r, c)
                 break
             r = _cancel(r, b, c)
+        if len(kept) == columns:
+            break
     pivots = sorted(kept)
     if reduced:
         for c in reversed(pivots):
@@ -269,22 +277,26 @@ def kernel_basis(m: Matrix) -> list[Vector]:
 
 
 def det_sign(m: Matrix) -> int:
-    """Sign of the exact determinant: -1, 0 or +1."""
+    """Sign of the exact determinant: -1, 0 or +1.
+
+    Bareiss elimination on the rows scaled to integers: each step's entries
+    are 2x2 minors divided exactly by the previous pivot, and the last pivot
+    is the determinant of the scaled rows, whose sign is the sign wanted.
+    """
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols} matrix has no determinant")
-    a = m.to_rows()
-    sign = 1
+    a = [integer_row(m.row(i)) for i in range(m.rows)]
+    sign, last = 1, 1
     for c in range(m.cols):
-        p = next((i for i in range(c, m.rows) if a[i][c] != 0), None)
+        p = next((i for i in range(c, m.rows) if a[i][c]), None)
         if p is None:
             return 0
         if p != c:
             a[c], a[p] = a[p], a[c]
             sign = -sign
-        if a[c][c] < 0:
-            sign = -sign
+        pivot = a[c]
         for i in range(c + 1, m.rows):
-            if a[i][c] != 0:
-                f = a[i][c] / a[c][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return sign
+            f = a[i][c]
+            a[i] = [(pivot[c] * x - f * y) // last for x, y in zip(a[i], pivot)]
+        last = pivot[c]
+    return sign if last > 0 else -sign

@@ -22,6 +22,12 @@ relation is
 with the deleted-member monomials written in increasing index order.
 Arrangements built entirely from z-linear complex equations admit a direct
 route that skips the solves: there every sigma_j is +1.
+
+The solves are integer: `full_presentation` reads each sigma_j from the
+rows of one reduced echelon form with positive pivots, and only
+`circuit_dependencies` turns those rows into `Fraction` quads. The ideal's
+rank profile grows each graded slice from the echelon basis of the one
+below (`exterior.ideal_ranks`).
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ from typing import Sequence
 
 from ._value import Value
 from .arrangement import Arrangement
-from .exterior import ExtElement, degree_span_rank
-from .linalg import integer_row, sparse_echelon
+from .exterior import ExtElement, ideal_ranks
+from .linalg import SparseRow, integer_row, sparse_echelon
 from .matroid import circuits, matroid_rank, nbc_sets
 
 MODE_REAL = "real-2-arrangement"
@@ -98,17 +104,27 @@ def circuit_dependencies(arr: Arrangement, circuit: Sequence[int]) -> Dependency
     return _dependencies(arr, _checked_circuit(arr, circuit))
 
 
-def _dependencies(arr: Arrangement, c: tuple[int, ...]) -> DependencyPair:
-    """`circuit_dependencies` for a circuit known to be one, in increasing order."""
+def _solve(arr: Arrangement, c: tuple[int, ...]) -> list[SparseRow]:
+    """The reduced echelon rows of `circuit_dependencies`' system.
+
+    `c` is known to be a circuit, in increasing order.
+    """
     forms = []
     for a in c[1:] + c[:1]:
         p = arr.pair(a)
         forms += [p.first.coeffs, p.second.coeffs]
     unknowns = len(forms) - 2
     rows = (dict(enumerate(integer_row([f[i] for f in forms]))) for i in range(arr.dim))
-    echelon = sparse_echelon(rows, reduced=True)
+    echelon = sparse_echelon(rows, True, len(forms))
     if [min(row) for row in echelon] != list(range(unknowns)):
         raise ValueError(f"circuit {c} has no unique dependency")
+    return echelon
+
+
+def _dependencies(arr: Arrangement, c: tuple[int, ...]) -> DependencyPair:
+    """`circuit_dependencies` for a circuit known to be one, in increasing order."""
+    echelon = _solve(arr, c)
+    unknowns = len(echelon)
     x = [Fraction(row.get(unknowns, 0), row[j]) for j, row in enumerate(echelon)]
     y = [Fraction(row.get(unknowns + 1, 0), row[j]) for j, row in enumerate(echelon)]
     quads = [(Fraction(-1), Fraction(0), Fraction(0), Fraction(-1))]
@@ -127,21 +143,29 @@ def _os_element(c: tuple[int, ...], signs: Sequence[int]) -> ExtElement:
 
 def circuit_relation(arr: Arrangement, circuit: Sequence[int]) -> CircuitRelation:
     """The signed relation a circuit imposes."""
-    return _relation(circuit_dependencies(arr, circuit))
+    c = _checked_circuit(arr, circuit)
+    return _relation(c, _solve(arr, c))
 
 
-def _relation(dep: DependencyPair) -> CircuitRelation:
-    signs = []
-    for al, be, ga, de in dep.quads:
-        det = al * de - be * ga
-        s = (det > 0) - (det < 0)
-        if s == 0:
+def _relation(c: tuple[int, ...], echelon: list[SparseRow]) -> CircuitRelation:
+    """The relation with each sign read from the integer echelon rows of `_solve`.
+
+    Rows j, j + 1 have positive pivots P, P' and right-hand sides (X, Y),
+    (X', Y'), so alpha delta - beta gamma = (X Y' - X' Y) / (P P') has the
+    sign of X Y' - X' Y.
+    """
+    u = len(echelon)
+    signs = [1]  # (alpha_0, beta_0, gamma_0, delta_0) = (-1, 0, 0, -1)
+    for j in range(0, u, 2):
+        r, r2 = echelon[j], echelon[j + 1]
+        det = r.get(u, 0) * r2.get(u + 1, 0) - r2.get(u, 0) * r.get(u + 1, 0)
+        if det == 0:
             raise ValueError(
-                f"degenerate coefficient block in circuit {dep.circuit}; "
+                f"degenerate coefficient block in circuit {c}; "
                 "arrangement violates the even-rank condition"
             )
-        signs.append(s)
-    return CircuitRelation(dep.circuit, tuple(signs), _os_element(dep.circuit, signs))
+        signs.append(1 if det > 0 else -1)
+    return CircuitRelation(c, tuple(signs), _os_element(c, signs))
 
 
 def full_presentation(arr: Arrangement, mode: str = MODE_REAL) -> Presentation:
@@ -162,7 +186,7 @@ def full_presentation(arr: Arrangement, mode: str = MODE_REAL) -> Presentation:
         )
     else:
         # circuits() found these, so they skip _checked_circuit's re-check
-        relations = tuple(_relation(_dependencies(arr, c)) for c in cs)
+        relations = tuple(_relation(c, _solve(arr, c)) for c in cs)
     return Presentation(arr.n, relations, mode)
 
 
@@ -185,20 +209,23 @@ def normalize_signs(pres: Presentation) -> Presentation:
 
 def ideal_rank(pres: Presentation, degree: int) -> int:
     """Rank over the rationals of the degree slice of the relation ideal."""
-    return degree_span_rank(pres.elements(), degree, pres.n, basis=False)[0]
+    if degree < 0:
+        raise ValueError(f"negative degree {degree}")
+    ranks = ideal_ranks(pres.elements(), pres.n)
+    return ranks[degree] if degree <= pres.n else 0
 
 
 def ideal_rank_profile(pres: Presentation) -> tuple[int, ...]:
     """Ideal ranks for degrees 1..n."""
-    return tuple(ideal_rank(pres, p) for p in range(1, pres.n + 1))
+    return ideal_ranks(pres.elements(), pres.n)[1:]
 
 
 def nbc_basis_check(arr: Arrangement) -> bool:
     """Check rank I^p + #NBC_p = C(n, p) in every degree."""
-    pres = full_presentation(arr)
+    ranks = ideal_ranks(full_presentation(arr).elements(), arr.n)
     counts = nbc_sets(arr).counts
     for p in range(arr.n + 1):
         nbc_p = counts[p] if p < len(counts) else 0
-        if ideal_rank(pres, p) + nbc_p != comb(arr.n, p):
+        if ranks[p] + nbc_p != comb(arr.n, p):
             return False
     return True

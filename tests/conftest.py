@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -37,6 +38,14 @@ def generic_lines(n, seed, conjugate_last=False):
 
     With `conjugate_last` the last member is conjugate-linear in z2.
     """
+    return generic_hyperplanes(n, 2, seed, conjugate_last)
+
+
+def generic_hyperplanes(n, rank, seed, conjugate_last=False):
+    """n seeded generic complex hyperplanes in C^rank, Gaussian-integer coefficients.
+
+    With `conjugate_last` the last member is conjugate-linear in its last coordinate.
+    """
     rng = random.Random(seed)
     zero = (Fraction(0), Fraction(0))
 
@@ -45,16 +54,29 @@ def generic_lines(n, seed, conjugate_last=False):
 
     pairs = []
     for k in range(1, n + 1):
-        a, b = gaussian(), gaussian()
+        coeffs = tuple(gaussian() for _ in range(rank))
         if conjugate_last and k == n:
-            spec = ComplexFormSpec((a, zero), (zero, b))
+            spec = ComplexFormSpec(coeffs[:-1] + (zero,), (zero,) * (rank - 1) + coeffs[-1:])
         else:
-            spec = ComplexFormSpec((a, b), (zero, zero))
+            spec = ComplexFormSpec(coeffs, (zero,) * rank)
         first, second = from_complex_form(spec)
         pairs.append(SubspacePair(f"L{k}", first, second, spec))
-    arr = Arrangement(4, tuple(pairs))
+    arr = Arrangement(2 * rank, tuple(pairs))
     assert validate(arr).ok, f"seed {seed} gives a non-generic arrangement"
     return arr
+
+
+def braid_a4():
+    """The braid arrangement A_4 in essential form: z_i (i = 1..4) and z_i - z_j in C^4."""
+    rows = [[int(k == i) for k in range(4)] for i in range(4)]
+    rows += [[int(k == i) - int(k == j) for k in range(4)] for i, j in itertools.combinations(range(4), 2)]
+    zero = (Fraction(0), Fraction(0))
+    pairs = []
+    for k, row in enumerate(rows, start=1):
+        spec = ComplexFormSpec(tuple((Fraction(c), Fraction(0)) for c in row), (zero,) * 4)
+        first, second = from_complex_form(spec)
+        pairs.append(SubspacePair(f"H{k}", first, second, spec))
+    return Arrangement(8, tuple(pairs))
 
 
 @pytest.fixture(scope="session")

@@ -211,3 +211,18 @@ def test_output_is_deterministic(fx, capsys):
     third = run(capsys, "linking", fx("example22-Bprime"))
     fourth = run(capsys, "linking", fx("example22-Bprime"))
     assert third == fourth
+
+
+@pytest.mark.parametrize("order", [None, "5,4,3,2,1"])
+def test_betti_enumerates_each_nbc_complex_once(fx, capsys, monkeypatch, order):
+    from twoarr import matroid
+
+    path = fx("thm32-Bhat")
+    calls = []
+    enumerate_nbc = matroid.nbc_sets
+    monkeypatch.setattr(matroid, "nbc_sets", lambda a, o=None: calls.append(o) or enumerate_nbc(a, o))
+    argv = ["betti", path] + (["--order", order] if order else [])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1:] == ["betti: 1 5 10 6", "whitney check: ok"]
+    assert calls == ([None] if order is None else [(5, 4, 3, 2, 1), None])

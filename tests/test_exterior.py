@@ -5,10 +5,18 @@ from math import gcd, lcm
 
 import pytest
 
-from twoarr.exterior import ExtElement, degree_span_rank, monomials, normalize
-from twoarr.linalg import Matrix, rref
+from twoarr import exterior
+from twoarr.exterior import (
+    ExtElement,
+    degree_span_rank,
+    gram_of_basis,
+    ideal_ranks,
+    monomials,
+    normalize,
+)
+from twoarr.linalg import Matrix, rref, sparse_echelon
 from twoarr.presentation import full_presentation
-from conftest import generic_lines
+from conftest import braid_a4, generic_lines
 
 try:
     import sympy
@@ -250,3 +258,64 @@ def test_slice_rows_skip_zero_generators_and_reject_mixed_degrees():
     assert degree_span_rank(rels + [ExtElement.zero()], 2, 4) == degree_span_rank(rels, 2, 4)
     with pytest.raises(ValueError):
         degree_span_rank([elem(((1,), 1), ((2, 3), 1))], 3, 4)
+
+
+# --- slices grown degree by degree ------------------------------------------------
+
+
+def direct_ranks(generators, n):
+    """Each slice's rank from all generators at once, degree by degree."""
+    return tuple(degree_span_rank(generators, p, n, basis=False)[0] for p in range(n + 1))
+
+
+def test_grown_slices_match_direct_ranks_on_random_generators():
+    rng = random.Random(41)
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        gens = [
+            random_element(rng, n, rng.randint(0, min(4, n)), rng.randint(1, 4))
+            for _ in range(rng.randint(0, 6))
+        ]
+        gens += [ExtElement.zero()] * rng.randint(0, 2)
+        rng.shuffle(gens)
+        assert ideal_ranks(gens, n) == direct_ranks(gens, n), gens
+
+
+def test_grown_slices_reject_mixed_degrees():
+    mixed = elem(((1,), 1), ((2, 3), 1))
+    with pytest.raises(ValueError):
+        ideal_ranks(COMPLEX_PATTERN_RELATIONS + [mixed], 4)
+
+
+def test_grown_slices_feed_the_kernel_few_rows(monkeypatch):
+    """Degree p eliminates at most rank(I^(p-1)) * n + #R_p rows."""
+    fed = []
+
+    def counting(rows, reduced=False, columns=None):
+        seen = []
+        out = sparse_echelon((seen.append(r) or r for r in rows), reduced, columns)
+        fed.append(len(seen))
+        return out
+
+    monkeypatch.setattr(exterior, "sparse_echelon", counting)
+    for arr in (generic_lines(10, seed=3), generic_lines(9, seed=3, conjugate_last=True), braid_a4()):
+        gens = full_presentation(arr).elements()
+        n = arr.n
+        fed.clear()
+        ranks = ideal_ranks(gens, n)
+        assert len(fed) <= n + 1
+        for p, rows in enumerate(fed):
+            below = ranks[p - 1] if p else 0
+            assert rows <= below * n + sum(g.degree == p for g in gens), p
+        # the old way: one row per relation and monomial of complementary degree
+        assert sum(fed) < sum(len(monomials(n, p - g.degree)) for g in gens for p in range(g.degree, n + 1))
+
+
+def test_gram_of_basis_matches_wedge_products():
+    rng = random.Random(43)
+    for _ in range(60):
+        n = rng.randint(4, 7)
+        basis = [random_element(rng, n, rng.randint(1, 3), rng.randint(1, 4)) for _ in range(rng.randint(0, 4))]
+        mons4 = monomials(n, 4)
+        expected = tuple(tuple(x.wedge(y).coeff_vector(mons4) for y in basis) for x in basis)
+        assert gram_of_basis(basis, n) == expected

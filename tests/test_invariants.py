@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -19,7 +20,7 @@ from twoarr.invariants import (
     triple_coefficients,
 )
 import twoarr
-from twoarr import linalg
+from twoarr import cli, invariants, linalg, presentation
 from twoarr.linalg import Matrix, rank
 from twoarr.presentation import full_presentation, ideal_rank_profile
 from twoarr.matroid import SizeMismatch
@@ -192,6 +193,39 @@ def test_positive_recombination_keeps_pairwise(arr_bprime):
         assert pairwise_linking(recombined(arr_bprime, mats)) == base
 
 
+def test_linking_verb_computes_the_table_once(monkeypatch, capsys, tmp_path, arr_bprime):
+    from twoarr.arrangement import serialize_arrangement
+
+    path = tmp_path / "bprime.arr"
+    path.write_text(serialize_arrangement(arr_bprime))
+    expected = triple_coefficients(arr_bprime)
+    calls = []
+    table = invariants.pairwise_linking
+    monkeypatch.setattr(invariants, "pairwise_linking", lambda a: calls.append(a) or table(a))
+    assert cli.main(["linking", str(path), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)["linking"]
+    assert len(calls) == 1
+    assert {tuple(t["triple"]): t["sign"] for t in doc["triples"]} == expected
+
+
+def test_linking_verb_needs_three_subspaces(capsys, tmp_path, independent_pair):
+    from twoarr.arrangement import serialize_arrangement
+
+    path = tmp_path / "pair.arr"
+    path.write_text(serialize_arrangement(independent_pair))
+    assert cli.main(["linking", str(path)]) == 3
+    assert capsys.readouterr().err == "error: need at least three subspaces\n"
+
+
+def test_kappa_gram_matches_wedge_products(arr_b, arr_bprime):
+    for arr in (arr_b, arr_bprime, generic_lines(8, seed=3), generic_lines(8, seed=3, conjugate_last=True)):
+        form = kappa(arr)
+        mons4 = monomials(arr.n, 4)
+        assert form.gram == tuple(
+            tuple(bi.wedge(bj).coeff_vector(mons4) for bj in form.basis) for bi in form.basis
+        )
+
+
 def test_triple_is_product_of_pairwise(arr_bprime):
     lk = pairwise_linking(arr_bprime)
     for (a, b, c), s in triple_coefficients(arr_bprime).items():
@@ -242,7 +276,10 @@ def test_slices_and_presentations_never_eliminate_over_fraction(
     monkeypatch, arr_b, arr_bprime, arr_bhat, arr_bhat_complex
 ):
     def forbidden(*args, **kwargs):
-        raise AssertionError("Fraction elimination on the slice or presentation path")
+        raise AssertionError("Fraction elimination, Fraction signs or ExtElement.wedge on a hot path")
+
+    monkeypatch.setattr(ExtElement, "wedge", forbidden)
+    monkeypatch.setattr(presentation, "Fraction", forbidden)
 
     # the package binds a lazy re-export only once it is first looked up
     assert (twoarr.rref, twoarr.solve_unique) == (linalg.rref, linalg.solve_unique)

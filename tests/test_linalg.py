@@ -260,6 +260,56 @@ def test_sparse_echelon_forward_rows_span_the_input():
         assert rank(Matrix.from_rows(m.to_rows() + forward, m.cols)) == rank(m)
 
 
+def test_sparse_echelon_full_rank_stop_changes_nothing():
+    stopped = 0
+    for m in rational_matrices():
+        rows = [dict(enumerate(integer_row(m.row(i)))) for i in range(m.rows)]
+        for reduced in (False, True):
+            unbounded = sparse_echelon(rows, reduced)
+            assert sparse_echelon(rows, reduced, m.cols) == unbounded
+            # one more column that no row uses: never full, so never stopped
+            assert sparse_echelon(rows, reduced, m.cols + 1) == unbounded
+        read = []
+        sparse_echelon((read.append(r) or r for r in rows), columns=m.cols)
+        # no row is read after the one that gives every column a pivot
+        full = (i + 1 for i in range(m.rows) if len(sparse_echelon(rows[: i + 1])) == m.cols)
+        assert len(read) == next(full, m.rows)
+        stopped += len(read) < m.rows
+    assert stopped > 0
+
+
+def sympy_sign(m):
+    sympy = pytest.importorskip("sympy")
+    entries = [sympy.Rational(x.numerator, x.denominator) for x in m.entries]
+    d = sympy.Matrix(m.rows, m.cols, entries).det()
+    return 0 if d == 0 else 1 if d > 0 else -1
+
+
+def test_det_sign_matches_sympy_on_singular_and_swapped_matrices():
+    rng = random.Random(89)
+    singular = swapped = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(n)] for _ in range(n)]
+        kind = rng.randrange(3)
+        if kind == 0 and n > 1:  # a row that is a combination of two others
+            i, j, k = rng.sample(range(n), 2) + [rng.randrange(n)]
+            rows[k] = [Fraction(rng.randint(-3, 3)) * a + Fraction(1, 2) * b for a, b in zip(rows[i], rows[j])]
+        elif kind == 1:  # a zero leading entry forces a row swap
+            for r in rows[: rng.randint(1, n)]:
+                r[0] = Fraction(0)
+        m = Matrix.from_rows(rows, n)
+        expected = sympy_sign(m)
+        assert det_sign(m) == expected
+        singular += expected == 0
+        swapped += rows[0][0] == 0 and expected != 0
+    assert singular > 20 and swapped > 20
+
+
+def test_det_sign_of_the_empty_matrix():
+    assert det_sign(Matrix(0, 0, ())) == 1
+
+
 def test_dot_length_mismatch_raises():
     with pytest.raises(ValueError):
         dot(vec([1, 2]), vec([1]))

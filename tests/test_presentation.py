@@ -6,10 +6,11 @@ import pytest
 
 from twoarr import presentation
 from twoarr.arrangement import Arrangement, LinearForm, SubspacePair
-from twoarr.exterior import ExtElement, monomials
+from twoarr.exterior import ExtElement, degree_span_rank, monomials
 from twoarr.linalg import Matrix, rref
 from twoarr.matroid import circuits, nbc_sets
 from twoarr.presentation import (
+    CircuitRelation,
     MODE_COMPLEX,
     MODE_REAL,
     ModeMismatch,
@@ -21,8 +22,9 @@ from twoarr.presentation import (
     ideal_rank_profile,
     nbc_basis_check,
     normalize_signs,
+    Presentation,
 )
-from conftest import generic_lines, pair
+from conftest import braid_a4, generic_hyperplanes, generic_lines, pair
 
 
 def elem(*terms):
@@ -172,6 +174,70 @@ def test_nbc_basis_check(arr_b, arr_bprime, arr_bhat, independent_pair):
         assert nbc_basis_check(arr)
 
 
+def test_nbc_basis_check_builds_the_profile_once(monkeypatch, arr_bprime):
+    calls = []
+    grow = presentation.ideal_ranks
+    monkeypatch.setattr(presentation, "ideal_ranks", lambda g, n: calls.append(n) or grow(g, n))
+    assert nbc_basis_check(arr_bprime)
+    assert calls == [arr_bprime.n]
+
+
+def profile_cases():
+    from twoarr.fixtures import load_fixture
+
+    cases = []
+    for name in ("example22-B", "example22-Bprime", "thm32-Bhat", "thm32-Bhat-complex"):
+        arr = load_fixture(name)
+        modes = (MODE_REAL, MODE_COMPLEX) if arr.is_holomorphic_input else (MODE_REAL,)
+        cases += [pytest.param(arr, mode, id=f"{name}-{mode}") for mode in modes]
+    cases.append(pytest.param(braid_a4(), MODE_REAL, id="braid-a4"))
+    for conj in (False, True):
+        cases.append(pytest.param(generic_hyperplanes(7, 3, 5, conj), MODE_REAL, id=f"planes7-conj{conj:d}"))
+        for n in range(7, 11):
+            cases.append(pytest.param(generic_lines(n, n, conj), MODE_REAL, id=f"lines{n}-conj{conj:d}"))
+    return cases
+
+
+@pytest.mark.parametrize("arr, mode", profile_cases())
+def test_grown_profile_matches_direct_slices(arr, mode):
+    pres = full_presentation(arr, mode)
+    n = arr.n
+    direct = [degree_span_rank(pres.elements(), p, n, basis=False)[0] for p in range(n + 1)]
+    assert ideal_rank_profile(pres) == tuple(direct[1:])
+    assert [ideal_rank(pres, d) for d in range(n + 3)] == direct + [0, 0]
+
+
+def test_ideal_rank_rejects_inhomogeneous_relations_in_every_degree(arr_b):
+    pres = full_presentation(arr_b)
+    mixed = CircuitRelation((1, 2, 3), (1, 1, 1), elem(((1,), 1), ((2, 3), 1)))
+    bad = Presentation(pres.n, pres.relations + (mixed,), pres.mode)
+    for d in range(pres.n + 3):
+        with pytest.raises(ValueError):
+            ideal_rank(bad, d)
+    with pytest.raises(ValueError):
+        ideal_rank_profile(bad)
+    with pytest.raises(ValueError):
+        ideal_rank(pres, -1)
+
+
+def quad_signs(dep):
+    return tuple((d > 0) - (d < 0) for d in (al * de - be * ga for al, be, ga, de in dep.quads))
+
+
+def test_integer_signs_match_the_fraction_quads(arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
+    rng = random.Random(83)
+    arrs = [arr_b, arr_bprime, arr_bhat, arr_bhat_complex, braid_a4()]
+    arrs += [generic_lines(7, 3), generic_lines(8, 5, True), generic_hyperplanes(6, 3, 7, True)]
+    for base in (arr_bprime, arr_bhat):
+        for _ in range(10):
+            arrs.append(recombined(base, [random_gl2(rng)[0] for _ in range(base.n)]))
+    for arr in arrs:
+        for c, rel in zip(circuits(arr), full_presentation(arr).relations):
+            expected = quad_signs(circuit_dependencies(arr, c))
+            assert 0 not in expected
+            assert rel.signs == circuit_relation(arr, c).signs == expected, c
+
+
 # --- property suites -----------------------------------------------------------
 
 
@@ -285,7 +351,7 @@ def test_rank_nbc_identity_all_degrees(arr_b, arr_bprime, arr_bhat, arr_bhat_com
 
 
 @pytest.mark.parametrize("conjugate_last", [False, True])
-@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("n", [8, 10, 12])
 def test_rank_nbc_identity_generic_lines(n, conjugate_last):
     arr = generic_lines(n, seed=n + 1, conjugate_last=conjugate_last)
     counts = nbc_sets(arr).counts
