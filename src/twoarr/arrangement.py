@@ -32,7 +32,9 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from ._value import Value
-from .linalg import Matrix, Vector, dot, integer_rank, integer_row, kernel_basis, rank, vec
+from .linalg import (
+    Matrix, Vector, closed_sets, dot, integer_rank, integer_row, kernel_basis, rank, vec,
+)
 
 
 class ParseError(ValueError):
@@ -203,6 +205,11 @@ class Arrangement(Value):
         return {}
 
     @cached_property
+    def _closed_sets(self) -> dict[int, int]:
+        """codim of every closed set, by bitmask (as `_codim_cache`), found in one walk."""
+        return closed_sets(self._integer_forms)
+
+    @cached_property
     def _circuits(self) -> tuple[tuple[int, ...], ...]:
         """The circuits, found once; `matroid.circuits` hands out copies."""
         from .matroid import _scan_circuits
@@ -232,6 +239,19 @@ class ValidationReport(Value):
         return not self.violations
 
 
+def _mask(arr: Arrangement, subset: Iterable[int]) -> int:
+    """Bitmask of a subset of 1-based indices, each checked; bit a-1 stands for subspace a."""
+    mask = 0
+    for a in subset:
+        arr.pair(a)
+        mask |= 1 << (a - 1)
+    return mask
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def codim(arr: Arrangement, subset: Iterable[int]) -> int:
     """Real codimension of the intersection over a subset: rank of its stacked forms.
 
@@ -239,10 +259,7 @@ def codim(arr: Arrangement, subset: Iterable[int]) -> int:
     arrangement, keyed by the subset, and computed by integer elimination
     over the forms scaled to integers.
     """
-    mask = 0
-    for a in subset:
-        arr.pair(a)
-        mask |= 1 << (a - 1)
+    mask = _mask(arr, subset)
     cache = arr._codim_cache
     r = cache.get(mask)
     if r is None:
@@ -255,42 +272,14 @@ def codim(arr: Arrangement, subset: Iterable[int]) -> int:
     return r
 
 
-def _span_closure(arr: Arrangement, subset: tuple[int, ...]) -> tuple[int, ...]:
-    base = codim(arr, subset)
-    out = []
-    for b in range(1, arr.n + 1):
-        if b in subset or codim(arr, subset + (b,)) == base:
-            out.append(b)
-    return tuple(out)
-
-
-def _closed_sets(arr: Arrangement) -> list[tuple[int, ...]]:
-    # breadth-first closure; works whether or not the arrangement is admissible
-    first = _span_closure(arr, ())
-    seen = {first}
-    frontier = [first]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for a in range(1, arr.n + 1):
-                if a in f:
-                    continue
-                g = _span_closure(arr, tuple(sorted(f + (a,))))
-                if g not in seen:
-                    seen.add(g)
-                    nxt.append(g)
-        frontier = nxt
-    return sorted(seen, key=lambda s: (len(s), s))
-
-
 def validate(arr: Arrangement) -> ValidationReport:
     """Check the admissibility invariants; violations are data, not exceptions.
 
     Checks: every pair has rank 2, the whole arrangement is essential, every
     two subspaces are transversal (rank 4), and every intersection has even
-    codimension. Evenness is checked on closed sets only: a subset's forms
-    span the same space as its closure's forms, so any odd-rank subset is
-    witnessed by a closed one.
+    codimension. Evenness is checked on the cached closed sets only: a
+    subset's forms span the same space as its closure's forms, so any
+    odd-rank subset is witnessed by a closed one.
     """
     out: list[Violation] = []
     for a in range(1, arr.n + 1):
@@ -316,10 +305,9 @@ def validate(arr: Arrangement) -> ValidationReport:
                 out.append(
                     Violation("pairwise-rank", (a, b), f"subset {{{a},{b}}} has rank {r}, expected 4")
                 )
-    for f in _closed_sets(arr):
-        r = codim(arr, f)
-        if r % 2 != 0:
-            out.append(Violation("odd-rank", f, f"subset {set(f)} has rank {r} (odd)"))
+    odd = [(_members(mask), r) for mask, r in arr._closed_sets.items() if r % 2]
+    for f, r in sorted(odd, key=lambda fr: (len(fr[0]), fr[0])):
+        out.append(Violation("odd-rank", f, f"subset {set(f)} has rank {r} (odd)"))
     return ValidationReport(tuple(out))
 
 

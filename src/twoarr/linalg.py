@@ -6,7 +6,8 @@ after scaling each rational row by the positive lcm of its denominators
 were:
 
 - `integer_rank` counts the rank of short dense rows; `rank` and the
-  arrangement rank oracle use it.
+  arrangement rank oracle use it. `closed_sets` walks the lattice of spans
+  of groups of such rows, an arrangement's closed sets.
 - `sparse_echelon` eliminates sparse rows, `{column: int}` dicts, and stops
   once every column has a pivot. Forward elimination alone gives the rank
   and an echelon basis, which is all the ideal slices' rank profile needs.
@@ -151,29 +152,84 @@ def integer_row(row: Sequence[Fraction]) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in row]
 
 
-def integer_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Row rank over the rationals of integer rows, by fraction-free elimination.
+def _clear(r: list[int], c: int, b: Sequence[int]) -> list[int]:
+    """p*r - x*b with the common factor of p = b[c] and x = r[c] divided out; zero at c."""
+    g = math.gcd(b[c], r[c])
+    p, x = b[c] // g, r[c] // g
+    return [p * u - x * v for u, v in zip(r, b)]
 
-    Each row is reduced against the rows kept so far, one pivot column each,
-    and is kept, divided by its content, when anything nonzero is left.
+
+def _extend(
+    basis: Sequence[tuple[int, list[int]]], rows: Iterable[Sequence[int]]
+) -> list[tuple[int, list[int]]]:
+    """The (pivot, row) pairs that extend an echelon basis to span(basis + rows).
+
+    In `basis` and in the result each row is zero in the pivot columns
+    listed before it, primitive, and pivoted at its first nonzero entry.
     """
-    kept: list[tuple[int, list[int]]] = []
+    kept = list(basis)
     for row in rows:
         r = list(row)
         for c, b in kept:
-            x = r[c]
-            if x:
-                p = b[c]
-                g = math.gcd(p, x)
-                p, x = p // g, x // g
-                r = [p * u - x * v for u, v in zip(r, b)]
+            if r[c]:
+                r = _clear(r, c, b)
         content = math.gcd(*r)
         if content:
             c = next(j for j, x in enumerate(r) if x)
             kept.append((c, [x // content for x in r]))
             if len(kept) == len(r):
                 break  # full column rank: no later row can add to it
-    return len(kept)
+    return kept[len(basis):]
+
+
+def _span_key(rows: Sequence[tuple[int, list[int]]]) -> tuple[tuple[int, ...], ...]:
+    """The reduced echelon form of the span of `_extend`'s rows: equal iff the spans are."""
+    done: list[tuple[int, tuple[int, ...]]] = []
+    for c, r in reversed(rows):
+        for d, b in done:
+            if r[d]:
+                r = _clear(r, d, b)
+        g = math.gcd(*r) if r[c] > 0 else -math.gcd(*r)
+        done.append((c, tuple(x // g for x in r)))
+    return tuple(r for _, r in sorted(done))
+
+
+def integer_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Row rank over the rationals of integer rows, by fraction-free elimination."""
+    return len(_extend((), rows))
+
+
+def closed_sets(groups: Sequence[Sequence[Sequence[int]]]) -> dict[int, int]:
+    """Rank of every closed set of row groups, by bitmask, breadth-first from the closure of ().
+
+    A set of groups is closed when no other group's rows lie in its span.
+    A closed set F carries, for each group b outside it, the rows b adds to
+    F's span, cleared in F's pivot columns (`new[b]`). closure(F + a) is F
+    plus each b whose new rows lie in the span of a's: those with the same
+    span, and those that add less and reduce to nothing against a's rows.
+    """
+    start = {b: _extend((), rows) for b, rows in enumerate(groups)}
+    bottom = sum(1 << b for b, rows in start.items() if not rows)
+    closed = {bottom: 0}
+    frontier = [(bottom, {b: rows for b, rows in start.items() if rows})]
+    while frontier:
+        nxt = []
+        for mask, new in frontier:
+            spans: dict[tuple, list[int]] = {}
+            for b, rows in new.items():
+                spans.setdefault(_span_key(rows), []).append(b)
+            for a, *same in spans.values():
+                rows = new[a]
+                cover = mask | sum(1 << b for b in (a, *same))
+                for b, others in new.items():
+                    if len(others) < len(rows) and not _extend(rows, (r for _, r in others)):
+                        cover |= 1 << b
+                if cover not in closed:
+                    closed[cover] = closed[mask] + len(rows)
+                    rest = (b for b in new if not cover >> b & 1)
+                    nxt.append((cover, {b: _extend(rows, (r for _, r in new[b])) for b in rest}))
+        frontier = nxt
+    return closed
 
 
 def _primitive(row: SparseRow, pivot: int) -> SparseRow:

@@ -3,6 +3,10 @@
 The ground set is 1..n by subspace position. The matroid rank of a subset
 is half the real codimension of its intersection; operations here assume
 the arrangement has already passed validation.
+
+Everything but `matroid_rank` reads the arrangement's cached closed sets
+(`Arrangement._closed_sets`: one breadth-first walk, keyed by bitmask) and
+circuits. A subset's rank is that of the least closed set containing it.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import itertools
 from typing import Iterable, Sequence
 
 from ._value import Value
-from .arrangement import Arrangement, codim
+from .arrangement import Arrangement, _mask, _members, codim
 
 
 class SizeMismatch(ValueError):
@@ -31,14 +35,9 @@ def matroid_rank(arr: Arrangement, subset: Iterable[int]) -> int:
 
 
 def closure(arr: Arrangement, subset: Iterable[int]) -> tuple[int, ...]:
-    """All elements whose forms lie in the span of the subset's forms."""
-    subset = tuple(sorted(set(subset)))
-    base = codim(arr, subset)
-    return tuple(
-        b
-        for b in range(1, arr.n + 1)
-        if b in subset or codim(arr, subset + (b,)) == base
-    )
+    """The least closed set containing the subset: all elements in the span of its forms."""
+    mask = _mask(arr, subset)
+    return _members(min((c, g) for g, c in arr._closed_sets.items() if g & mask == mask)[1])
 
 
 class Flat(Value):
@@ -69,25 +68,17 @@ class IntersectionLattice(Value):
 
 
 def flats(arr: Arrangement) -> IntersectionLattice:
-    """Breadth-first closure enumeration of the intersection lattice."""
-    bottom = closure(arr, ())
-    ranks = {bottom: matroid_rank(arr, bottom)}
-    frontier = [bottom]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for a in range(1, arr.n + 1):
-                if a in f:
-                    continue
-                g = closure(arr, f + (a,))
-                if g not in ranks:
-                    ranks[g] = matroid_rank(arr, g)
-                    nxt.append(g)
-        frontier = nxt
-    top = max(ranks.values())
-    groups: list[list[Flat]] = [[] for _ in range(top + 1)]
-    for elements, r in ranks.items():
-        groups[r].append(Flat(elements, r))
+    """The intersection lattice: the arrangement's closed sets grouped by rank.
+
+    Raises `NotAdmissible` on the first closed set, in breadth-first order,
+    of odd codimension.
+    """
+    closed = arr._closed_sets
+    groups: list[list[Flat]] = [[] for _ in range(max(closed.values()) // 2 + 1)]
+    for mask, c in closed.items():
+        if c % 2:
+            raise NotAdmissible(f"subset {set(_members(mask))} has odd codimension {c}")
+        groups[c // 2].append(Flat(_members(mask), c // 2))
     for g in groups:
         g.sort(key=lambda f: f.elements)
     return IntersectionLattice(tuple(tuple(g) for g in groups))
@@ -102,16 +93,24 @@ def circuits(arr: Arrangement) -> list[tuple[int, ...]]:
 
 
 def _scan_circuits(arr: Arrangement) -> list[tuple[int, ...]]:
-    """Scan the subsets by size for minimal dependent ones; see `circuits`."""
-    found: list[tuple[int, ...]] = []
-    for size in range(2, arr.n + 1):
+    """Scan the subsets by size for minimal dependent ones; see `circuits`.
+
+    No circuit has more than r + 1 elements, r the rank of the whole set,
+    so larger subsets are not scanned (Oxley, Matroid Theory, ch. 1).
+    """
+    by_codim = sorted((c, g) for g, c in arr._closed_sets.items())
+    found: list[int] = []
+    for size in range(2, min(arr.n, by_codim[-1][0] // 2 + 1) + 1):
         for comb in itertools.combinations(range(1, arr.n + 1), size):
-            s = set(comb)
-            if any(set(c) <= s for c in found):
+            mask = _mask(arr, comb)
+            if any(m & mask == m for m in found):
                 continue
-            if matroid_rank(arr, comb) < size:
-                found.append(comb)
-    return sorted(found)
+            c = next(c for c, g in by_codim if g & mask == mask)
+            if c % 2:
+                raise NotAdmissible(f"subset {set(comb)} has odd codimension {c}")
+            if c // 2 < size:
+                found.append(mask)
+    return sorted(map(_members, found))
 
 
 class NbcComplex(Value):
@@ -138,14 +137,14 @@ def nbc_sets(arr: Arrangement, order: Sequence[int] | None = None) -> NbcComplex
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError("order must be a permutation of 1..n")
     pos = {e: i for i, e in enumerate(order)}
-    broken = [frozenset(c) - {min(c, key=pos.__getitem__)} for c in circuits(arr)]
+    broken = {_mask(arr, set(c) - {min(c, key=pos.__getitem__)}) for c in circuits(arr)}
     groups: list[list[tuple[int, ...]]] = []
     for size in range(n + 1):
-        level = [
-            comb
-            for comb in itertools.combinations(range(1, n + 1), size)
-            if not any(b <= set(comb) for b in broken)
-        ]
+        level = []
+        for comb in itertools.combinations(range(1, n + 1), size):
+            mask = _mask(arr, comb)
+            if not any(b & mask == b for b in broken):
+                level.append(comb)
         if not level:
             break
         groups.append(level)
@@ -159,20 +158,15 @@ def betti_vector(arr: Arrangement) -> tuple[int, ...]:
 
 def whitney_numbers(arr: Arrangement) -> tuple[int, ...]:
     """Unsigned Whitney numbers: rank-level sums of |mu| over the lattice."""
-    lattice = flats(arr)
-    mu: dict[tuple[int, ...], int] = {}
-    for group in lattice.flats_by_rank:
+    mu: dict[int, int] = {}
+    out = []
+    for group in flats(arr).flats_by_rank:
+        out.append(0)
         for f in group:
-            below = sum(
-                mu[g.elements]
-                for grp in lattice.flats_by_rank[: f.rank]
-                for g in grp
-                if set(g.elements) < set(f.elements)
-            )
-            mu[f.elements] = 1 if f.rank == 0 else -below
-    return tuple(
-        sum(abs(mu[f.elements]) for f in group) for group in lattice.flats_by_rank
-    )
+            mask = _mask(arr, f.elements)
+            mu[mask] = -sum(v for g, v in mu.items() if g & mask == g) if mu else 1
+            out[-1] += abs(mu[mask])
+    return tuple(out)
 
 
 def whitney_check(arr: Arrangement) -> bool:

@@ -1,0 +1,172 @@
+"""The closed-set walk (`Arrangement._closed_sets`) against the code it replaced."""
+
+import functools
+import itertools
+import random
+import re
+import sys
+import time
+
+import pytest
+
+import lattice_reference as ref
+from conftest import braid_a4, generic_hyperplanes, generic_lines, pair
+from twoarr import arrangement, cli, linalg, matroid
+from twoarr.arrangement import (
+    Arrangement,
+    _members,
+    codim,
+    parse_arrangement,
+    restrict,
+    serialize_arrangement,
+    validate,
+)
+from twoarr.fixtures import load_fixture
+from twoarr.matroid import NotAdmissible, circuits, closure, flats, nbc_sets, whitney_numbers
+
+FIXTURES = ("example22-B", "example22-Bprime", "thm32-Bhat", "thm32-Bhat-complex")
+CASES = (
+    [f"fixture-{name}" for name in FIXTURES]
+    + ["braid-A4", "planes-7"]
+    + [f"lines-{n}{tag}" for n in range(7, 13) for tag in ("", "-conj")]
+)
+
+
+@functools.lru_cache(maxsize=None)
+def build(case):
+    """A fresh arrangement per case, shared by the tests below."""
+    if case.startswith("fixture-"):
+        return load_fixture(case[len("fixture-"):])
+    if case == "braid-A4":
+        return braid_a4()
+    if case == "planes-7":
+        return generic_hyperplanes(7, 3, 3)
+    n, _, conj = case[len("lines-"):].partition("-")
+    return generic_lines(int(n), 3, conjugate_last=bool(conj))
+
+
+def all_subsets(n):
+    for size in range(n + 1):
+        yield from itertools.combinations(range(1, n + 1), size)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_closed_sets_match_bruteforce_closure(case):
+    arr = build(case)
+    codims = {mask: codim(arr, _members(mask)) for mask in range(1 << arr.n)}
+    brute = {
+        mask | sum(1 << b for b in range(arr.n) if codims[mask | 1 << b] == c)
+        for mask, c in codims.items()
+    }  # closure(S): S plus every element that leaves codim(S) as it is
+    assert set(arr._closed_sets) == brute
+    assert all(codims[mask] == c for mask, c in arr._closed_sets.items())
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_lattice_consumers_match_reference(case):
+    arr = build(case)
+    assert flats(arr) == ref.flats(arr)
+    assert whitney_numbers(arr) == ref.whitney_numbers(arr)
+    expected = ref.circuits(arr)
+    assert circuits(arr) == expected
+    assert nbc_sets(arr) == ref.nbc_sets(arr, expected)
+    order = list(range(1, arr.n + 1))
+    random.Random(arr.n).shuffle(order)
+    assert nbc_sets(arr, order) == ref.nbc_sets(arr, expected, order)
+    rng = random.Random(7)
+    for _ in range(30):
+        s = rng.sample(range(1, arr.n + 1), rng.randint(0, arr.n))
+        assert closure(arr, s) == ref.closure(arr, s)
+
+
+def inadmissible_arrangements():
+    """Directly built arrangements that fail validation: odd ranks, not essential, degenerate pairs."""
+    out = [
+        Arrangement(
+            4,
+            (
+                pair("H1", (1, 0, 0, 0), (0, 1, 0, 0)),
+                pair("H2", (0, 0, 1, 0), (0, 0, 0, 1)),
+                pair("H3", (1, 0, 0, 0), (0, 0, 1, 0)),
+            ),
+        )
+    ]
+    rng = random.Random(5)
+    while len(out) < 30:
+        dim = rng.choice((4, 6))
+        # a zero last coordinate in every form leaves the arrangement not essential
+        width = dim - (len(out) % 3 == 0)
+        n = rng.randint(3, 6)
+        rows = [
+            tuple(rng.choice((-1, 0, 0, 1, 2)) if i < width else 0 for i in range(dim))
+            for _ in range(2 * n)
+        ]
+        arr = Arrangement(dim, tuple(pair(f"H{k + 1}", rows[2 * k], rows[2 * k + 1]) for k in range(n)))
+        if not validate(arr).ok:
+            out.append(arr)
+    return out
+
+
+def test_validate_matches_reference_on_inadmissible_arrangements():
+    kinds = set()
+    for arr in inadmissible_arrangements():
+        report = validate(arr)
+        assert report == ref.validate(arr)
+        kinds |= {v.kind for v in report.violations}
+        assert {_members(m) for m in arr._closed_sets} == set(ref.closed_sets(arr))
+        for s in all_subsets(arr.n):
+            assert closure(arr, s) == ref.closure(arr, s)
+        try:
+            expected = ref.flats(arr)
+        except NotAdmissible as e:
+            with pytest.raises(NotAdmissible, match=re.escape(str(e))):
+                flats(arr)
+        else:
+            assert flats(arr) == expected
+    assert kinds == {"pair-rank", "not-essential", "pairwise-rank", "odd-rank"}
+
+
+def test_one_walk_per_arrangement(monkeypatch, capsys):
+    walked = []
+    walk = arrangement.closed_sets
+    monkeypatch.setattr(arrangement, "closed_sets", lambda groups: walked.append(groups) or walk(groups))
+    arr = parse_arrangement(serialize_arrangement(braid_a4()))
+    assert walked == [arr._integer_forms]
+    restricted = restrict(arr, 1)
+
+    def no_rank(rows):
+        raise AssertionError("integer_rank called after parse")
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("twoarr"):
+            if getattr(module, "integer_rank", None) is linalg.integer_rank:
+                monkeypatch.setattr(module, "integer_rank", no_rank)
+    monkeypatch.setattr(cli, "_read_arrangement", lambda path: arr)
+    counted = []
+    real_circuits = matroid.circuits
+    monkeypatch.setattr(matroid, "circuits", lambda a: counted.append(a) or real_circuits(a))
+    assert [len(g) for g in flats(arr).flats_by_rank] == [1, 10, 25, 15, 1]
+    assert closure(arr, (1, 2)) == (1, 2, 5)
+    assert len(matroid.circuits(arr)) == 37
+    assert nbc_sets(arr).counts == (1, 10, 35, 50, 24)
+    assert whitney_numbers(arr) == (1, 10, 35, 50, 24)
+    assert cli.main(["betti", "braid-a4.arr"]) == 0  # the file is not read
+    assert "whitney check: ok" in capsys.readouterr().out
+    assert walked == [arr._integer_forms]
+    assert len(counted) == 3  # nbc_sets reads the circuits through circuits()
+    flats(restricted)
+    assert walked == [arr._integer_forms, restricted._integer_forms]  # a restriction walks its own
+
+
+def test_twenty_generic_lines_stay_fast():
+    text = serialize_arrangement(generic_lines(20, 3))
+    start = time.perf_counter()
+    arr = parse_arrangement(text)
+    cs = circuits(arr)
+    complex_ = nbc_sets(arr)
+    lattice = flats(arr)
+    elapsed = time.perf_counter() - start
+    assert cs == list(itertools.combinations(range(1, 21), 3))
+    assert complex_.counts == (1, 20, 19)
+    assert [len(g) for g in lattice.flats_by_rank] == [1, 20, 1]
+    assert elapsed < 2.0, f"{elapsed:.2f} s"

@@ -86,20 +86,20 @@ def test_circuits_bhat(arr_bhat):
 def test_circuits_found_once_per_arrangement(monkeypatch):
     arr = load_fixture("thm32-Bhat")  # fresh, with empty caches
     calls = []
-    rank = matroid.matroid_rank
-    monkeypatch.setattr(matroid, "matroid_rank", lambda a, s: calls.append(s) or rank(a, s))
+    scan = matroid._scan_circuits
+    monkeypatch.setattr(matroid, "_scan_circuits", lambda a: calls.append(a) or scan(a))
     first = circuits(arr)
-    scanned = len(calls)
-    assert scanned > 0
+    assert calls == [arr]
     first.append((99,))
     nbc_sets(arr)
     betti_vector(arr)
     same_labeled_matroid(arr, arr)
-    assert len(calls) == scanned
+    assert calls == [arr]
     again = circuits(arr)
     assert again == first[:-1] and again is not circuits(arr)
-    assert len(circuits(restrict(arr, 3))) == 4  # a restriction scans its own
-    assert len(calls) > scanned
+    restricted = restrict(arr, 3)
+    assert len(circuits(restricted)) == 4  # a restriction scans its own
+    assert calls == [arr, restricted]
 
 
 def test_circuits_independent(independent_pair):
