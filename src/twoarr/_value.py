@@ -2,19 +2,17 @@
 
 A subclass lists its fields as class annotations, in order; a field whose
 annotation carries a value has that value as its default. Instances behave
-like those of a frozen dataclass: positional and keyword construction, an
-optional `__post_init__` check, `==` only between instances of the same
-class, a hash of the tuple of fields, `Name(field=...)` as repr, and
-`AttributeError` on assignment or deletion. Instances keep a `__dict__`, so
-`functools.cached_property` can store caches beside the fields; those
-caches take no part in `==`, hash or repr.
+like those of a frozen dataclass: positional and keyword construction, `==`
+only between instances of the same class, a hash of the tuple of fields,
+`Name(field=...)` as repr, and `AttributeError` on assignment or deletion.
+Instances keep a `__dict__`, so `functools.cached_property` can store
+caches beside the fields; those caches take no part in `==`, hash or repr.
 """
 
 
 class Value:
     _fields: tuple[str, ...] = ()
     _defaults: dict = {}
-    __post_init__ = None  # a subclass may define it to check the fields
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -37,8 +35,6 @@ class Value:
                     raise TypeError(f"{type(self).__name__}: missing field {name!r}")
                 values[name] = self._defaults[name]
         self.__dict__.update(values)
-        if self.__post_init__ is not None:
-            self.__post_init__()
 
     def _astuple(self) -> tuple:
         d = self.__dict__

@@ -32,9 +32,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from ._value import Value
-from .linalg import (
-    Matrix, Vector, closed_sets, dot, integer_rank, integer_row, kernel_basis, rank, vec,
-)
+from .linalg import Vector, closed_sets, dot, integer_rank, integer_row, sparse_echelon, vec
 
 
 class ParseError(ValueError):
@@ -47,6 +45,8 @@ class ZeroForm(ValueError):
 
 class UnknownLabel(KeyError):
     """Subspace label or index not present in the arrangement."""
+
+    __str__ = Exception.__str__  # the message, not KeyError's quoted repr of it
 
 
 class DegenerateRestriction(ValueError):
@@ -179,15 +179,6 @@ class Arrangement(Value):
                 return i
         raise UnknownLabel(f"no subspace named {label!r}")
 
-    def forms_matrix(self, subset: Iterable[int] | None = None) -> Matrix:
-        """Stack of the form vectors of a subset (1-based indices), in index order."""
-        indices = sorted(set(subset)) if subset is not None else list(range(1, self.n + 1))
-        rows: list[Vector] = []
-        for a in indices:
-            p = self.pair(a)
-            rows += [p.first.coeffs, p.second.coeffs]
-        return Matrix.from_rows(rows, self.dim)
-
     # The caches below sit in the instance __dict__, outside the value
     # fields, so ==, hash and repr ignore them.
 
@@ -311,6 +302,28 @@ def validate(arr: Arrangement) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
+def _kernel_basis(rows: Sequence[Sequence[int]], cols: int) -> list[Vector]:
+    """Basis of the right null space of integer rows, one vector per free column.
+
+    The vector of free column f has v[f] = 1, zero at the other free
+    columns, and v[p] = -row[f] / row[p] for each row of the reduced
+    echelon form pivoted at p: the entries of the classical rref, since
+    that form is unique and `sparse_echelon` only scales its rows.
+    """
+    echelon = sparse_echelon((dict(enumerate(r)) for r in rows), reduced=True, columns=cols)
+    pivots = {min(row): row for row in echelon}
+    basis: list[Vector] = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for p, row in pivots.items():
+            v[p] = -Fraction(row.get(f, 0), row[p])
+        basis.append(tuple(v))
+    return basis
+
+
 def restrict(arr: Arrangement, at: str | int) -> Arrangement:
     """Arrangement induced on one subspace by intersecting all the others with it.
 
@@ -319,15 +332,14 @@ def restrict(arr: Arrangement, at: str | int) -> Arrangement:
     inclusion. Orientations of restricted pairs are convention-dependent.
     """
     i = arr.index_of(at)
-    basis = kernel_basis(arr.forms_matrix((i,)))
+    basis = _kernel_basis(arr._integer_forms[i - 1], arr.dim)
     pairs: list[SubspacePair] = []
-    for j in range(1, arr.n + 1):
+    for j, p in enumerate(arr.subspaces, start=1):
         if j == i:
             continue
-        p = arr.pair(j)
         first = p.first.restrict_to(basis)
         second = p.second.restrict_to(basis)
-        if rank(Matrix.from_rows([first.coeffs, second.coeffs])) != 2:
+        if integer_rank((integer_row(first.coeffs), integer_row(second.coeffs))) != 2:
             raise DegenerateRestriction(
                 f"subspace {p.name!r} loses codimension when restricted to {arr.pair(i).name!r}"
             )

@@ -5,23 +5,28 @@ degree 4; its rank is invariant under graded algebra isomorphism. For
 arrangements in R^4 the degree-4 slice is one-dimensional, so kappa is an
 honest symmetric bilinear form. Its Gram data comes from
 `exterior.gram_of_basis`, which multiplies on bitmasks, and its rank from
-integer elimination. Pairwise linking signs of the great circles cut out
-on the unit 3-sphere are determinant signs of stacked forms, taken by
-integer Bareiss elimination; triple products of those signs do not depend
-on the member orientations at all, and are read off one pairwise table.
+`sparse_echelon` on the Gram rows without their zeros. Pairwise linking
+signs of the great circles cut out on the unit 3-sphere are determinant
+signs of the stacked integer forms, by Bareiss elimination (`det_sign`);
+triple products of those signs do not depend on the member orientations at
+all, and are read off one pairwise table.
+
+`kappa` and `compare` import the presentation, exterior-algebra and
+matroid modules when called, so the linking signs load none of them.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ._value import Value
 from .arrangement import Arrangement
-from .exterior import ExtElement, degree_span_rank, gram_of_basis
-from .linalg import Matrix, det_sign, integer_rank
-from .matroid import SizeMismatch, betti_vector, same_labeled_matroid
-from .presentation import Presentation, full_presentation, ideal_rank_profile
+from .linalg import det_sign, sparse_echelon
+
+if TYPE_CHECKING:
+    from .exterior import ExtElement
+    from .presentation import Presentation
 
 VERDICT_DISTINGUISHED = "DISTINGUISHED"
 VERDICT_UNRESOLVED = "OTHERWISE_UNRESOLVED"
@@ -58,19 +63,25 @@ class KappaForm(Value):
 
 def kappa(arr: Arrangement) -> KappaForm:
     """Kappa form of an arrangement, over the echelon basis of the degree-2 slice."""
+    from .presentation import full_presentation
+
     return _kappa_of(full_presentation(arr))
 
 
 def _kappa_of(pres: Presentation) -> KappaForm:
+    from .exterior import degree_span_rank, gram_of_basis
+
     _, basis = degree_span_rank(pres.elements(), 2, pres.n)
     return KappaForm(pres.n, tuple(basis), gram_of_basis(basis, pres.n))
 
 
 def kappa_rank(form: KappaForm) -> int:
-    """Rank over the rationals of the flattened Gram data."""
-    if not form.basis:
-        return 0
-    return integer_rank(itertools.chain.from_iterable(row) for row in form.gram)
+    """Rank over the rationals of the flattened Gram data, as sparse rows."""
+    rows = (
+        {c: x for c, x in enumerate(itertools.chain.from_iterable(row)) if x}
+        for row in form.gram
+    )
+    return len(sparse_echelon(rows))
 
 
 def pairwise_linking(arr: Arrangement) -> tuple[tuple[int, ...], ...]:
@@ -81,16 +92,10 @@ def pairwise_linking(arr: Arrangement) -> tuple[tuple[int, ...], ...]:
     """
     if arr.dim != 4:
         raise DimensionNot4(f"dim is {arr.dim}")
+    forms = arr._integer_forms  # positive row scales keep the determinant sign
     table = [[0] * arr.n for _ in range(arr.n)]
-    for a in range(1, arr.n + 1):
-        for b in range(a + 1, arr.n + 1):
-            pa, pb = arr.pair(a), arr.pair(b)
-            s = det_sign(
-                Matrix.from_rows(
-                    [pa.first.coeffs, pa.second.coeffs, pb.first.coeffs, pb.second.coeffs]
-                )
-            )
-            table[a - 1][b - 1] = table[b - 1][a - 1] = s
+    for a, b in itertools.combinations(range(arr.n), 2):
+        table[a][b] = table[b][a] = det_sign([*forms[a], *forms[b]])
     return tuple(tuple(row) for row in table)
 
 
@@ -131,6 +136,9 @@ def compare(
     OTHERWISE_UNRESOLVED when all agree; agreement of these invariants
     never establishes that the complements are equivalent.
     """
+    from .matroid import SizeMismatch, betti_vector, same_labeled_matroid
+    from .presentation import full_presentation, ideal_rank_profile
+
     if a1.n != a2.n:
         raise SizeMismatch(f"{a1.n} vs {a2.n} subspaces")
     differing: list[str] = []

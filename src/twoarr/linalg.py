@@ -5,32 +5,26 @@ after scaling each rational row by the positive lcm of its denominators
 (`integer_row`), which leaves rank, row span and determinant sign as they
 were:
 
-- `integer_rank` counts the rank of short dense rows; `rank` and the
-  arrangement rank oracle use it. `closed_sets` walks the lattice of spans
-  of groups of such rows, an arrangement's closed sets.
+- `integer_rank` counts the rank of short dense rows; the arrangement rank
+  oracle and `restrict`'s degeneracy check use it. `closed_sets` walks the
+  lattice of spans of groups of such rows, an arrangement's closed sets.
 - `sparse_echelon` eliminates sparse rows, `{column: int}` dicts, and stops
   once every column has a pivot. Forward elimination alone gives the rank
   and an echelon basis, which is all the ideal slices' rank profile needs.
   With `reduced=True` a back-substitution pass returns the unique reduced
   echelon form with each row primitive and its pivot positive; the
-  degree-2 slice basis of kappa and the circuit dependency solves read it.
+  degree-2 slice basis of kappa, the circuit dependency solves and
+  `restrict`'s kernel basis read it.
 - `det_sign` runs Bareiss elimination on integer rows.
 
-Dense matrices of Fraction entries remain for the small systems outside
-those paths: `rref`, `solve_unique` and `kernel_basis` eliminate over
-Fraction with a fixed pivot policy: pivots are always the first nonzero
-entry scanning left to right, and kernel bases come out in free-column
-order.
+`Fraction` appears only at the edges: `vec`, `dot` and `integer_row`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-from ._value import Value
 
 Vector = tuple[Fraction, ...]
 SparseRow = dict[int, int]
@@ -38,14 +32,6 @@ SparseRow = dict[int, int]
 
 class NotSquare(ValueError):
     """Determinant requested for a non-square matrix."""
-
-
-class NoSolution(ValueError):
-    """Right-hand side lies outside the column span."""
-
-
-class NotUnique(ValueError):
-    """Columns are linearly dependent, so no unique solution exists."""
 
 
 def vec(entries: Iterable) -> Vector:
@@ -57,93 +43,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"dot product of vectors of lengths {len(u)} and {len(v)}")
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-class Matrix(Value):
-    """Immutable dense matrix; `entries` is row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative shape")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "Matrix":
-        data = [vec(r) for r in rows]
-        if data:
-            cols = len(data[0])
-        elif cols is None:
-            raise ValueError("column count required for an empty matrix")
-        if any(len(r) != cols for r in data):
-            raise ValueError("ragged rows")
-        return Matrix(len(data), cols, tuple(itertools.chain.from_iterable(data)))
-
-    @staticmethod
-    def from_columns(columns: Sequence[Sequence], rows: int | None = None) -> "Matrix":
-        cols = [vec(c) for c in columns]
-        if cols:
-            rows = len(cols[0])
-        elif rows is None:
-            raise ValueError("row count required for an empty matrix")
-        if any(len(c) != rows for c in cols):
-            raise ValueError("ragged columns")
-        return Matrix.from_rows([[c[i] for c in cols] for i in range(rows)], len(cols))
-
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix.from_rows(
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)], n
-        )
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "Matrix":
-        return Matrix.from_rows(
-            [[self.entries[i * self.cols + j] for i in range(self.rows)] for j in range(self.cols)],
-            self.rows,
-        )
-
-    def mul_vec(self, v: Sequence[Fraction]) -> Vector:
-        return tuple(dot(self.row(i), v) for i in range(self.rows))
-
-
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form plus the pivot columns (0-based).
-
-    Pivot policy: leftmost column first, first nonzero row from the top.
-    Rows appear in pivot order, zero rows trail.
-    """
-    a = m.to_rows()
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        if r == m.rows:
-            break
-        p = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        piv = a[r][c]
-        a[r] = [x / piv for x in a[r]]
-        for i in range(m.rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return Matrix.from_rows(a, m.cols), tuple(pivots)
 
 
 def integer_row(row: Sequence[Fraction]) -> list[int]:
@@ -293,65 +192,27 @@ def sparse_echelon(
     return [kept[c] for c in pivots]
 
 
-def rank(m: Matrix) -> int:
-    """Row rank over the rationals."""
-    return integer_rank(integer_row(m.row(i)) for i in range(m.rows))
+def det_sign(rows: Sequence[Sequence[int]]) -> int:
+    """Sign of the exact determinant of square integer rows: -1, 0 or +1.
 
-
-def solve_unique(a: Matrix, b: Sequence[Fraction]) -> Vector:
-    """The unique x with a.x = b.
-
-    Raises NoSolution when b is outside the column span and NotUnique when
-    the columns of `a` are linearly dependent.
+    Bareiss elimination: each step's entries are 2x2 minors divided exactly
+    by the previous pivot, and the last pivot is the determinant. Rows
+    scaled by positive factors (`integer_row`) keep the sign.
     """
-    b = vec(b)
-    if len(b) != a.rows:
-        raise ValueError("right-hand side has wrong length")
-    aug = Matrix.from_rows(
-        [list(a.row(i)) + [b[i]] for i in range(a.rows)], a.cols + 1
-    )
-    reduced, pivots = rref(aug)
-    if a.cols in pivots:
-        raise NoSolution("right-hand side outside column span")
-    if len(pivots) < a.cols:
-        raise NotUnique("columns are linearly dependent")
-    return tuple(reduced.row(i)[a.cols] for i in range(a.cols))
-
-
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """Deterministic basis of the right null space, one vector per free column."""
-    reduced, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis: list[Vector] = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced.row(i)[f]
-        basis.append(tuple(v))
-    return basis
-
-
-def det_sign(m: Matrix) -> int:
-    """Sign of the exact determinant: -1, 0 or +1.
-
-    Bareiss elimination on the rows scaled to integers: each step's entries
-    are 2x2 minors divided exactly by the previous pivot, and the last pivot
-    is the determinant of the scaled rows, whose sign is the sign wanted.
-    """
-    if m.rows != m.cols:
-        raise NotSquare(f"{m.rows}x{m.cols} matrix has no determinant")
-    a = [integer_row(m.row(i)) for i in range(m.rows)]
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise NotSquare(f"{n} rows of lengths {sorted({len(r) for r in rows})} have no determinant")
+    a = [list(r) for r in rows]
     sign, last = 1, 1
-    for c in range(m.cols):
-        p = next((i for i in range(c, m.rows) if a[i][c]), None)
+    for c in range(n):
+        p = next((i for i in range(c, n) if a[i][c]), None)
         if p is None:
             return 0
         if p != c:
             a[c], a[p] = a[p], a[c]
             sign = -sign
         pivot = a[c]
-        for i in range(c + 1, m.rows):
+        for i in range(c + 1, n):
             f = a[i][c]
             a[i] = [(pivot[c] * x - f * y) // last for x, y in zip(a[i], pivot)]
         last = pivot[c]

@@ -169,11 +169,6 @@ def whitney_numbers(arr: Arrangement) -> tuple[int, ...]:
     return tuple(out)
 
 
-def whitney_check(arr: Arrangement) -> bool:
-    """Independent count check: |Whitney numbers| must equal the NBC counts."""
-    return whitney_numbers(arr) == betti_vector(arr)
-
-
 def same_labeled_matroid(
     a1: Arrangement, a2: Arrangement, *, up_to_relabeling: bool = False
 ) -> bool:

@@ -8,6 +8,7 @@ import pytest
 from twoarr.arrangement import (
     Arrangement,
     ComplexFormSpec,
+    DegenerateRestriction,
     ParseError,
     UnknownLabel,
     ValidationError,
@@ -23,9 +24,10 @@ from twoarr.arrangement import (
     validate,
 )
 from twoarr.fixtures import FIXTURES, load_fixture
-from twoarr.linalg import rref
 from twoarr.matroid import closure
-from conftest import form, pair
+from conftest import braid_a4, form, generic_hyperplanes, generic_lines, pair
+from dense_reference import kernel_basis as dense_kernel_basis
+from dense_reference import rank as dense_rank
 
 
 def cspec(z, zbar=None):
@@ -239,7 +241,7 @@ def test_codim_ignores_order_and_repeats(name):
     arr = load_fixture(name)
     rng = random.Random(41)
     for s in all_subsets(arr.n):
-        expected = len(rref(arr.forms_matrix(s))[1])
+        expected = dense_rank([f for a in s for f in (arr.pair(a).first.coeffs, arr.pair(a).second.coeffs)])
         # a fresh copy has an empty cache, so the scrambled subset is computed
         fresh = Arrangement(arr.dim, arr.subspaces)
         scrambled = list(s) + [rng.choice(s) for _ in range(len(s))] if s else []
@@ -303,6 +305,37 @@ def test_restrict_has_own_codim_cache(arr_bhat):
 def test_restrict_unknown_label(arr_b):
     with pytest.raises(UnknownLabel):
         restrict(arr_b, "H9")
+
+
+def test_restrict_degenerate_pair_raises():
+    # H2's first form vanishes on H1, so H2 restricted to H1 has codimension 1
+    arr = Arrangement(6, (pair("H1", (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)),
+                          pair("H2", (1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0))))
+    with pytest.raises(DegenerateRestriction, match="'H2' loses codimension when restricted to 'H1'"):
+        restrict(arr, "H1")
+
+
+@pytest.mark.parametrize("case", ["fixtures", "braid-a4", "lines7", "lines7-conj", "planes7"])
+def test_restrict_matches_the_dense_kernel_basis(case):
+    """On every subspace, restrict composes with the rref's kernel basis, entry for entry."""
+    arrs = {
+        "fixtures": lambda: [load_fixture(name) for name in FIXTURES],
+        "braid-a4": lambda: [braid_a4()],
+        "lines7": lambda: [generic_lines(7, 3)],
+        "lines7-conj": lambda: [generic_lines(7, 3, conjugate_last=True)],
+        "planes7": lambda: [generic_hyperplanes(7, 3, 3)],
+    }[case]()
+    for arr in arrs:
+        for i, p in enumerate(arr.subspaces, start=1):
+            basis = dense_kernel_basis([p.first.coeffs, p.second.coeffs], arr.dim)
+            expected = tuple(
+                (q.name, q.first.restrict_to(basis), q.second.restrict_to(basis))
+                for q in arr.subspaces
+                if q is not p
+            )
+            r = restrict(arr, i)
+            assert r.dim == arr.dim - 2
+            assert tuple((q.name, q.first, q.second) for q in r.subspaces) == expected
 
 
 def test_restrict_transversal_r4_collapses(arr_b):

@@ -187,6 +187,15 @@ def test_restrict_roundtrips_through_other_verbs(fx, tmp_path, capsys):
         assert code == 0, verb
 
 
+@pytest.mark.parametrize(
+    "index, message",
+    [("0", "error: index 0 out of range 1..5\n"), ("-1", "error: no subspace named '-1'\n")],
+)
+def test_unknown_label_message_prints_bare(fx, capsys, index, message):
+    code, out, err = run(capsys, "restrict", fx("thm32-Bhat"), "--index", index)
+    assert (code, out, err) == (3, "", message)
+
+
 def test_compare_exit_codes(fx, capsys):
     code, out, _ = run(capsys, "compare", fx("example22-B"), fx("example22-Bprime"))
     assert code == 10

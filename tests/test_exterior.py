@@ -14,9 +14,10 @@ from twoarr.exterior import (
     monomials,
     normalize,
 )
-from twoarr.linalg import Matrix, rref, sparse_echelon
+from twoarr.linalg import sparse_echelon
 from twoarr.presentation import full_presentation
 from conftest import braid_a4, generic_lines
+from dense_reference import rref
 
 try:
     import sympy
@@ -169,15 +170,16 @@ def test_monomials_lexicographic():
 
 # --- the sparse slice kernel against the dense Fraction path -------------------
 
-# Slices up to this many cells go through linalg.rref; larger ones through
+# Slices up to this many cells go through the dense rref; larger ones through
 # sympy's sparse rref over QQ, because the dense Fraction rref takes minutes
 # on the n = 9, 10 slices.
 DENSE_CELLS = 40_000
 
 
-def dense_slice_rows(generators, p, n):
-    """Rows g ^ m of the degree-p slice as dense vectors, built with ExtElement.wedge."""
+def slice_rows(generators, p, n):
+    """Rows g ^ m of the degree-p slice as {column: coefficient} dicts, built with ExtElement.wedge."""
     cols = monomials(n, p)
+    index = {m: j for j, m in enumerate(cols)}
     rows = []
     for g in generators:
         if g.is_zero or g.degree > p:
@@ -185,8 +187,12 @@ def dense_slice_rows(generators, p, n):
         for m in monomials(n, p - g.degree):
             w = g.wedge(E(m))
             if not w.is_zero:
-                rows.append(w.coeff_vector(cols))
+                rows.append({index[mon]: c for mon, c in w.terms})
     return cols, rows
+
+
+def dense(rows, width):
+    return [[row.get(j, 0) for j in range(width)] for row in rows]
 
 
 def primitive_element(row, cols):
@@ -200,18 +206,18 @@ def primitive_element(row, cols):
 def reference_span(generators, p, n):
     """Rank and reduced echelon basis by dense elimination over the rationals.
 
-    None when the slice is too large for linalg.rref and sympy is missing.
+    None when the slice is too large for the dense rref and sympy is missing.
     """
-    cols, rows = dense_slice_rows(generators, p, n)
+    cols, rows = slice_rows(generators, p, n)
     if not rows or not cols:
         return 0, []
     if len(rows) * len(cols) <= DENSE_CELLS:
-        reduced, pivots = rref(Matrix.from_rows(rows, len(cols)))
-        reduced_rows = [reduced.row(i) for i in range(len(pivots))]
+        reduced, pivots = rref(dense(rows, len(cols)))
+        reduced_rows = reduced[: len(pivots)]
     elif sympy is None:
         return None
     else:
-        sparse = {i: {j: sympy.ZZ(x) for j, x in enumerate(r) if x} for i, r in enumerate(rows)}
+        sparse = {i: {j: sympy.ZZ(x) for j, x in r.items()} for i, r in enumerate(rows)}
         dm = DomainMatrix(sparse, (len(rows), len(cols)), sympy.ZZ).convert_to(sympy.QQ)
         reduced, pivots = dm.rref()
         entries = reduced.to_sdm()
@@ -242,9 +248,9 @@ def test_slice_kernel_matches_dense_path_on_random_generators():
         assert_matches_reference(gens, n)
         if sympy is not None:
             for p in range(n + 1):
-                _, rows = dense_slice_rows(gens, p, n)
+                cols, rows = slice_rows(gens, p, n)
                 if rows and p <= 4:
-                    assert degree_span_rank(gens, p, n)[0] == sympy.Matrix(rows).rank()
+                    assert degree_span_rank(gens, p, n)[0] == sympy.Matrix(dense(rows, len(cols))).rank()
 
 
 @pytest.mark.parametrize("n", [7, 8, 9, 10])

@@ -38,7 +38,7 @@ CASES = {
     "betti": (["betti", B], 0, HEAVY - {"twoarr.matroid"}),
     "present": (["present", B], 0, {"twoarr.invariants"}),
     "kappa": (["kappa", B], 0, set()),
-    "linking": (["linking", B], 0, set()),
+    "linking": (["linking", B], 0, HEAVY - {"twoarr.invariants"}),
     "compare": (["compare", B, BPRIME], 10, set()),
 }
 

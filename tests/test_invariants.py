@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import random
@@ -7,25 +8,24 @@ from fractions import Fraction
 import pytest
 
 from twoarr.arrangement import Arrangement, restrict
-from twoarr.exterior import ExtElement, monomials
+from twoarr.exterior import ExtElement, gram_of_basis, monomials
 from twoarr.invariants import (
     DimensionNot4,
     VERDICT_DISTINGUISHED,
     VERDICT_UNRESOLVED,
     compare,
-    gram_of_basis,
     kappa,
     kappa_rank,
     pairwise_linking,
     triple_coefficients,
 )
 import twoarr
-from twoarr import cli, invariants, linalg, presentation
-from twoarr.linalg import Matrix, rank
+from twoarr import cli, invariants, presentation
+from twoarr.linalg import integer_rank
 from twoarr.presentation import full_presentation, ideal_rank_profile
 from twoarr.matroid import SizeMismatch
 from test_presentation import complex_line_arrangement, recombined
-from conftest import generic_lines
+from conftest import braid_a4, generic_lines
 
 
 def kappa_entry_oracle(u, v, n):
@@ -90,7 +90,7 @@ def test_kappa_rank_invariant_under_basis_change(arr_bprime):
     for _ in range(100):
         while True:
             t = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
-            if rank(Matrix.from_rows(t)) == k:
+            if integer_rank(t) == k:
                 break
         new_basis = []
         for row in t:
@@ -100,7 +100,27 @@ def test_kappa_rank_invariant_under_basis_change(arr_bprime):
             new_basis.append(acc)
         gram = gram_of_basis(new_basis, arr_bprime.n)
         rows = [tuple(itertools.chain.from_iterable(r)) for r in gram]
-        assert rank(Matrix.from_rows(rows)) == base_rank
+        assert integer_rank(rows) == base_rank
+
+
+KAPPA_RANK_CASES = {"braid-a4": braid_a4} | {
+    f"lines{n}-conj{int(conj)}": lambda n=n, conj=conj: generic_lines(n, seed=3, conjugate_last=conj)
+    for n in (7, 8, 10, 12)
+    for conj in (False, True)
+}
+
+
+@pytest.mark.parametrize("case", ["fixtures", *KAPPA_RANK_CASES])
+def test_sparse_kappa_rank_matches_the_dense_rank(case, arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
+    """kappa_rank on sparse Gram rows equals integer_rank on the dense flattened rows."""
+    if case == "fixtures":
+        arrs = [arr_b, arr_bprime, arr_bhat, arr_bhat_complex]
+    else:
+        arrs = [KAPPA_RANK_CASES[case]()]
+    for arr in arrs:
+        form = kappa(arr)
+        dense = integer_rank(tuple(itertools.chain.from_iterable(row)) for row in form.gram)
+        assert kappa_rank(form) == dense
 
 
 def test_kappa_rank_invariant_under_relabeling(arr_b, arr_bprime):
@@ -281,17 +301,15 @@ def test_slices_and_presentations_never_eliminate_over_fraction(
     monkeypatch.setattr(ExtElement, "wedge", forbidden)
     monkeypatch.setattr(presentation, "Fraction", forbidden)
 
-    # the package binds a lazy re-export only once it is first looked up
-    assert (twoarr.rref, twoarr.solve_unique) == (linalg.rref, linalg.solve_unique)
+    # no module of the package binds a dense Fraction eliminator
+    dense = {"Matrix", "rref", "solve_unique", "kernel_basis"}
+    for name in ("arrangement", "exterior", "invariants", "linalg", "matroid", "presentation", "cli"):
+        importlib.import_module(f"twoarr.{name}")
     modules = [m for name, m in sys.modules.items() if name == "twoarr" or name.startswith("twoarr.")]
-    patched = 0
-    for original in (linalg.rref, linalg.solve_unique):
-        for module in modules:
-            for binding, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, binding, forbidden)
-                    patched += 1
-    assert patched >= 4  # twoarr.linalg and the twoarr re-exports, at least
+    assert len(modules) >= 8
+    for module in modules:
+        assert not dense & set(vars(module)), module.__name__
+    assert not any(hasattr(twoarr, name) for name in dense)
     lines = generic_lines(7, seed=3)
     lines_conj = generic_lines(7, seed=3, conjugate_last=True)
     for arr in (arr_b, arr_bprime, arr_bhat, arr_bhat_complex, lines, lines_conj):

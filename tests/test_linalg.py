@@ -4,21 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from twoarr.linalg import (
-    Matrix,
-    NoSolution,
-    NotSquare,
-    NotUnique,
-    det_sign,
-    dot,
-    integer_row,
-    kernel_basis,
-    rank,
-    rref,
-    solve_unique,
-    sparse_echelon,
-    vec,
-)
+from dense_reference import kernel_basis as dense_kernel_basis
+from dense_reference import rank as dense_rank
+from dense_reference import rref
+from twoarr.arrangement import _kernel_basis
+from twoarr.linalg import NotSquare, det_sign, dot, integer_rank, integer_row, sparse_echelon, vec
 
 # forms of the bundled transversal arrangements, written out literally
 B_FORMS = [
@@ -30,98 +20,125 @@ B_FORMS = [
 BPRIME_H4 = [(-2, 0, 1, 0), (0, 2, 0, 1)]
 
 
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def solve(columns, b):
+    """The unique x with sum_j x_j columns[j] = b, read off `sparse_echelon`'s reduced form.
+
+    This is how the circuit dependency solves read it: the augmented rows'
+    reduced form has the unknowns' columns as pivots, and row j gives
+    row[j] * x_j = row[k]. Raises ValueError when there is no solution or
+    no unique one.
+    """
+    k = len(columns)
+    rows = (dict(enumerate(integer_row(vec([c[i] for c in columns] + [b[i]])))) for i in range(len(b)))
+    echelon = sparse_echelon(rows, reduced=True)
+    pivots = [min(row) for row in echelon]
+    if k in pivots:
+        raise ValueError("no solution: right-hand side outside the column span")
+    if pivots != list(range(k)):
+        raise ValueError("not unique: columns are linearly dependent")
+    return tuple(Fraction(row.get(k, 0), row[j]) for j, row in enumerate(echelon))
+
+
 def test_rank_identity():
-    assert rank(Matrix.identity(4)) == 4
+    assert integer_rank(identity(4)) == 4
 
 
 def test_rank_zero_matrix():
-    assert rank(Matrix.from_rows([[0] * 5] * 3)) == 0
+    assert integer_rank([[0] * 5] * 3) == 0
 
 
 def test_rank_stacked_forms():
-    assert rank(Matrix.from_rows(B_FORMS)) == 4
+    assert integer_rank(B_FORMS) == 4
+
+
+# the dense oracle itself, on cases worked by hand
 
 
 def test_rref_identity():
-    reduced, pivots = rref(Matrix.identity(3))
-    assert reduced == Matrix.identity(3)
+    reduced, pivots = rref(identity(3))
+    assert reduced == identity(3)
     assert pivots == (0, 1, 2)
 
 
 def test_rref_proportional_rows():
-    reduced, pivots = rref(Matrix.from_rows([[2, 4], [1, 2]]))
-    assert reduced == Matrix.from_rows([[1, 2], [0, 0]])
+    reduced, pivots = rref([[2, 4], [1, 2]])
+    assert reduced == [[1, 2], [0, 0]]
     assert pivots == (0,)
 
 
 def test_rref_bprime_h2_h4_block():
     rows = [(0, 0, 1, 0), (0, 0, 0, 1)] + BPRIME_H4
-    reduced, pivots = rref(Matrix.from_rows(rows))
+    reduced, pivots = rref(rows)
     assert pivots == (0, 1, 2, 3)
-    assert reduced == Matrix.identity(4)
+    assert reduced == identity(4)
 
 
 def test_solve_identity():
     b = vec([3, -1, Fraction(1, 2)])
-    assert solve_unique(Matrix.identity(3), b) == b
+    assert solve(identity(3), b) == b
 
 
 def test_solve_express_x1_in_bprime_basis():
     # columns: forms of H2 then H4 of the second bundled arrangement
     cols = [(0, 0, 1, 0), (0, 0, 0, 1)] + BPRIME_H4
-    a = Matrix.from_columns(cols)
-    assert solve_unique(a, vec([1, 0, 0, 0])) == vec(["1/2", 0, "-1/2", 0])
-    assert solve_unique(a, vec([0, 1, 0, 0])) == vec([0, "-1/2", 0, "1/2"])
+    assert solve(cols, vec([1, 0, 0, 0])) == vec(["1/2", 0, "-1/2", 0])
+    assert solve(cols, vec([0, 1, 0, 0])) == vec([0, "-1/2", 0, "1/2"])
 
 
 def test_solve_no_solution():
-    a = Matrix.from_columns([(1, 0, 0)])
-    with pytest.raises(NoSolution):
-        solve_unique(a, vec([0, 1, 0]))
+    with pytest.raises(ValueError, match="no solution"):
+        solve([(1, 0, 0)], vec([0, 1, 0]))
 
 
 def test_solve_not_unique():
-    a = Matrix.from_columns([(1, 0), (2, 0)])
-    with pytest.raises(NotUnique):
-        solve_unique(a, vec([3, 0]))
+    with pytest.raises(ValueError, match="not unique"):
+        solve([(1, 0), (2, 0)], vec([3, 0]))
+
+
+def in_kernel(rows, v):
+    return all(dot(vec(row), v) == 0 for row in rows)
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(Matrix.identity(3)) == []
+    assert _kernel_basis(identity(3), 3) == []
 
 
 def test_kernel_difference_form():
-    assert kernel_basis(Matrix.from_rows([[1, -1]])) == [vec([1, 1])]
+    assert _kernel_basis([[1, -1]], 2) == [vec([1, 1])]
 
 
 def test_kernel_of_coordinate_plane_in_r6():
-    m = Matrix.from_rows([[0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]])
-    basis = kernel_basis(m)
+    rows = [[0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
+    basis = _kernel_basis(rows, 6)
     assert len(basis) == 4
     for v in basis:
-        assert m.mul_vec(v) == vec([0, 0])
+        assert in_kernel(rows, v)
         assert v[4] == 0 and v[5] == 0
 
 
 def test_det_sign_examples():
-    assert det_sign(Matrix.from_rows([[-1, 0], [0, -1]])) == 1
-    assert det_sign(Matrix.from_rows([["1/2", 0], [0, "-1/2"]])) == -1
+    assert det_sign([[-1, 0], [0, -1]]) == 1
+    assert det_sign([integer_row(vec(r)) for r in [["1/2", 0], [0, "-1/2"]]]) == -1
     rows = [(0, 0, 1, 0), (0, 0, 0, 1)] + BPRIME_H4
-    assert det_sign(Matrix.from_rows(rows)) == -1
+    assert det_sign(rows) == -1
 
 
 def test_det_sign_not_square():
     with pytest.raises(NotSquare):
-        det_sign(Matrix.from_rows([[1, 2]]))
+        det_sign([[1, 2]])
+    with pytest.raises(NotSquare):
+        det_sign([[1, 2], [3]])
 
 
 # --- randomized properties ------------------------------------------------
 
 
-def random_matrix(rng, rows, cols, lo=-3, hi=3) -> Matrix:
-    return Matrix.from_rows(
-        [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)], cols
-    )
+def random_matrix(rng, rows, cols, lo=-3, hi=3) -> list[list[int]]:
+    return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
 def det_cofactor(rows):
@@ -142,8 +159,10 @@ def det_cofactor(rows):
 def test_rank_equals_transpose_rank():
     rng = random.Random(7)
     for _ in range(200):
-        m = random_matrix(rng, rng.randint(0, 5), rng.randint(1, 5))
-        assert rank(m) == rank(m.transpose())
+        cols = rng.randint(1, 5)
+        m = random_matrix(rng, rng.randint(0, 5), cols)
+        transpose = [[row[j] for row in m] for j in range(cols)]
+        assert integer_rank(m) == integer_rank(transpose)
 
 
 def test_solve_roundtrip_random():
@@ -154,11 +173,11 @@ def test_solve_roundtrip_random():
         if cols > rows:
             continue
         a = random_matrix(rng, rows, cols)
-        if rank(a) < cols:
+        if integer_rank(a) < cols:
             continue
         x = vec([rng.randint(-5, 5) for _ in range(cols)])
-        b = a.mul_vec(x)
-        assert solve_unique(a, b) == x
+        b = tuple(dot(vec(row), x) for row in a)
+        assert solve([[row[j] for row in a] for j in range(cols)], b) == x
         done += 1
 
 
@@ -169,36 +188,39 @@ def test_det_sign_matches_cofactor_expansion():
         for b in range(-1, 2):
             for c in range(-1, 2):
                 for d in range(-1, 2):
-                    m = Matrix.from_rows([[a, b], [c, d]])
+                    m = [[a, b], [c, d]]
                     expected = det_cofactor([[Fraction(a), Fraction(b)], [Fraction(c), Fraction(d)]])
                     assert det_sign(m) == (expected > 0) - (expected < 0)
     # sampled up to 5x5 over {-2..2}
     for _ in range(300):
         n = rng.randint(1, 5)
         m = random_matrix(rng, n, n, -2, 2)
-        expected = det_cofactor(m.to_rows())
+        expected = det_cofactor(m)
         assert det_sign(m) == (expected > 0) - (expected < 0)
 
 
 def test_kernel_dimension_and_membership():
     rng = random.Random(17)
     for _ in range(200):
-        m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
-        basis = kernel_basis(m)
-        assert len(basis) == m.cols - rank(m)
-        zero = vec([0] * m.rows)
-        for v in basis:
-            assert m.mul_vec(v) == zero
+        cols = rng.randint(1, 6)
+        m = random_matrix(rng, rng.randint(1, 5), cols)
+        basis = _kernel_basis(m, cols)
+        assert len(basis) == cols - integer_rank(m)
+        assert all(in_kernel(m, v) for v in basis)
+        assert basis == dense_kernel_basis(m, cols)
 
 
-def rational_matrices() -> list[Matrix]:
-    """Seeded rational matrices: edge shapes, zero and duplicate rows, low rank."""
+def rational_matrices() -> list[tuple[list[list[Fraction]], int]]:
+    """Seeded rational matrices as (rows, column count).
+
+    Edge shapes, zero and duplicate rows, low rank.
+    """
     rng = random.Random(19)
     out = [
-        Matrix(0, 3, ()),
-        Matrix(3, 0, ()),
-        Matrix.from_rows([[0]]),
-        Matrix.from_rows([["-2/3"]]),
+        ([], 3),
+        ([[], [], []], 0),
+        ([[Fraction(0)]], 1),
+        ([[Fraction(-2, 3)]], 1),
     ]
     for _ in range(300):
         rows, cols, k = rng.randint(1, 7), rng.randint(1, 6), rng.randint(1, 4)
@@ -216,32 +238,33 @@ def rational_matrices() -> list[Matrix]:
         if rng.random() < 0.3:
             data.append(list(rng.choice(data)))
         rng.shuffle(data)
-        out.append(Matrix.from_rows(data, cols))
+        out.append((data, cols))
     return out
 
 
 def test_integer_rank_matches_rref_pivots():
     ranks = set()
-    for m in rational_matrices():
-        ranks.add(rank(m))
-        assert rank(m) == len(rref(m)[1])
+    for m, _ in rational_matrices():
+        r = integer_rank(integer_row(row) for row in m)
+        ranks.add(r)
+        assert r == len(rref(m)[1])
     assert ranks == {0, 1, 2, 3, 4}
 
 
 def test_integer_rank_matches_sympy():
     sympy = pytest.importorskip("sympy")
-    for m in rational_matrices():
-        entries = [sympy.Rational(x.numerator, x.denominator) for x in m.entries]
-        assert rank(m) == sympy.Matrix(m.rows, m.cols, entries).rank()
+    for m, cols in rational_matrices():
+        entries = [sympy.Rational(x.numerator, x.denominator) for row in m for x in row]
+        assert integer_rank(integer_row(row) for row in m) == sympy.Matrix(len(m), cols, entries).rank()
 
 
 def test_sparse_echelon_is_the_primitive_rref():
-    for m in rational_matrices():
-        rows = [dict(enumerate(integer_row(m.row(i)))) for i in range(m.rows)]
+    for m, _ in rational_matrices():
+        rows = [dict(enumerate(integer_row(row))) for row in m]
         reduced, pivots = rref(m)
         expected = []
-        for i in range(len(pivots)):
-            ints = integer_row(reduced.row(i))
+        for row in reduced[: len(pivots)]:
+            ints = integer_row(row)
             g = math.gcd(*ints)
             expected.append({j: x // g for j, x in enumerate(ints) if x})
         assert sparse_echelon(rows, reduced=True) == expected
@@ -252,36 +275,36 @@ def test_sparse_echelon_is_the_primitive_rref():
 
 
 def test_sparse_echelon_forward_rows_span_the_input():
-    for m in rational_matrices():
-        rows = [dict(enumerate(integer_row(m.row(i)))) for i in range(m.rows)]
-        forward = [[r.get(j, 0) for j in range(m.cols)] for r in sparse_echelon(rows)]
+    for m, cols in rational_matrices():
+        rows = [dict(enumerate(integer_row(row))) for row in m]
+        forward = [[r.get(j, 0) for j in range(cols)] for r in sparse_echelon(rows)]
         # equal rank, and stacking them on the input adds none: the same span
-        assert len(forward) == rank(m)
-        assert rank(Matrix.from_rows(m.to_rows() + forward, m.cols)) == rank(m)
+        assert len(forward) == dense_rank(m)
+        assert dense_rank(m + forward) == dense_rank(m)
 
 
 def test_sparse_echelon_full_rank_stop_changes_nothing():
     stopped = 0
-    for m in rational_matrices():
-        rows = [dict(enumerate(integer_row(m.row(i)))) for i in range(m.rows)]
+    for m, cols in rational_matrices():
+        rows = [dict(enumerate(integer_row(row))) for row in m]
         for reduced in (False, True):
             unbounded = sparse_echelon(rows, reduced)
-            assert sparse_echelon(rows, reduced, m.cols) == unbounded
+            assert sparse_echelon(rows, reduced, cols) == unbounded
             # one more column that no row uses: never full, so never stopped
-            assert sparse_echelon(rows, reduced, m.cols + 1) == unbounded
+            assert sparse_echelon(rows, reduced, cols + 1) == unbounded
         read = []
-        sparse_echelon((read.append(r) or r for r in rows), columns=m.cols)
+        sparse_echelon((read.append(r) or r for r in rows), columns=cols)
         # no row is read after the one that gives every column a pivot
-        full = (i + 1 for i in range(m.rows) if len(sparse_echelon(rows[: i + 1])) == m.cols)
-        assert len(read) == next(full, m.rows)
-        stopped += len(read) < m.rows
+        full = (i + 1 for i in range(len(m)) if len(sparse_echelon(rows[: i + 1])) == cols)
+        assert len(read) == next(full, len(m))
+        stopped += len(read) < len(m)
     assert stopped > 0
 
 
 def sympy_sign(m):
     sympy = pytest.importorskip("sympy")
-    entries = [sympy.Rational(x.numerator, x.denominator) for x in m.entries]
-    d = sympy.Matrix(m.rows, m.cols, entries).det()
+    entries = [sympy.Rational(x.numerator, x.denominator) for row in m for x in row]
+    d = sympy.Matrix(len(m), len(m), entries).det()
     return 0 if d == 0 else 1 if d > 0 else -1
 
 
@@ -298,16 +321,16 @@ def test_det_sign_matches_sympy_on_singular_and_swapped_matrices():
         elif kind == 1:  # a zero leading entry forces a row swap
             for r in rows[: rng.randint(1, n)]:
                 r[0] = Fraction(0)
-        m = Matrix.from_rows(rows, n)
-        expected = sympy_sign(m)
-        assert det_sign(m) == expected
+        expected = sympy_sign(rows)
+        # positive row scales keep the sign
+        assert det_sign([integer_row(r) for r in rows]) == expected
         singular += expected == 0
         swapped += rows[0][0] == 0 and expected != 0
     assert singular > 20 and swapped > 20
 
 
 def test_det_sign_of_the_empty_matrix():
-    assert det_sign(Matrix(0, 0, ())) == 1
+    assert det_sign([]) == 1
 
 
 def test_dot_length_mismatch_raises():

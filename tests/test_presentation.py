@@ -7,7 +7,6 @@ import pytest
 from twoarr import presentation
 from twoarr.arrangement import Arrangement, LinearForm, SubspacePair
 from twoarr.exterior import ExtElement, degree_span_rank, monomials
-from twoarr.linalg import Matrix, rref
 from twoarr.matroid import circuits, nbc_sets
 from twoarr.presentation import (
     CircuitRelation,
@@ -25,6 +24,7 @@ from twoarr.presentation import (
     Presentation,
 )
 from conftest import braid_a4, generic_hyperplanes, generic_lines, pair
+from dense_reference import rref
 
 
 def elem(*terms):
@@ -270,8 +270,8 @@ def span_signature(elements, n, degree=2):
     rows = [e.coeff_vector(cols) for e in elements if not e.is_zero]
     if not rows:
         return ()
-    reduced, pivots = rref(Matrix.from_rows(rows, len(cols)))
-    return tuple(reduced.row(i) for i in range(len(pivots)))
+    reduced, pivots = rref(rows)
+    return tuple(tuple(row) for row in reduced[: len(pivots)])
 
 
 @pytest.mark.parametrize("seed", [43, 47])
