@@ -1,7 +1,9 @@
-"""Golden CLI output: stdout of `restrict`, `linking` and `kappa`, byte for byte.
+"""Golden CLI output, byte for byte: every verb, and the parser's help and usage errors.
 
-Each case runs `cli.main` in process and compares its stdout, followed by a
-last line `exit N` with the exit code, with `tests/goldens/<case>.txt`.
+Each case runs `cli.main` in process with `COLUMNS` pinned (argparse wraps
+help to the terminal width) and compares its stdout, then its stderr under a
+`--- stderr` line when there is any, then a last line `exit N` with the exit
+code (the `SystemExit` code for `--help`), with `tests/goldens/<case>.txt`.
 Running this file as a script rewrites every golden from the current code:
 
     PYTHONPATH=src python tests/test_goldens.py
@@ -11,9 +13,11 @@ A golden is refreshed only together with a CHANGES.md entry saying why.
 
 import contextlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -23,8 +27,14 @@ from twoarr.fixtures import FIXTURES, load_fixture
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "twoarr" / "fixtures"
-# generated inputs, written to a scratch directory: name -> generic_lines arguments
-GENERATED = {"lines7": (7, 3, False), "lines7-conj": (7, 3, True)}
+# generated inputs, written to a scratch directory: name -> conftest generator and its arguments
+GENERATED = {
+    "lines7": ("generic_lines", (7, 3, False)),
+    "lines7-conj": ("generic_lines", (7, 3, True)),
+    "a4": ("braid_a4", ()),
+}
+VERBS = ("validate", "lattice", "circuits", "betti", "present", "kappa", "linking", "restrict", "compare")
+FORMATS = ("text", "json")
 
 
 def cases() -> dict[str, list[str]]:
@@ -32,14 +42,53 @@ def cases() -> dict[str, list[str]]:
     out = {}
     for fixture in FIXTURES:
         name = fixture.removesuffix(".arr")
-        for index in range(1, load_fixture(name).n + 1):
-            for fmt in ("text", "json"):
+        n = load_fixture(name).n
+        for index in range(1, n + 1):
+            for fmt in FORMATS:
                 out[f"restrict-{name}-{index}-{fmt}"] = [
                     "restrict", f"{{{name}}}", "--index", str(index), "--format", fmt
                 ]
         out[f"kappa-{name}-json"] = ["kappa", f"{{{name}}}", "--format", "json"]
-    for name in ("example22-B", "example22-Bprime", *GENERATED):
+        out[f"kappa-{name}-text"] = ["kappa", f"{{{name}}}"]
+        for verb in ("validate", "lattice", "circuits", "betti", "present"):
+            for fmt in FORMATS:
+                out[f"{verb}-{name}-{fmt}"] = [verb, f"{{{name}}}", "--format", fmt]
+        for fmt in FORMATS:
+            out[f"compare-{name}-self-{fmt}"] = ["compare", f"{{{name}}}", f"{{{name}}}", "--format", fmt]
+        reversed_order = ",".join(str(k) for k in range(n, 0, -1))
+        out[f"betti-{name}-reversed"] = ["betti", f"{{{name}}}", "--order", reversed_order]
+        out[f"present-{name}-normalized"] = ["present", f"{{{name}}}", "--normalize-signs"]
+    for name in ("example22-B", "thm32-Bhat-complex", "thm32-Bhat"):
+        out[f"present-mode-complex-{name}"] = ["present", f"{{{name}}}", "--mode", "complex"]
+    for first, second in (("example22-B", "example22-Bprime"), ("thm32-Bhat", "thm32-Bhat-complex")):
+        for fmt in FORMATS:
+            argv = ["compare", f"{{{first}}}", f"{{{second}}}", "--format", fmt]
+            out[f"compare-{first}-{second}-{fmt}"] = argv
+            out[f"compare-{first}-{second}-permutations-{fmt}"] = argv + ["--permutation-search"]
+    for name in ("example22-B", "example22-Bprime", "lines7", "lines7-conj"):
         out[f"linking-{name}"] = ["linking", f"{{{name}}}"]
+    for verb in ("lattice", "betti"):
+        out[f"{verb}-a4"] = [verb, "{a4}"]
+    for name in ("lines7", "lines7-conj"):
+        out[f"present-{name}"] = ["present", f"{{{name}}}"]
+        out[f"kappa-{name}"] = ["kappa", f"{{{name}}}"]
+    out["compare-lines7-lines7-conj"] = ["compare", "{lines7}", "{lines7-conj}"]
+    out.update(usage_cases())
+    return out
+
+
+def usage_cases() -> dict[str, list[str]]:
+    """Help text and usage errors: the parser's own output, no verb runs except where it parses."""
+    out = {"help": ["--help"], "usage-no-arguments": []}
+    for verb in VERBS:
+        out[f"help-{verb}"] = [verb, "--help"]
+    out["usage-unknown-verb"] = ["frobnicate", "{example22-B}"]
+    out["usage-restrict-without-index"] = ["restrict", "{example22-B}"]
+    out["usage-format-xml"] = ["validate", "{example22-B}", "--format", "xml"]
+    out["usage-extra-positional"] = ["validate", "{example22-B}", "extra"]
+    out["usage-format-before-verb"] = ["--format", "json", "validate", "{example22-B}"]
+    out["usage-abbreviated-option"] = ["validate", "{example22-B}", "--form", "json"]
+    out["usage-option-equals-value"] = ["validate", "{example22-B}", "--format=json"]
     return out
 
 
@@ -47,21 +96,25 @@ CASES = cases()
 
 
 def input_paths(directory: Path) -> dict[str, str]:
-    from conftest import generic_lines
+    import conftest
 
     paths = {f.removesuffix(".arr"): str(FIXTURE_DIR / f) for f in FIXTURES}
-    for name, (n, seed, conjugate_last) in GENERATED.items():
+    for name, (generator, args) in GENERATED.items():
         path = directory / f"{name}.arr"
-        path.write_text(serialize_arrangement(generic_lines(n, seed, conjugate_last)))
+        path.write_text(serialize_arrangement(getattr(conftest, generator)(*args)))
         paths[name] = str(path)
     return paths
 
 
 def run_case(argv: list[str], paths: dict[str, str]) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main([a.format(**paths) for a in argv])
-    return out.getvalue() + f"exit {code}\n"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        try:
+            code = main([a.format(**paths) for a in argv])
+        except SystemExit as e:  # --help
+            code = e.code
+    stderr = f"--- stderr\n{err.getvalue()}" if err.getvalue() else ""
+    return out.getvalue() + stderr + f"exit {code}\n"
 
 
 @pytest.fixture(scope="module")
