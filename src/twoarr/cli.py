@@ -280,40 +280,47 @@ def cmd_compare(args) -> int:
     return 10 if report.differing else 0
 
 
-def build_parser() -> _Parser:
+_FILE = ("file", {})
+# verb -> (handler, help, its arguments after --format, in the order argparse lists them)
+VERBS = {
+    "validate": (cmd_validate, "check admissibility invariants", [_FILE]),
+    "lattice": (cmd_lattice, "intersection lattice flats", [_FILE]),
+    "circuits": (cmd_circuits, "matroid circuits", [_FILE]),
+    "betti": (cmd_betti, "NBC sets and betti numbers", [
+        _FILE, ("--order", {"help": "NBC element order, e.g. 2,1,3,4"})]),
+    "present": (cmd_present, "signed cohomology presentation", [
+        _FILE, ("--mode", {"choices": ("real", "complex"), "default": "real"}),
+        ("--normalize-signs", {"action": "store_true"})]),
+    "kappa": (cmd_kappa, "kappa form and its rank", [_FILE]),
+    "linking": (cmd_linking, "pairwise and triple linking signs", [_FILE]),
+    "restrict": (cmd_restrict, "restrict onto one subspace", [
+        _FILE, ("--index", {"required": True, "help": "subspace label or 1-based index"})]),
+    "compare": (cmd_compare, "compare all invariants of two arrangements", [
+        _FILE, ("other", {}), ("--permutation-search", {"action": "store_true"})]),
+}
+
+
+def build_parser(verb: str | None = None) -> _Parser:
+    """The CLI parser with every verb, or with only `verb`'s subparser when it names one.
+
+    A verb's subparser is the same either way, and so is everything the
+    top-level parser prints when its first argument names no verb.
+    """
     parser = _Parser(prog="twoarr", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(verb, func, **kwargs):
-        p = sub.add_parser(verb, **kwargs)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(func=func)
-        return p
-
-    add("validate", cmd_validate, help="check admissibility invariants").add_argument("file")
-    add("lattice", cmd_lattice, help="intersection lattice flats").add_argument("file")
-    add("circuits", cmd_circuits, help="matroid circuits").add_argument("file")
-    p = add("betti", cmd_betti, help="NBC sets and betti numbers")
-    p.add_argument("file")
-    p.add_argument("--order", help="NBC element order, e.g. 2,1,3,4")
-    p = add("present", cmd_present, help="signed cohomology presentation")
-    p.add_argument("file")
-    p.add_argument("--mode", choices=("real", "complex"), default="real")
-    p.add_argument("--normalize-signs", action="store_true")
-    add("kappa", cmd_kappa, help="kappa form and its rank").add_argument("file")
-    add("linking", cmd_linking, help="pairwise and triple linking signs").add_argument("file")
-    p = add("restrict", cmd_restrict, help="restrict onto one subspace")
-    p.add_argument("file")
-    p.add_argument("--index", required=True, help="subspace label or 1-based index")
-    p = add("compare", cmd_compare, help="compare all invariants of two arrangements")
-    p.add_argument("file")
-    p.add_argument("other")
-    p.add_argument("--permutation-search", action="store_true")
+    for name, (func, help_, arguments) in VERBS.items():
+        if verb not in VERBS or verb == name:
+            p = sub.add_parser(name, help=help_)
+            p.add_argument("--format", choices=("text", "json"), default="text")
+            for arg, kwargs in arguments:
+                p.add_argument(arg, **kwargs)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -1,10 +1,15 @@
+import argparse
+import contextlib
+import io
 import json
+import sys
 
 import pytest
 
-from twoarr.cli import main
+from twoarr import cli
+from twoarr.cli import UsageError, build_parser, main
 from twoarr.arrangement import parse_arrangement
-from twoarr.fixtures import fixture_text
+from twoarr.fixtures import fixture_text, load_fixture
 
 
 @pytest.fixture
@@ -235,3 +240,99 @@ def test_betti_enumerates_each_nbc_complex_once(fx, capsys, monkeypatch, order):
     assert code == 0
     assert out.splitlines()[1:] == ["betti: 1 5 10 6", "whitney check: ok"]
     assert calls == ([None] if order is None else [(5, 4, 3, 2, 1), None])
+
+
+@pytest.mark.parametrize(
+    "name, code, kinds",
+    [
+        ("example22-B", 2, {"pairwise-rank"}),
+        ("example22-Bprime", 2, {"pairwise-rank"}),
+        ("thm32-Bhat", 0, set()),
+        ("thm32-Bhat-complex", 0, set()),
+    ],
+)
+def test_restrict_output_validates_only_above_r4(fx, tmp_path, capsys, name, code, kinds):
+    # in R^4 the other members meet the chosen one only at the origin, so the
+    # restriction repeats a point of R^2 and is no valid arrangement file
+    for index in range(1, load_fixture(name).n + 1):
+        _, out, _ = run(capsys, "restrict", fx(name), "--index", str(index))
+        path = tmp_path / f"{name}-{index}.arr"
+        path.write_text(out)
+        got, report, _ = run(capsys, "validate", str(path), "--format", "json")
+        assert got == code
+        assert {v["kind"] for v in json.loads(report)["violations"]} == kinds
+
+
+# --- the parser: one verb's subparser against the full build ---------------------
+
+VALID = {
+    "validate": ["F"],
+    "lattice": ["F"],
+    "circuits": ["F"],
+    "betti": ["F", "--order", "2,1,3,4"],
+    "present": ["F", "--mode", "complex", "--normalize-signs"],
+    "kappa": ["F"],
+    "linking": ["F"],
+    "restrict": ["F", "--index", "2"],
+    "compare": ["F", "G", "--permutation-search"],
+}
+# an option each verb accepts in abbreviated form, and its full form with =value
+ABBREVIATED = {"betti": ["--ord", "1,2"], "present": ["--norm"], "restrict": ["--ind", "H1"], "compare": ["--perm"]}
+EQUALS = {"betti": "--order=1,2", "present": "--mode=real", "restrict": "--index=H2"}
+
+
+def parser_argvs() -> list[list[str]]:
+    argvs = [[], ["frobnicate", "F"], ["--help"], ["-h"], ["--format", "json", "validate", "F"]]
+    for verb, args in VALID.items():
+        argvs += [
+            [verb, *args],
+            [verb, "-h"],
+            [verb, *(a for a in args if a != "F")],
+            [verb, *args, "--format", "xml"],
+            [verb, *args, "extra"],
+            [verb, *args, *ABBREVIATED.get(verb, ["--form", "json"])],
+            [verb, *args, EQUALS.get(verb, "--format=json")],
+        ]
+    argvs.append(["present", "F", "--mode", "quaternion"])
+    return argvs
+
+
+def parse_outcome(parser, argv):
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "namespace", vars(parser.parse_args(argv))
+    except UsageError as e:
+        return "usage", str(e)
+    except SystemExit as e:
+        return "exit", e.code, out.getvalue()
+
+
+@pytest.mark.parametrize("argv", parser_argvs(), ids=" ".join)
+def test_one_verb_parser_parses_like_the_full_parser(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = parse_outcome(build_parser(), argv)
+    assert parse_outcome(build_parser(argv[0] if argv else None), argv) == full
+
+
+@pytest.mark.parametrize(
+    "argv, built", [(["validate", "FILE"], ["validate"]), (["--help"], list(cli.VERBS)), (["frobnicate"], list(cli.VERBS))]
+)
+def test_a_verb_run_builds_only_its_own_subparser(fx, capsys, monkeypatch, argv, built):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(
+        argparse._SubParsersAction, "add_parser", lambda self, name, **kw: names.append(name) or add_parser(self, name, **kw)
+    )
+    with contextlib.suppress(SystemExit):
+        main([fx("example22-B") if a == "FILE" else a for a in argv])
+    capsys.readouterr()
+    assert names == built
+
+
+def test_run_reads_sys_argv(fx, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["twoarr", "circuits", fx("example22-B")])
+    with pytest.raises(SystemExit) as exit_:
+        cli.run()
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.splitlines() == ["{1,2,3}", "{1,2,4}", "{1,3,4}", "{2,3,4}"]
