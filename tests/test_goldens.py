@@ -78,7 +78,7 @@ def cases() -> dict[str, list[str]]:
 
 
 def usage_cases() -> dict[str, list[str]]:
-    """Help text and usage errors: the parser's own output, no verb runs except where it parses."""
+    """Help text, usage errors, and the abbreviated and `--opt=value` spellings that still parse."""
     out = {"help": ["--help"], "usage-no-arguments": []}
     for verb in VERBS:
         out[f"help-{verb}"] = [verb, "--help"]
