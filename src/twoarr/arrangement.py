@@ -191,13 +191,8 @@ class Arrangement(Value):
         )
 
     @cached_property
-    def _codim_cache(self) -> dict[int, int]:
-        """codim by subset bitmask; bit a-1 stands for subspace a."""
-        return {}
-
-    @cached_property
     def _closed_sets(self) -> dict[int, int]:
-        """codim of every closed set, by bitmask (as `_codim_cache`), found in one walk."""
+        """codim of every closed set, by bitmask (bit a-1 stands for subspace a), found in one walk."""
         return closed_sets(self._integer_forms)
 
     @cached_property
@@ -243,24 +238,20 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def _least_closed(arr: Arrangement, mask: int) -> tuple[int, int]:
+    """(codim, bitmask) of the least cached closed set containing the subset `mask`."""
+    return min((c, g) for g, c in arr._closed_sets.items() if g & mask == mask)
+
+
 def codim(arr: Arrangement, subset: Iterable[int]) -> int:
     """Real codimension of the intersection over a subset: rank of its stacked forms.
 
-    Order and repeats in the subset do not matter. Results are cached on the
-    arrangement, keyed by the subset, and computed by integer elimination
-    over the forms scaled to integers.
+    Order and repeats in the subset do not matter. The forms of a subset
+    span what those of the least closed set containing it span, so the
+    answer is read off the arrangement's closed sets (`_closed_sets`, one
+    walk) and no subset is ranked on its own.
     """
-    mask = _mask(arr, subset)
-    cache = arr._codim_cache
-    r = cache.get(mask)
-    if r is None:
-        r = cache[mask] = integer_rank(
-            row
-            for i, rows in enumerate(arr._integer_forms)
-            if mask >> i & 1
-            for row in rows
-        )
-    return r
+    return _least_closed(arr, _mask(arr, subset))[0]
 
 
 def validate(arr: Arrangement) -> ValidationReport:

@@ -3,19 +3,20 @@
 Nothing is ever rounded. The hot work runs on Python ints, fraction-free,
 after scaling each rational row by the positive lcm of its denominators
 (`integer_row`), which leaves rank, row span and determinant sign as they
-were:
+were. Every elimination but the determinant's works on sparse rows,
+`{column: int}` dicts, with one row operation (`_cancel`) and one
+normalisation (`_primitive`):
 
-- `integer_rank` counts the rank of short dense rows; the arrangement rank
-  oracle and `restrict`'s degeneracy check use it. `closed_sets` walks the
-  lattice of spans of groups of such rows, an arrangement's closed sets.
-- `sparse_echelon` eliminates sparse rows, `{column: int}` dicts, and stops
-  once every column has a pivot. Forward elimination alone gives the rank
-  and an echelon basis, which is all the ideal slices' rank profile needs.
+- `sparse_echelon` eliminates rows and stops once every column has a
+  pivot. Forward elimination alone gives the rank and an echelon basis,
+  which is all the ideal slices' rank profile and `integer_rank` need.
   With `reduced=True` a back-substitution pass returns the unique reduced
   echelon form with each row primitive and its pivot positive; the
-  degree-2 slice basis of kappa, the circuit dependency solves and
-  `restrict`'s kernel basis read it.
-- `det_sign` runs Bareiss elimination on integer rows.
+  degree-2 slice basis of kappa, the circuit dependency solves,
+  `restrict`'s kernel basis and the walk's span keys read it.
+- `closed_sets` walks the lattice of spans of groups of rows, an
+  arrangement's closed sets, which answer every rank question about it.
+- `det_sign` runs Bareiss elimination on dense integer rows.
 
 `Fraction` appears only at the edges: `vec`, `dot` and `integer_row`.
 """
@@ -51,51 +52,31 @@ def integer_row(row: Sequence[Fraction]) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in row]
 
 
-def _clear(r: list[int], c: int, b: Sequence[int]) -> list[int]:
-    """p*r - x*b with the common factor of p = b[c] and x = r[c] divided out; zero at c."""
-    g = math.gcd(b[c], r[c])
-    p, x = b[c] // g, r[c] // g
-    return [p * u - x * v for u, v in zip(r, b)]
+def _extend(basis: Sequence[SparseRow], rows: Iterable[SparseRow]) -> list[SparseRow]:
+    """The sparse rows that extend an echelon basis to span(basis + rows).
 
-
-def _extend(
-    basis: Sequence[tuple[int, list[int]]], rows: Iterable[Sequence[int]]
-) -> list[tuple[int, list[int]]]:
-    """The (pivot, row) pairs that extend an echelon basis to span(basis + rows).
-
-    In `basis` and in the result each row is zero in the pivot columns
-    listed before it, primitive, and pivoted at its first nonzero entry.
+    In `basis` and in the result each row is primitive, pivoted at its
+    smallest column, and zero in the pivot columns of the rows before it.
     """
     kept = list(basis)
-    for row in rows:
-        r = list(row)
-        for c, b in kept:
-            if r[c]:
-                r = _clear(r, c, b)
-        content = math.gcd(*r)
-        if content:
-            c = next(j for j, x in enumerate(r) if x)
-            kept.append((c, [x // content for x in r]))
-            if len(kept) == len(r):
-                break  # full column rank: no later row can add to it
+    for r in rows:
+        for b in kept:
+            c = min(b)
+            if c in r:
+                r = _cancel(r, b, c)
+        if r:
+            kept.append(_primitive(r, min(r)))
     return kept[len(basis):]
 
 
-def _span_key(rows: Sequence[tuple[int, list[int]]]) -> tuple[tuple[int, ...], ...]:
-    """The reduced echelon form of the span of `_extend`'s rows: equal iff the spans are."""
-    done: list[tuple[int, tuple[int, ...]]] = []
-    for c, r in reversed(rows):
-        for d, b in done:
-            if r[d]:
-                r = _clear(r, d, b)
-        g = math.gcd(*r) if r[c] > 0 else -math.gcd(*r)
-        done.append((c, tuple(x // g for x in r)))
-    return tuple(r for _, r in sorted(done))
+def _span_key(rows: Iterable[SparseRow]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The reduced echelon form of the rows' span as a tuple: equal iff the spans are."""
+    return tuple(tuple(sorted(r.items())) for r in sparse_echelon(rows, reduced=True))
 
 
 def integer_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Row rank over the rationals of integer rows, by fraction-free elimination."""
-    return len(_extend((), rows))
+    """Row rank over the rationals of dense integer rows."""
+    return len(sparse_echelon(dict(enumerate(r)) for r in rows))
 
 
 def closed_sets(groups: Sequence[Sequence[Sequence[int]]]) -> dict[int, int]:
@@ -107,7 +88,10 @@ def closed_sets(groups: Sequence[Sequence[Sequence[int]]]) -> dict[int, int]:
     plus each b whose new rows lie in the span of a's: those with the same
     span, and those that add less and reduce to nothing against a's rows.
     """
-    start = {b: _extend((), rows) for b, rows in enumerate(groups)}
+    start = {
+        b: _extend((), ({c: x for c, x in enumerate(r) if x} for r in rows))
+        for b, rows in enumerate(groups)
+    }
     bottom = sum(1 << b for b, rows in start.items() if not rows)
     closed = {bottom: 0}
     frontier = [(bottom, {b: rows for b, rows in start.items() if rows})]
@@ -121,12 +105,12 @@ def closed_sets(groups: Sequence[Sequence[Sequence[int]]]) -> dict[int, int]:
                 rows = new[a]
                 cover = mask | sum(1 << b for b in (a, *same))
                 for b, others in new.items():
-                    if len(others) < len(rows) and not _extend(rows, (r for _, r in others)):
+                    if len(others) < len(rows) and not _extend(rows, others):
                         cover |= 1 << b
                 if cover not in closed:
                     closed[cover] = closed[mask] + len(rows)
                     rest = (b for b in new if not cover >> b & 1)
-                    nxt.append((cover, {b: _extend(rows, (r for _, r in new[b])) for b in rest}))
+                    nxt.append((cover, {b: _extend(rows, new[b]) for b in rest}))
         frontier = nxt
     return closed
 

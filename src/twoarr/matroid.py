@@ -4,9 +4,11 @@ The ground set is 1..n by subspace position. The matroid rank of a subset
 is half the real codimension of its intersection; operations here assume
 the arrangement has already passed validation.
 
-Everything but `matroid_rank` reads the arrangement's cached closed sets
-(`Arrangement._closed_sets`: one breadth-first walk, keyed by bitmask) and
-circuits. A subset's rank is that of the least closed set containing it.
+Every rank question, `matroid_rank` included, is answered from the
+arrangement's cached closed sets (`Arrangement._closed_sets`: one
+breadth-first walk, keyed by bitmask) by one lookup,
+`arrangement._least_closed`: a subset's rank is that of the least closed
+set containing it. The circuits are cached beside them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 from typing import Iterable, Sequence
 
 from ._value import Value
-from .arrangement import Arrangement, _mask, _members, codim
+from .arrangement import Arrangement, _least_closed, _mask, _members, codim
 
 
 class SizeMismatch(ValueError):
@@ -36,8 +38,7 @@ def matroid_rank(arr: Arrangement, subset: Iterable[int]) -> int:
 
 def closure(arr: Arrangement, subset: Iterable[int]) -> tuple[int, ...]:
     """The least closed set containing the subset: all elements in the span of its forms."""
-    mask = _mask(arr, subset)
-    return _members(min((c, g) for g, c in arr._closed_sets.items() if g & mask == mask)[1])
+    return _members(_least_closed(arr, _mask(arr, subset))[1])
 
 
 class Flat(Value):
@@ -50,21 +51,8 @@ class IntersectionLattice(Value):
 
     flats_by_rank: tuple[tuple[Flat, ...], ...]
 
-    @property
-    def top_rank(self) -> int:
-        return len(self.flats_by_rank) - 1
-
     def all_flats(self) -> list[Flat]:
         return [f for group in self.flats_by_rank for f in group]
-
-    def upper_covers(self, flat: Flat) -> tuple[Flat, ...]:
-        if flat.rank == self.top_rank:
-            return ()
-        return tuple(
-            g
-            for g in self.flats_by_rank[flat.rank + 1]
-            if set(flat.elements) < set(g.elements)
-        )
 
 
 def flats(arr: Arrangement) -> IntersectionLattice:
@@ -98,14 +86,13 @@ def _scan_circuits(arr: Arrangement) -> list[tuple[int, ...]]:
     No circuit has more than r + 1 elements, r the rank of the whole set,
     so larger subsets are not scanned (Oxley, Matroid Theory, ch. 1).
     """
-    by_codim = sorted((c, g) for g, c in arr._closed_sets.items())
     found: list[int] = []
-    for size in range(2, min(arr.n, by_codim[-1][0] // 2 + 1) + 1):
+    for size in range(2, min(arr.n, max(arr._closed_sets.values()) // 2 + 1) + 1):
         for comb in itertools.combinations(range(1, arr.n + 1), size):
             mask = _mask(arr, comb)
             if any(m & mask == m for m in found):
                 continue
-            c = next(c for c, g in by_codim if g & mask == mask)
+            c, _ = _least_closed(arr, mask)
             if c % 2:
                 raise NotAdmissible(f"subset {set(comb)} has odd codimension {c}")
             if c // 2 < size:

@@ -1,16 +1,52 @@
-"""Reference lattice code for the differential tests: rank questions go through `codim`.
+"""Reference lattice code for the differential tests, on its own rank oracle.
 
 These are the implementations the closed-set walk replaced: closures by one
-`codim` call per (subset, element) pair, the lattice by breadth-first
+rank question per (subset, element) pair, the lattice by breadth-first
 closure, circuits by an unbounded scan over all subsets, and set-based NBC
 and Moebius tests. They stay here as the oracle the package is compared
-against.
+against. Every rank comes from `codim` below: dense `Fraction` elimination
+(`dense_reference.rref`) of the stacked forms, which shares no code with
+the package's walk or kernels.
 """
 
 import itertools
 
-from twoarr.arrangement import ValidationReport, Violation, codim
-from twoarr.matroid import Flat, IntersectionLattice, NbcComplex, matroid_rank
+from dense_reference import rref
+from twoarr.arrangement import ValidationReport, Violation
+from twoarr.matroid import Flat, IntersectionLattice, NbcComplex, NotAdmissible
+
+_BASES: dict[int, tuple] = {}  # id(arr) -> (arr, {subset bitmask: rref basis}); arr pins the id
+
+
+def _basis(arr, mask):
+    """The reduced echelon basis of the forms of a subset, built one element at a time."""
+    if id(arr) not in _BASES:
+        if len(_BASES) >= 4:
+            _BASES.clear()
+        _BASES[id(arr)] = (arr, {0: []})
+    bases = _BASES[id(arr)][1]
+    if mask not in bases:
+        top = mask.bit_length() - 1
+        below = _basis(arr, mask & ~(1 << top))
+        if len(below) == arr.dim:  # already the whole space
+            bases[mask] = below
+        else:
+            s = arr.subspaces[top]
+            reduced, pivots = rref(below + [list(s.first.coeffs), list(s.second.coeffs)])
+            bases[mask] = reduced[: len(pivots)]
+    return bases[mask]
+
+
+def codim(arr, subset):
+    """Rank of the stacked forms of a subset of 1-based indices."""
+    return len(_basis(arr, sum(1 << (a - 1) for a in set(subset))))
+
+
+def matroid_rank(arr, subset):
+    c = codim(arr, subset)
+    if c % 2 != 0:
+        raise NotAdmissible(f"subset {set(subset)} has odd codimension {c}")
+    return c // 2
 
 
 def closure(arr, subset):

@@ -242,7 +242,7 @@ def test_codim_ignores_order_and_repeats(name):
     rng = random.Random(41)
     for s in all_subsets(arr.n):
         expected = dense_rank([f for a in s for f in (arr.pair(a).first.coeffs, arr.pair(a).second.coeffs)])
-        # a fresh copy has an empty cache, so the scrambled subset is computed
+        # a fresh copy has not walked its closed sets, so the scrambled subset asks first
         fresh = Arrangement(arr.dim, arr.subspaces)
         scrambled = list(s) + [rng.choice(s) for _ in range(len(s))] if s else []
         rng.shuffle(scrambled)
@@ -292,14 +292,14 @@ def test_restrict_accepts_index(arr_bhat):
     assert restrict(arr_bhat, 3).labels == ("H1", "H2", "H4", "H5")
 
 
-def test_restrict_has_own_codim_cache(arr_bhat):
+def test_restrict_has_own_closed_sets(arr_bhat):
     for label in arr_bhat.labels:
         r = restrict(arr_bhat, label)
         reparsed = parse_arrangement(serialize_arrangement(r))
         for s in all_subsets(r.n):
             assert codim(r, s) == codim(reparsed, s)
-        assert r._codim_cache is not arr_bhat._codim_cache
-        assert r._codim_cache == reparsed._codim_cache
+        assert r._closed_sets is not arr_bhat._closed_sets
+        assert r._closed_sets == reparsed._closed_sets
 
 
 def test_restrict_unknown_label(arr_b):

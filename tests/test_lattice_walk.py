@@ -53,7 +53,7 @@ def all_subsets(n):
 @pytest.mark.parametrize("case", CASES)
 def test_closed_sets_match_bruteforce_closure(case):
     arr = build(case)
-    codims = {mask: codim(arr, _members(mask)) for mask in range(1 << arr.n)}
+    codims = {mask: ref.codim(arr, _members(mask)) for mask in range(1 << arr.n)}
     brute = {
         mask | sum(1 << b for b in range(arr.n) if codims[mask | 1 << b] == c)
         for mask, c in codims.items()
@@ -156,6 +156,28 @@ def test_one_walk_per_arrangement(monkeypatch, capsys):
     assert len(counted) == 3  # nbc_sets reads the circuits through circuits()
     flats(restricted)
     assert walked == [arr._integer_forms, restricted._integer_forms]  # a restriction walks its own
+
+
+def test_rank_questions_after_parse_eliminate_nothing(monkeypatch):
+    """After the walk, `codim` on every subset, `matroid_rank` and `validate` read the closed sets."""
+    arrs = [
+        parse_arrangement(serialize_arrangement(braid_a4())),
+        parse_arrangement(serialize_arrangement(restrict(load_fixture("thm32-Bhat"), "H3"))),
+    ]
+
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("linalg elimination after parse")
+
+    for name in ("_extend", "sparse_echelon"):
+        real = getattr(linalg, name)
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("twoarr") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, no_elimination)
+    for arr in arrs:
+        for s in all_subsets(arr.n):
+            assert codim(arr, s) == ref.codim(arr, s)
+            assert matroid.matroid_rank(arr, s) == ref.codim(arr, s) // 2
+        assert validate(arr).ok
 
 
 def test_twenty_generic_lines_stay_fast():

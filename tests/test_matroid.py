@@ -66,14 +66,6 @@ def test_flats_bhat_counts(arr_bhat):
     assert [len(g) for g in lattice.flats_by_rank] == [1, 5, 10, 1]
 
 
-def test_upper_covers(arr_bprime):
-    lattice = flats(arr_bprime)
-    bottom = lattice.flats_by_rank[0][0]
-    assert len(lattice.upper_covers(bottom)) == 4
-    atom = lattice.flats_by_rank[1][0]
-    assert [f.elements for f in lattice.upper_covers(atom)] == [(1, 2, 3, 4)]
-
-
 def test_circuits_uniform_rank_two(arr_bprime):
     assert circuits(arr_bprime) == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
 

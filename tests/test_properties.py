@@ -1,0 +1,106 @@
+"""Hypothesis properties: invariance under form rechoice and relabelling, and round trips.
+
+Each property runs on every input: the four fixtures and small generated
+arrangements (n <= 7). A drawn case replaces each subspace's form pair by an
+invertible rational 2x2 recombination of it, which drops the complex block,
+and then reorders the subspaces. The runs are derandomized, as in
+`test_parser_fuzz.py`.
+"""
+
+import functools
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import generic_hyperplanes, generic_lines
+from test_presentation import recombined
+from twoarr.arrangement import (
+    Arrangement,
+    ValidationError,
+    parse_arrangement,
+    restrict,
+    serialize_arrangement,
+)
+from twoarr.fixtures import FIXTURES, load_fixture
+from twoarr.invariants import kappa, kappa_rank, triple_coefficients
+from twoarr.matroid import betti_vector, circuits
+from twoarr.presentation import full_presentation, ideal_rank_profile
+
+INPUTS = {
+    **{name: load_fixture(name) for name in FIXTURES},
+    "lines-7": generic_lines(7, 3),
+    "lines-6-conj": generic_lines(6, 5, conjugate_last=True),
+    "planes-6": generic_hyperplanes(6, 3, 3),
+    "planes-5-conj": generic_hyperplanes(5, 3, 7, conjugate_last=True),
+}
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=3)
+
+RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+GL2 = st.tuples(RATIONALS, RATIONALS, RATIONALS, RATIONALS).filter(lambda m: m[0] * m[3] != m[1] * m[2])
+
+
+@st.composite
+def changed(draw, arr):
+    """(new index of each old one, `arr` recombined pair by pair and reordered)."""
+    mats = draw(st.lists(GL2, min_size=arr.n, max_size=arr.n))
+    perm = list(range(arr.n))  # new subspace j + 1 is old perm[j] + 1
+    draw(st.randoms(use_true_random=False)).shuffle(perm)
+    moved = recombined(arr, mats)
+    new_of = {old + 1: new + 1 for new, old in enumerate(perm)}
+    return new_of, Arrangement(arr.dim, tuple(moved.subspaces[old] for old in perm))
+
+
+def invariants(arr):
+    return {
+        "betti": betti_vector(arr),
+        "ideal ranks": ideal_rank_profile(full_presentation(arr)),
+        "kappa rank": kappa_rank(kappa(arr)),
+        "triples": Counter(triple_coefficients(arr).values()) if arr.dim == 4 else None,
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def base_invariants(name):
+    return invariants(INPUTS[name])
+
+
+def _relabelled_mask(mask, new_of):
+    return sum(1 << (new_of[i + 1] - 1) for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@pytest.mark.parametrize("name", INPUTS)
+@PROPERTY
+@given(data=st.data())
+def test_invariants_survive_form_rechoice_and_relabelling(name, data):
+    base = INPUTS[name]
+    new_of, arr = data.draw(changed(base))
+    assert arr._closed_sets == {_relabelled_mask(m, new_of): c for m, c in base._closed_sets.items()}
+    assert circuits(arr) == sorted(tuple(sorted(new_of[e] for e in c)) for c in circuits(base))
+    assert invariants(arr) == base_invariants(name)
+
+
+@pytest.mark.parametrize("name", INPUTS)
+@PROPERTY
+@given(data=st.data())
+def test_parse_serialize_parse_round_trips(name, data):
+    _, changed_arr = data.draw(changed(INPUTS[name]))
+    for arr in (INPUTS[name], changed_arr):
+        parsed = parse_arrangement(serialize_arrangement(arr))
+        assert parsed == arr
+        assert parse_arrangement(serialize_arrangement(parsed)) == parsed
+
+
+@pytest.mark.parametrize("name", INPUTS)
+@PROPERTY
+@given(data=st.data())
+def test_restrict_output_parses_or_repeats_a_member(name, data):
+    """Restricted members may coincide (every member of an R^4 input becomes the origin of R^2)."""
+    _, arr = data.draw(changed(INPUTS[name]))
+    text = serialize_arrangement(restrict(arr, data.draw(st.integers(1, arr.n))))
+    try:
+        parse_arrangement(text)
+    except ValidationError as e:
+        assert {v.kind for v in e.report.violations} == {"pairwise-rank"}

@@ -154,7 +154,7 @@ def test_instances_are_immutable_but_keep_cached_properties():
             del target.x
     before = (repr(arr), hash(arr))
     assert validate(arr).ok  # fills the rank cache
-    assert vars(arr)["_codim_cache"]
+    assert vars(arr)["_closed_sets"]
     assert (repr(arr), hash(arr)) == before
     assert arr == load_fixture("example22-B")
 
