@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from ._value import Value
-from .linalg import Vector, closed_sets, dot, integer_rank, integer_row, sparse_echelon, vec
+from .linalg import Vector, closed_sets, dot, integer_rank, integer_row, sparse_echelon
 
 
 class ParseError(ValueError):
@@ -83,18 +83,6 @@ class LinearForm(Value):
     """A real linear form given by its coefficient vector."""
 
     coeffs: Vector
-
-    @staticmethod
-    def of(entries: Iterable) -> "LinearForm":
-        return LinearForm(vec(entries))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def restrict_to(self, basis: Sequence[Vector]) -> "LinearForm":
         """Compose with the inclusion of the subspace the basis spans."""

@@ -3,18 +3,18 @@
 Monomials are strictly increasing index tuples; elements are integer
 combinations of monomials. Ranks of graded spans are taken over the
 rationals by sparse integer elimination (`linalg.sparse_echelon`) on rows
-built from bitmask monomials. Only the echelon basis needs the
-back-substitution pass; a rank alone comes from forward elimination.
-`ideal_ranks` grows each graded slice of an ideal from the echelon basis
-of the slice below, and `gram_of_basis` multiplies elements on bitmasks;
-`ExtElement.wedge` is on neither path.
+built from bitmask monomials. One pass, `ideal_slices`, builds every
+graded slice of an ideal, each grown from the forward echelon basis of the
+slice below: `ideal_ranks` reads its lengths, and kappa reduces its
+degree-2 slice to the unique reduced echelon basis. `gram_of_basis`
+multiplies elements on bitmasks; `ExtElement.wedge` is on neither path.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._value import Value
 from .linalg import SparseRow, sparse_echelon
@@ -82,10 +82,6 @@ class ExtElement(Value):
     def monomial(indices: Sequence[int], coeff: int = 1) -> "ExtElement":
         return ExtElement.from_terms([(tuple(indices), coeff)])
 
-    @staticmethod
-    def generator(a: int) -> "ExtElement":
-        return ExtElement.monomial((a,))
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -97,13 +93,6 @@ class ExtElement(Value):
         if len(degs) == 1:
             return degs.pop()
         return None
-
-    def coefficient(self, mon: Sequence[int]) -> int:
-        key = tuple(mon)
-        for m, c in self.terms:
-            if m == key:
-                return c
-        return 0
 
     def coeff_vector(self, mons: Sequence[Monomial]) -> tuple[int, ...]:
         lookup = dict(self.terms)
@@ -119,9 +108,6 @@ class ExtElement(Value):
 
     def __add__(self, other: "ExtElement") -> "ExtElement":
         return ExtElement.from_terms(list(self.terms) + list(other.terms))
-
-    def __sub__(self, other: "ExtElement") -> "ExtElement":
-        return self + (-other)
 
     def wedge(self, other: "ExtElement") -> "ExtElement":
         acc: dict[Monomial, int] = {}
@@ -209,51 +195,35 @@ def _columns(n: int, p: int) -> tuple[tuple[Monomial, ...], dict[int, int]]:
     return cols, {_mask(m): j for j, m in enumerate(cols)}
 
 
-def degree_span_rank(
-    generators: Sequence[ExtElement], p: int, n: int, basis: bool = True
-) -> tuple[int, list[ExtElement]]:
-    """Rank and echelon basis of the degree-p slice of the ideal the generators span.
+def ideal_slices(generators: Sequence[ExtElement], n: int) -> Iterator[list[SparseRow]]:
+    """Forward echelon basis of each graded slice of the ideal, from degree 0 up.
 
-    The slice is the span of g ^ m over all generators g and monomials m of
-    complementary degree. The echelon basis is read off the reduced row
-    echelon form over monomial columns in lexicographic order, each row
-    scaled to a primitive integer vector with a positive leading coefficient.
-    With `basis=False` only the rank is computed and the list is empty.
-    """
-    cols, column = _columns(n, p)
-    rows = _slice_rows(_masked(generators), p, n, column)
-    echelon = sparse_echelon(rows, basis, len(cols))
-    if not basis:
-        return len(echelon), []
-    return len(echelon), [
-        ExtElement(tuple((cols[j], row[j]) for j in sorted(row))) for row in echelon
-    ]
-
-
-def ideal_ranks(generators: Sequence[ExtElement], n: int) -> tuple[int, ...]:
-    """Ranks of the degree 0..n slices of the ideal the generators span.
-
-    Each slice grows from the one below: I^p is spanned by b ^ e_j over an
-    echelon basis b of I^(p-1) and the generators of degree p, which is
+    The rows are over the degree-p monomials in lexicographic order
+    (`monomials(n, p)`), each primitive with a positive pivot. Each slice
+    grows from the one below: I^p is spanned by b ^ e_j over the echelon
+    basis b of I^(p-1) and the generators of degree p, which is
     rank(I^(p-1)) * n rows at most rather than one per generator and
-    monomial of complementary degree. Once a slice is all of E^(p-1), so is
-    every slice above it, and no more rows are built. Raises ValueError for
-    a generator that is not homogeneous.
+    monomial of complementary degree. The pass stops after the first slice
+    that is all of E^p, since E^p ^ E^1 = E^(p+1): every slice it does not
+    yield is full. Raises ValueError for a generator that is not homogeneous.
     """
     generators = _masked(generators)
-    ranks: list[int] = []
     below: list[tuple[int, list[tuple[int, int]]]] = []
     for p in range(n + 1):
-        if p and ranks[-1] == comb(n, p - 1):
-            ranks.append(comb(n, p))  # E^(p-1) ^ E^1 = E^p
-            continue
         cols, column = _columns(n, p)
         rows = _slice_rows(below + [g for g in generators if g[0] == p], p, n, column)
         echelon = sparse_echelon(rows, columns=len(cols))
-        ranks.append(len(echelon))
+        yield echelon
+        if len(echelon) == len(cols):
+            return
         masks = list(column)
         below = [(p, [(masks[j], c) for j, c in row.items()]) for row in echelon]
-    return tuple(ranks)
+
+
+def ideal_ranks(generators: Sequence[ExtElement], n: int) -> tuple[int, ...]:
+    """Ranks of the degree 0..n slices of the ideal the generators span (`ideal_slices`)."""
+    ranks = tuple(len(echelon) for echelon in ideal_slices(generators, n))
+    return ranks + tuple(comb(n, p) for p in range(len(ranks), n + 1))
 
 
 def gram_of_basis(basis: Sequence[ExtElement], n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:

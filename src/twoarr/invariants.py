@@ -3,7 +3,9 @@
 The kappa pairing multiplies two degree-2 relation-ideal elements into
 degree 4; its rank is invariant under graded algebra isomorphism. For
 arrangements in R^4 the degree-4 slice is one-dimensional, so kappa is an
-honest symmetric bilinear form. Its Gram data comes from
+honest symmetric bilinear form. Its basis is the reduced degree-2 slice
+of the one graded pass that also gives the ideal's rank profile
+(`exterior.ideal_slices`), its Gram data comes from
 `exterior.gram_of_basis`, which multiplies on bitmasks, and its rank from
 `sparse_echelon` on the Gram rows without their zeros. Pairwise linking
 signs of the great circles cut out on the unit 3-sphere are determinant
@@ -69,10 +71,21 @@ def kappa(arr: Arrangement) -> KappaForm:
 
 
 def _kappa_of(pres: Presentation) -> KappaForm:
-    from .exterior import degree_span_rank, gram_of_basis
+    """Kappa form over the reduced echelon basis of the pass's degree-2 slice.
 
-    _, basis = degree_span_rank(pres.elements(), 2, pres.n)
-    return KappaForm(pres.n, tuple(basis), gram_of_basis(basis, pres.n))
+    Only degrees 0..2 are built. When the pass ends below degree 2, on a
+    full slice, every degree-2 monomial is a basis element.
+    """
+    from .exterior import ExtElement, gram_of_basis, ideal_slices, monomials
+
+    cols = monomials(pres.n, 2)
+    slices = list(itertools.islice(ideal_slices(pres.elements(), pres.n), 3))
+    rows = slices[2] if len(slices) == 3 else [{j: 1} for j in range(len(cols))]
+    basis = tuple(
+        ExtElement(tuple((cols[j], row[j]) for j in sorted(row)))
+        for row in sparse_echelon(rows, reduced=True)
+    )
+    return KappaForm(pres.n, basis, gram_of_basis(basis, pres.n))
 
 
 def kappa_rank(form: KappaForm) -> int:
@@ -134,13 +147,12 @@ def compare(
 
     The verdict is DISTINGUISHED when any invariant differs, and
     OTHERWISE_UNRESOLVED when all agree; agreement of these invariants
-    never establishes that the complements are equivalent.
+    never establishes that the complements are equivalent. Arrangements of
+    different sizes raise `matroid.SizeMismatch`, from `same_labeled_matroid`.
     """
-    from .matroid import SizeMismatch, betti_vector, same_labeled_matroid
+    from .matroid import betti_vector, same_labeled_matroid
     from .presentation import full_presentation, ideal_rank_profile
 
-    if a1.n != a2.n:
-        raise SizeMismatch(f"{a1.n} vs {a2.n} subspaces")
     differing: list[str] = []
     matroids_equal = same_labeled_matroid(a1, a2, up_to_relabeling=permutation_search)
     if not matroids_equal:

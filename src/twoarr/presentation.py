@@ -26,21 +26,21 @@ route that skips the solves: there every sigma_j is +1.
 The solves are integer: `full_presentation` reads each sigma_j from the
 rows of one reduced echelon form with positive pivots, and only
 `circuit_dependencies` turns those rows into `Fraction` quads. The ideal's
-rank profile grows each graded slice from the echelon basis of the one
-below (`exterior.ideal_ranks`).
+rank profile is read off the one pass that builds its graded slices, each
+grown from the echelon basis of the one below (`exterior.ideal_slices`);
+kappa's degree-2 basis comes from the same pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ._value import Value
 from .arrangement import Arrangement
 from .exterior import ExtElement, ideal_ranks
 from .linalg import SparseRow, integer_row, sparse_echelon
-from .matroid import circuits, matroid_rank, nbc_sets
+from .matroid import circuits
 
 MODE_REAL = "real-2-arrangement"
 MODE_COMPLEX = "complex"
@@ -81,18 +81,16 @@ class Presentation(Value):
         return [r.element for r in self.relations]
 
 
-def _checked_circuit(arr: Arrangement, circuit: Sequence[int]) -> tuple[int, ...]:
-    c = tuple(sorted(set(circuit)))
-    if len(c) != len(tuple(circuit)) or matroid_rank(arr, c) != len(c) - 1:
-        raise NotACircuit(f"{tuple(circuit)} is not a circuit")
-    for x in c:
-        rest = tuple(e for e in c if e != x)
-        if matroid_rank(arr, rest) != len(rest):
-            raise NotACircuit(f"{tuple(circuit)} is not minimal")
+def _checked_circuit(arr: Arrangement, circuit: Iterable[int]) -> tuple[int, ...]:
+    """The members in increasing order, if they are one of the arrangement's circuits."""
+    given = tuple(circuit)
+    c = tuple(sorted(given))
+    if c not in arr._circuits:
+        raise NotACircuit(f"{given} is not a circuit")
     return c
 
 
-def circuit_dependencies(arr: Arrangement, circuit: Sequence[int]) -> DependencyPair:
+def circuit_dependencies(arr: Arrangement, circuit: Iterable[int]) -> DependencyPair:
     """Solve the two normalized dependencies of a circuit exactly.
 
     Both right-hand sides are solved in one integer system: coordinate i
@@ -141,7 +139,7 @@ def _os_element(c: tuple[int, ...], signs: Sequence[int]) -> ExtElement:
     return ExtElement.from_terms(terms)
 
 
-def circuit_relation(arr: Arrangement, circuit: Sequence[int]) -> CircuitRelation:
+def circuit_relation(arr: Arrangement, circuit: Iterable[int]) -> CircuitRelation:
     """The signed relation a circuit imposes."""
     c = _checked_circuit(arr, circuit)
     return _relation(c, _solve(arr, c))
@@ -219,13 +217,3 @@ def ideal_rank_profile(pres: Presentation) -> tuple[int, ...]:
     """Ideal ranks for degrees 1..n."""
     return ideal_ranks(pres.elements(), pres.n)[1:]
 
-
-def nbc_basis_check(arr: Arrangement) -> bool:
-    """Check rank I^p + #NBC_p = C(n, p) in every degree."""
-    ranks = ideal_ranks(full_presentation(arr).elements(), arr.n)
-    counts = nbc_sets(arr).counts
-    for p in range(arr.n + 1):
-        nbc_p = counts[p] if p < len(counts) else 0
-        if ranks[p] + nbc_p != comb(arr.n, p):
-            return False
-    return True

@@ -1,16 +1,16 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
 from twoarr import exterior
 from twoarr.exterior import (
     ExtElement,
-    degree_span_rank,
     gram_of_basis,
     ideal_ranks,
+    ideal_slices,
     monomials,
     normalize,
 )
@@ -144,23 +144,45 @@ COMPLEX_PATTERN_RELATIONS = [
 ]
 
 
-def test_degree_span_rank_slices():
-    rels = COMPLEX_PATTERN_RELATIONS
-    assert degree_span_rank(rels, 2, 4)[0] == 3
-    assert degree_span_rank(rels, 3, 4)[0] == 4
-    assert degree_span_rank(rels, 4, 4)[0] == 1
-    assert degree_span_rank([], 2, 4) == (0, [])
+def reduced_slices(generators, n):
+    """Rank and reduced echelon basis of each slice the pass builds, as ExtElements."""
+    out = []
+    for p, echelon in enumerate(ideal_slices(generators, n)):
+        cols = monomials(n, p)
+        basis = [
+            ExtElement(tuple((cols[j], row[j]) for j in sorted(row)))
+            for row in sparse_echelon(echelon, reduced=True)
+        ]
+        out.append((len(echelon), basis))
+    return out
 
 
-def test_degree_span_rank_echelon_basis_spans():
+def test_ideal_ranks_slices():
     rels = COMPLEX_PATTERN_RELATIONS
-    rank2, basis = degree_span_rank(rels, 2, 4)
+    assert ideal_ranks(rels, 4) == (0, 0, 3, 4, 1)
+    assert ideal_ranks([], 4) == (0, 0, 0, 0, 0)
+    assert [rank for rank, _ in reduced_slices([], 4)] == [0] * 5
+
+
+def test_reduced_slice_basis_spans():
+    rels = COMPLEX_PATTERN_RELATIONS
+    rank2, basis = reduced_slices(rels, 4)[2]
     assert len(basis) == rank2
     # basis elements are integer, primitive, and inside the slice
-    again, _ = degree_span_rank(basis, 2, 4)
-    assert again == rank2
+    assert reduced_slices(basis, 4)[2] == (rank2, basis)
     for b in basis:
         assert b.degree == 2
+
+
+def test_pass_stops_after_the_first_full_slice():
+    gens = [E((1,)), E((2,))]
+    assert [len(e) for e in ideal_slices(gens, 4)] == [0, 2, 5, 4]
+    assert ideal_ranks(gens, 4) == (0, 2, 5, 4, 1)
+    gens = [E((a,)) for a in range(1, 5)]
+    assert [len(e) for e in ideal_slices(gens, 4)] == [0, 4]
+    assert ideal_ranks(gens, 4) == (0, 4, 6, 4, 1)
+    assert [len(e) for e in ideal_slices([E(())], 4)] == [1]
+    assert ideal_ranks([E(())], 4) == (1, 4, 6, 4, 1)
 
 
 def test_monomials_lexicographic():
@@ -229,12 +251,16 @@ def reference_span(generators, p, n):
 
 
 def assert_matches_reference(generators, n):
+    """Each slice the pass builds, reduced, is the reference's; the slices past its end are full."""
+    built = reduced_slices(generators, n)
     for p in range(n + 1):
         expected = reference_span(generators, p, n)
         if expected is None:
             continue
-        assert degree_span_rank(generators, p, n) == expected, p
-        assert degree_span_rank(generators, p, n, basis=False) == (expected[0], []), p
+        if p < len(built):
+            assert built[p] == expected, p
+        else:
+            assert expected[0] == comb(n, p), p
 
 
 def test_slice_kernel_matches_dense_path_on_random_generators():
@@ -247,10 +273,11 @@ def test_slice_kernel_matches_dense_path_on_random_generators():
         ]
         assert_matches_reference(gens, n)
         if sympy is not None:
+            ranks = ideal_ranks(gens, n)
             for p in range(n + 1):
                 cols, rows = slice_rows(gens, p, n)
                 if rows and p <= 4:
-                    assert degree_span_rank(gens, p, n)[0] == sympy.Matrix(dense(rows, len(cols))).rank()
+                    assert ranks[p] == sympy.Matrix(dense(rows, len(cols))).rank()
 
 
 @pytest.mark.parametrize("n", [7, 8, 9, 10])
@@ -261,17 +288,26 @@ def test_slice_kernel_matches_dense_path_on_generic_lines(n):
 
 def test_slice_rows_skip_zero_generators_and_reject_mixed_degrees():
     rels = COMPLEX_PATTERN_RELATIONS
-    assert degree_span_rank(rels + [ExtElement.zero()], 2, 4) == degree_span_rank(rels, 2, 4)
+    assert list(ideal_slices(rels + [ExtElement.zero()], 4)) == list(ideal_slices(rels, 4))
     with pytest.raises(ValueError):
-        degree_span_rank([elem(((1,), 1), ((2, 3), 1))], 3, 4)
+        next(ideal_slices([elem(((1,), 1), ((2, 3), 1))], 4))
 
 
 # --- slices grown degree by degree ------------------------------------------------
 
 
 def direct_ranks(generators, n):
-    """Each slice's rank from all generators at once, degree by degree."""
-    return tuple(degree_span_rank(generators, p, n, basis=False)[0] for p in range(n + 1))
+    """Each slice's rank from all generators at once, degree by degree.
+
+    The one-shot reference for the grown slices: one row g ^ m per generator g
+    and monomial m of complementary degree.
+    """
+    masked = exterior._masked(generators)
+    ranks = []
+    for p in range(n + 1):
+        cols, column = exterior._columns(n, p)
+        ranks.append(len(sparse_echelon(exterior._slice_rows(masked, p, n, column), columns=len(cols))))
+    return tuple(ranks)
 
 
 def test_grown_slices_match_direct_ranks_on_random_generators():

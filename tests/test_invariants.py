@@ -11,6 +11,7 @@ from twoarr.arrangement import Arrangement, restrict
 from twoarr.exterior import ExtElement, gram_of_basis, monomials
 from twoarr.invariants import (
     DimensionNot4,
+    _kappa_of,
     VERDICT_DISTINGUISHED,
     VERDICT_UNRESOLVED,
     compare,
@@ -20,9 +21,9 @@ from twoarr.invariants import (
     triple_coefficients,
 )
 import twoarr
-from twoarr import cli, invariants, presentation
+from twoarr import cli, exterior, invariants, presentation
 from twoarr.linalg import integer_rank
-from twoarr.presentation import full_presentation, ideal_rank_profile
+from twoarr.presentation import CircuitRelation, Presentation, full_presentation, ideal_rank_profile
 from twoarr.matroid import SizeMismatch
 from test_presentation import complex_line_arrangement, recombined
 from conftest import braid_a4, generic_lines
@@ -72,6 +73,23 @@ def test_kappa_empty_degree_two_slice(arr_bhat):
 def test_kappa_restriction(arr_bhat, arr_bhat_complex):
     assert kappa_rank(kappa(restrict(arr_bhat, "H3"))) == 2
     assert kappa_rank(kappa(restrict(arr_bhat_complex, "H3"))) == 0
+
+
+def test_kappa_builds_no_slice_above_degree_two(monkeypatch, arr_bprime, arr_bhat):
+    degrees = []
+    rows = exterior._slice_rows
+    monkeypatch.setattr(exterior, "_slice_rows", lambda g, p, n, col: degrees.append(p) or rows(g, p, n, col))
+    for arr in (arr_bprime, arr_bhat, generic_lines(7, seed=3)):
+        degrees.clear()
+        kappa(arr)
+        assert degrees == [0, 1, 2]
+
+
+def test_kappa_basis_after_a_full_lower_slice():
+    """A pass that ends below degree 2 leaves every degree-2 monomial in the basis."""
+    unit = CircuitRelation((1,), (1,), ExtElement.monomial(()))
+    form = _kappa_of(Presentation(4, (unit,), presentation.MODE_REAL))
+    assert form.basis == tuple(ExtElement.monomial(m) for m in monomials(4, 2))
 
 
 def test_kappa_gram_against_shuffle_oracle(arr_b, arr_bprime):
@@ -278,7 +296,7 @@ def test_compare_bprime_with_restriction(arr_bprime, arr_bhat):
 
 
 def test_compare_size_mismatch(arr_b, arr_bhat):
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(SizeMismatch, match=f"^{arr_b.n} vs {arr_bhat.n} subspaces$"):
         compare(arr_b, arr_bhat)
 
 

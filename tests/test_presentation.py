@@ -6,7 +6,8 @@ import pytest
 
 from twoarr import presentation
 from twoarr.arrangement import Arrangement, LinearForm, SubspacePair
-from twoarr.exterior import ExtElement, degree_span_rank, monomials
+from twoarr.exterior import ExtElement, monomials
+from twoarr.invariants import _kappa_of
 from twoarr.matroid import circuits, nbc_sets
 from twoarr.presentation import (
     CircuitRelation,
@@ -19,12 +20,12 @@ from twoarr.presentation import (
     full_presentation,
     ideal_rank,
     ideal_rank_profile,
-    nbc_basis_check,
     normalize_signs,
     Presentation,
 )
 from conftest import braid_a4, generic_hyperplanes, generic_lines, pair
 from dense_reference import rref
+from test_exterior import direct_ranks, reference_span
 
 
 def elem(*terms):
@@ -65,6 +66,18 @@ def test_dependencies_reject_non_circuit(arr_b):
         circuit_dependencies(arr_b, (1, 2))
     with pytest.raises(NotACircuit):
         circuit_dependencies(arr_b, (1, 2, 3, 4))
+    for not_one in ((1, 1, 2, 3), (0, 1, 2), (1, 2, 99)):
+        with pytest.raises(NotACircuit, match="is not a circuit"):
+            circuit_dependencies(arr_b, not_one)
+
+
+def test_circuits_may_come_as_any_iterable(arr_b):
+    c = (1, 2, 3)
+    assert c in circuits(arr_b)
+    expected = circuit_dependencies(arr_b, c)
+    for given in (iter(c), reversed(c), list(c), (x for x in c)):
+        assert circuit_dependencies(arr_b, given) == expected
+    assert circuit_relation(arr_b, iter(c)) == circuit_relation(arr_b, c)
 
 
 def test_full_presentation_does_not_recheck_its_circuits(monkeypatch, arr_bprime, arr_bhat):
@@ -169,19 +182,6 @@ def test_ideal_ranks(arr_b, arr_bprime):
         assert ideal_rank_profile(pres) == (0, 3, 4, 1)
 
 
-def test_nbc_basis_check(arr_b, arr_bprime, arr_bhat, independent_pair):
-    for arr in (arr_b, arr_bprime, arr_bhat, independent_pair):
-        assert nbc_basis_check(arr)
-
-
-def test_nbc_basis_check_builds_the_profile_once(monkeypatch, arr_bprime):
-    calls = []
-    grow = presentation.ideal_ranks
-    monkeypatch.setattr(presentation, "ideal_ranks", lambda g, n: calls.append(n) or grow(g, n))
-    assert nbc_basis_check(arr_bprime)
-    assert calls == [arr_bprime.n]
-
-
 def profile_cases():
     from twoarr.fixtures import load_fixture
 
@@ -202,9 +202,17 @@ def profile_cases():
 def test_grown_profile_matches_direct_slices(arr, mode):
     pres = full_presentation(arr, mode)
     n = arr.n
-    direct = [degree_span_rank(pres.elements(), p, n, basis=False)[0] for p in range(n + 1)]
+    direct = list(direct_ranks(pres.elements(), n))
     assert ideal_rank_profile(pres) == tuple(direct[1:])
     assert [ideal_rank(pres, d) for d in range(n + 3)] == direct + [0, 0]
+
+
+@pytest.mark.parametrize("arr, mode", profile_cases())
+def test_kappa_basis_is_the_reference_reduced_slice(arr, mode):
+    pres = full_presentation(arr, mode)
+    rank, basis = reference_span(pres.elements(), 2, arr.n)
+    assert _kappa_of(pres).basis == tuple(basis)
+    assert len(basis) == rank
 
 
 def test_ideal_rank_rejects_inhomogeneous_relations_in_every_degree(arr_b):

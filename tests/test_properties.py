@@ -1,15 +1,18 @@
-"""Hypothesis properties: invariance under form rechoice and relabelling, and round trips.
+"""Hypothesis properties: invariance under form rechoice and relabelling, round trips,
+and the Björner–Ziegler identity.
 
-Each property runs on every input: the four fixtures and small generated
-arrangements (n <= 7). A drawn case replaces each subspace's form pair by an
-invertible rational 2x2 recombination of it, which drops the complex block,
-and then reorders the subspaces. The runs are derandomized, as in
-`test_parser_fuzz.py`.
+Each of the first three properties runs on every input: the four fixtures
+and small generated arrangements (n <= 7). A drawn case replaces each
+subspace's form pair by an invertible rational 2x2 recombination of it,
+which drops the complex block, and then reorders the subspaces. The
+Björner–Ziegler identity runs on drawn generic lines and planes. The runs
+are derandomized, as in `test_parser_fuzz.py`.
 """
 
 import functools
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +29,7 @@ from twoarr.arrangement import (
 )
 from twoarr.fixtures import FIXTURES, load_fixture
 from twoarr.invariants import kappa, kappa_rank, triple_coefficients
-from twoarr.matroid import betti_vector, circuits
+from twoarr.matroid import betti_vector, circuits, nbc_sets
 from twoarr.presentation import full_presentation, ideal_rank_profile
 
 INPUTS = {
@@ -104,3 +107,16 @@ def test_restrict_output_parses_or_repeats_a_member(name, data):
         parse_arrangement(text)
     except ValidationError as e:
         assert {v.kind for v in e.report.violations} == {"pairwise-rank"}
+
+
+@pytest.mark.parametrize("conjugate_last", [False, True], ids=["z-linear", "conj"])
+@pytest.mark.parametrize("rank", [2, 3], ids=["lines", "planes"])
+@PROPERTY
+@given(n=st.integers(3, 7), seed=st.integers(0, 2**16))
+def test_ideal_ranks_and_nbc_counts_fill_every_degree(rank, conjugate_last, n, seed):
+    """rank I^p + #NBC_p = C(n, p) (Björner–Ziegler, JAMS 1992) on a generic arrangement."""
+    arr = generic_hyperplanes(n, rank, seed, conjugate_last)
+    ranks = (0,) + ideal_rank_profile(full_presentation(arr))
+    counts = nbc_sets(arr).counts
+    counts += (0,) * (n + 1 - len(counts))
+    assert [r + c for r, c in zip(ranks, counts)] == [comb(n, p) for p in range(n + 1)]
