@@ -131,8 +131,8 @@ def cmd_betti(args) -> int:
         complex_ = nbc_sets(arr, order)
     except ValueError as e:
         raise UsageError(str(e)) from e
-    # the Betti numbers are the counts of the default-order complex
-    betti = (complex_ if order is None else nbc_sets(arr)).counts
+    # NBC counts do not depend on the order; the whitney check catches one that did
+    betti = complex_.counts
     whitney_ok = whitney_numbers(arr) == betti
     lines = [
         "nbc sets: " + " ".join(_fmt_set(s) for s in complex_.all_sets()),
@@ -216,9 +216,8 @@ def cmd_linking(args) -> int:
     lk = pairwise_linking(arr)
     triples = _triples(lk)
     lines = ["pairwise:"]
-    for i, row in enumerate(lk):
-        cells = [_sign_char(x) if i != j else "." for j, x in enumerate(row)]
-        lines.append("  " + " ".join(cells))
+    for row in lk:
+        lines.append("  " + " ".join(_sign_char(x) for x in row))  # zero diagonal prints "."
     lines.append("triples:")
     for t, s in sorted(triples.items()):
         lines.append(f"  {_fmt_set(t)}: {'+1' if s > 0 else '-1'}")
@@ -235,7 +234,7 @@ def cmd_linking(args) -> int:
 def cmd_restrict(args) -> int:
     arr = _read_arrangement(args.file)
     at: str | int = args.index
-    if at.isdigit():
+    if at.isdecimal():  # isdigit() also admits "²", which int() rejects
         at = int(at)
     restricted = restrict(arr, at)
     # the restriction is itself an arrangement file, whatever the format
@@ -244,25 +243,22 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    """Print `invariants.compare`'s report; its `differing` alone marks DIFFER and sets exit 10."""
     from .invariants import compare
 
     a1 = _read_arrangement(args.file)
     a2 = _read_arrangement(args.other)
     report = compare(a1, a2, permutation_search=args.permutation_search)
-    def vs(pair):
-        return f"{pair[0]} vs {pair[1]}"
-    lines = [
-        f"matroids ({'up to relabeling' if args.permutation_search else 'labeled'}): "
-        + ("equal" if report.matroids_equal else "DIFFER"),
-        f"betti: {vs(report.betti)}" + ("" if report.betti[0] == report.betti[1] else "  DIFFER"),
-        f"ideal ranks: {vs(report.ideal_ranks)}"
-        + ("" if report.ideal_ranks[0] == report.ideal_ranks[1] else "  DIFFER"),
-        f"kappa ranks: {vs(report.kappa_ranks)}"
-        + ("" if report.kappa_ranks[0] == report.kappa_ranks[1] else "  DIFFER"),
-    ]
-    if report.triple_multisets is not None:
-        same = report.triple_multisets[0] == report.triple_multisets[1]
-        lines.append(f"triple multisets: {vs(report.triple_multisets)}" + ("" if same else "  DIFFER"))
+    matroids = "DIFFER" if "matroid" in report.differing else "equal"
+    lines = [f"matroids ({'up to relabeling' if args.permutation_search else 'labeled'}): {matroids}"]
+    for key, label, pair in [
+        ("betti", "betti", report.betti),
+        ("ideal-ranks", "ideal ranks", report.ideal_ranks),
+        ("kappa-rank", "kappa ranks", report.kappa_ranks),
+        ("triple-multiset", "triple multisets", report.triple_multisets),
+    ]:
+        if pair is not None:
+            lines.append(f"{label}: {pair[0]} vs {pair[1]}" + ("  DIFFER" if key in report.differing else ""))
     lines.append(f"verdict: {report.verdict}")
     doc = {
         "matroids_equal": report.matroids_equal,

@@ -27,18 +27,11 @@ def normalize(indices: Sequence[int]) -> tuple[Monomial, int]:
 
     The sign is 0 when an index repeats.
     """
-    idx = list(indices)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return tuple(idx), 0
-    return tuple(idx), sign
+    idx = tuple(sorted(indices))
+    if len(set(idx)) < len(idx):
+        return idx, 0
+    inversions = sum(a > b for a, b in itertools.combinations(indices, 2))
+    return idx, -1 if inversions & 1 else 1
 
 
 def monomials(n: int, p: int) -> tuple[Monomial, ...]:

@@ -147,34 +147,28 @@ def compare(
 
     The verdict is DISTINGUISHED when any invariant differs, and
     OTHERWISE_UNRESOLVED when all agree; agreement of these invariants
-    never establishes that the complements are equivalent. Arrangements of
-    different sizes raise `matroid.SizeMismatch`, from `same_labeled_matroid`.
+    never establishes that the complements are equivalent. `differing` names
+    the rows whose two values differ, in report order; the CLI marks DIFFER
+    from it alone. Arrangements of different sizes raise
+    `matroid.SizeMismatch`, from `same_labeled_matroid`.
     """
     from .matroid import betti_vector, same_labeled_matroid
     from .presentation import full_presentation, ideal_rank_profile
 
-    differing: list[str] = []
     matroids_equal = same_labeled_matroid(a1, a2, up_to_relabeling=permutation_search)
-    if not matroids_equal:
-        differing.append("matroid")
-    betti = (betti_vector(a1), betti_vector(a2))
-    if betti[0] != betti[1]:
-        differing.append("betti")
     presentations = (full_presentation(a1), full_presentation(a2))
-    profiles = (ideal_rank_profile(presentations[0]), ideal_rank_profile(presentations[1]))
-    if profiles[0] != profiles[1]:
-        differing.append("ideal-ranks")
-    kranks = (kappa_rank(_kappa_of(presentations[0])), kappa_rank(_kappa_of(presentations[1])))
-    if kranks[0] != kranks[1]:
-        differing.append("kappa-rank")
-    triples = None
+    # the report's rows in order, each a pair or None; `differing` is read off them
+    rows = {
+        "betti": (betti_vector(a1), betti_vector(a2)),
+        "ideal-ranks": tuple(ideal_rank_profile(p) for p in presentations),
+        "kappa-rank": tuple(kappa_rank(_kappa_of(p)) for p in presentations),
+        "triple-multiset": None,
+    }
     if a1.dim == 4 and a2.dim == 4 and a1.n >= 3 and a2.n >= 3:
-        triples = (
-            tuple(sorted(triple_coefficients(a1).values())),
-            tuple(sorted(triple_coefficients(a2).values())),
+        rows["triple-multiset"] = tuple(
+            tuple(sorted(triple_coefficients(a).values())) for a in (a1, a2)
         )
-        if triples[0] != triples[1]:
-            differing.append("triple-multiset")
-    return ComparisonReport(
-        matroids_equal, betti, profiles, kranks, triples, tuple(differing)
+    differing = ("matroid",) * (not matroids_equal) + tuple(
+        key for key, pair in rows.items() if pair is not None and pair[0] != pair[1]
     )
+    return ComparisonReport(matroids_equal, *rows.values(), differing)

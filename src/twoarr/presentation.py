@@ -33,12 +33,14 @@ kappa's degree-2 basis comes from the same pass.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Sequence
 
 from ._value import Value
 from .arrangement import Arrangement
-from .exterior import ExtElement, ideal_ranks
+from .exterior import ExtElement, ideal_ranks, ideal_slices
 from .linalg import SparseRow, integer_row, sparse_echelon
 from .matroid import circuits
 
@@ -99,7 +101,15 @@ def circuit_dependencies(arr: Arrangement, circuit: Iterable[int]) -> Dependency
     unchanged. In its reduced echelon form the pivots are the 2k unknowns'
     columns, and row j reads row[j] * (x_j, y_j) = (row[2k], row[2k + 1]).
     """
-    return _dependencies(arr, _checked_circuit(arr, circuit))
+    c = _checked_circuit(arr, circuit)
+    echelon = _solve(arr, c)
+    unknowns = len(echelon)
+    x = [Fraction(row.get(unknowns, 0), row[j]) for j, row in enumerate(echelon)]
+    y = [Fraction(row.get(unknowns + 1, 0), row[j]) for j, row in enumerate(echelon)]
+    quads = [(Fraction(-1), Fraction(0), Fraction(0), Fraction(-1))]
+    for j in range(0, unknowns, 2):
+        quads.append((x[j], x[j + 1], y[j], y[j + 1]))
+    return DependencyPair(c, tuple(quads))
 
 
 def _solve(arr: Arrangement, c: tuple[int, ...]) -> list[SparseRow]:
@@ -117,18 +127,6 @@ def _solve(arr: Arrangement, c: tuple[int, ...]) -> list[SparseRow]:
     if [min(row) for row in echelon] != list(range(unknowns)):
         raise ValueError(f"circuit {c} has no unique dependency")
     return echelon
-
-
-def _dependencies(arr: Arrangement, c: tuple[int, ...]) -> DependencyPair:
-    """`circuit_dependencies` for a circuit known to be one, in increasing order."""
-    echelon = _solve(arr, c)
-    unknowns = len(echelon)
-    x = [Fraction(row.get(unknowns, 0), row[j]) for j, row in enumerate(echelon)]
-    y = [Fraction(row.get(unknowns + 1, 0), row[j]) for j, row in enumerate(echelon)]
-    quads = [(Fraction(-1), Fraction(0), Fraction(0), Fraction(-1))]
-    for j in range(0, unknowns, 2):
-        quads.append((x[j], x[j + 1], y[j], y[j + 1]))
-    return DependencyPair(c, tuple(quads))
 
 
 def _os_element(c: tuple[int, ...], signs: Sequence[int]) -> ExtElement:
@@ -206,11 +204,15 @@ def normalize_signs(pres: Presentation) -> Presentation:
 
 
 def ideal_rank(pres: Presentation, degree: int) -> int:
-    """Rank over the rationals of the degree slice of the relation ideal."""
+    """Rank over the rationals of the degree slice of the relation ideal.
+
+    Builds no slice above `degree`. A pass that ends below it ends on a full
+    slice, so the slice there is full too: C(n, degree), which is 0 above n.
+    """
     if degree < 0:
         raise ValueError(f"negative degree {degree}")
-    ranks = ideal_ranks(pres.elements(), pres.n)
-    return ranks[degree] if degree <= pres.n else 0
+    slices = list(itertools.islice(ideal_slices(pres.elements(), pres.n), degree + 1))
+    return len(slices[degree]) if degree < len(slices) else comb(pres.n, degree)
 
 
 def ideal_rank_profile(pres: Presentation) -> tuple[int, ...]:

@@ -201,6 +201,55 @@ def test_unknown_label_message_prints_bare(fx, capsys, index, message):
     assert (code, out, err) == (3, "", message)
 
 
+def test_restrict_by_a_digit_label_and_by_a_full_width_index(fx, tmp_path, capsys):
+    # "²".isdigit() holds but int("²") fails: the label must be looked up by name
+    doc = json.loads(fixture_text("thm32-Bhat"))
+    doc["subspaces"][2]["name"] = "²"
+    path = tmp_path / "superscript.arr"
+    path.write_text(json.dumps(doc))
+    expected = run(capsys, "restrict", fx("thm32-Bhat"), "--index", "3")
+    assert expected[0] == 0
+    assert run(capsys, "restrict", str(path), "--index", "²") == expected
+    assert run(capsys, "restrict", fx("thm32-Bhat"), "--index", "\uff13") == expected  # full-width 3
+
+
+def _report(**fields):
+    from twoarr.invariants import ComparisonReport
+
+    base = {
+        "matroids_equal": True,
+        "betti": ((1, 4, 4), (1, 4, 4)),
+        "ideal_ranks": ((0, 2, 4, 1), (0, 2, 4, 1)),
+        "kappa_ranks": (2, 2),
+        "triple_multisets": ((-1, 1), (-1, 1)),
+        "differing": (),
+    }
+    return ComparisonReport(**{**base, **fields})
+
+
+@pytest.mark.parametrize(
+    "report, marked",
+    [
+        (_report(differing=("kappa-rank",)), ["kappa ranks"]),
+        (_report(differing=("matroid", "triple-multiset")), ["matroids (labeled)", "triple multisets"]),
+        (_report(matroids_equal=False, betti=((1, 4, 4), (1, 4, 5)), kappa_ranks=(0, 2)), []),
+        (_report(triple_multisets=None, differing=("betti",)), ["betti"]),
+    ],
+    ids=["equal-pairs-one-named", "matroid-and-triples-named", "unequal-pairs-none-named", "no-triples"],
+)
+def test_compare_prints_the_rows_the_report_names(fx, capsys, monkeypatch, report, marked):
+    """DIFFER marks and the exit code follow `differing` alone, never the pairs."""
+    from twoarr import invariants
+
+    monkeypatch.setattr(invariants, "compare", lambda a1, a2, permutation_search=False: report)
+    code, out, _ = run(capsys, "compare", fx("example22-B"), fx("example22-B"))
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines if line.endswith("DIFFER")] == marked
+    assert len(lines) == (6 if report.triple_multisets is not None else 5)
+    assert lines[-1] == f"verdict: {report.verdict}"
+    assert code == (10 if report.differing else 0)
+
+
 def test_compare_exit_codes(fx, capsys):
     code, out, _ = run(capsys, "compare", fx("example22-B"), fx("example22-Bprime"))
     assert code == 10
@@ -239,7 +288,8 @@ def test_betti_enumerates_each_nbc_complex_once(fx, capsys, monkeypatch, order):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.splitlines()[1:] == ["betti: 1 5 10 6", "whitney check: ok"]
-    assert calls == ([None] if order is None else [(5, 4, 3, 2, 1), None])
+    # NBC counts do not depend on the order, so --order builds no second complex
+    assert calls == ([None] if order is None else [(5, 4, 3, 2, 1)])
 
 
 @pytest.mark.parametrize(

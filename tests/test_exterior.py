@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoarr import exterior
 from twoarr.exterior import (
@@ -21,6 +23,7 @@ from dense_reference import rref
 
 try:
     import sympy
+    from sympy.combinatorics import Permutation
     from sympy.polys.matrices import DomainMatrix
 except ImportError:  # the large-slice reference and the sympy rank check need it
     sympy = None
@@ -133,6 +136,25 @@ def test_normalize_against_bubble_sort():
         seq = [rng.randint(1, 8) for _ in range(k)]
         assert normalize(seq) == bubble_parity(seq)
 
+
+
+def sympy_sign(seq):
+    """The sign of the permutation that sorts `seq`, from sympy; 0 when an entry repeats."""
+    if len(set(seq)) < len(seq):
+        return 0
+    return Permutation(sorted(range(len(seq)), key=seq.__getitem__), size=len(seq)).signature()
+
+
+@pytest.mark.skipif(sympy is None, reason="needs sympy")
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    seq=st.one_of(
+        st.lists(st.integers(1, 9), max_size=8),  # repeats likely
+        st.lists(st.integers(1, 20), max_size=9, unique=True),
+    )
+)
+def test_normalize_sign_is_sympys_permutation_signature(seq):
+    assert normalize(seq) == (tuple(sorted(seq)), sympy_sign(seq))
 
 # --- graded span ranks -----------------------------------------------------
 

@@ -4,7 +4,7 @@ from math import comb, prod
 
 import pytest
 
-from twoarr import presentation
+from twoarr import exterior, presentation
 from twoarr.arrangement import Arrangement, LinearForm, SubspacePair
 from twoarr.exterior import ExtElement, monomials
 from twoarr.invariants import _kappa_of
@@ -213,6 +213,21 @@ def test_kappa_basis_is_the_reference_reduced_slice(arr, mode):
     rank, basis = reference_span(pres.elements(), 2, arr.n)
     assert _kappa_of(pres).basis == tuple(basis)
     assert len(basis) == rank
+
+
+def test_ideal_rank_builds_no_slice_above_its_degree(monkeypatch, arr_bprime, arr_bhat):
+    degrees = []
+    rows = exterior._slice_rows
+    monkeypatch.setattr(exterior, "_slice_rows", lambda g, p, n, col: degrees.append(p) or rows(g, p, n, col))
+    for arr in (arr_bprime, arr_bhat, generic_lines(7, seed=3)):
+        pres = full_presentation(arr)
+        degrees.clear()
+        ideal_rank(pres, 2)
+        assert degrees == [0, 1, 2]
+        for d in range(arr.n + 3):
+            degrees.clear()
+            ideal_rank(pres, d)
+            assert degrees == list(range(len(degrees))) and max(degrees) <= d
 
 
 def test_ideal_rank_rejects_inhomogeneous_relations_in_every_degree(arr_b):

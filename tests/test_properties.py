@@ -5,14 +5,23 @@ Each of the first three properties runs on every input: the four fixtures
 and small generated arrangements (n <= 7). A drawn case replaces each
 subspace's form pair by an invertible rational 2x2 recombination of it,
 which drops the complex block, and then reorders the subspaces. The
-Björner–Ziegler identity runs on drawn generic lines and planes. The runs
-are derandomized, as in `test_parser_fuzz.py`.
+Björner–Ziegler identity runs on drawn generic lines and planes. Two CLI
+properties close the file: `compare` marks DIFFER on exactly the rows its
+JSON `differing` names, on drawn pairs of generic lines; and `betti --order`
+prints the default order's Betti and Whitney lines from its one NBC complex.
+The runs are derandomized, as in `test_parser_fuzz.py`.
 """
 
+import contextlib
 import functools
+import io
+import json
+import tempfile
 from collections import Counter
 from fractions import Fraction
 from math import comb
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +29,7 @@ from hypothesis import strategies as st
 
 from conftest import generic_hyperplanes, generic_lines
 from test_presentation import recombined
+from twoarr import matroid
 from twoarr.arrangement import (
     Arrangement,
     ValidationError,
@@ -27,6 +37,7 @@ from twoarr.arrangement import (
     restrict,
     serialize_arrangement,
 )
+from twoarr.cli import main
 from twoarr.fixtures import FIXTURES, load_fixture
 from twoarr.invariants import kappa, kappa_rank, triple_coefficients
 from twoarr.matroid import betti_vector, circuits, nbc_sets
@@ -120,3 +131,68 @@ def test_ideal_ranks_and_nbc_counts_fill_every_degree(rank, conjugate_last, n, s
     counts = nbc_sets(arr).counts
     counts += (0,) * (n + 1 - len(counts))
     assert [r + c for r, c in zip(ranks, counts)] == [comb(n, p) for p in range(n + 1)]
+
+
+def cli_run(*argv):
+    """(exit code, stdout) of one in-process CLI run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def written(directory, arrangements):
+    """Paths of the arrangements, each serialized into its own file under `directory`."""
+    paths = []
+    for k, arr in enumerate(arrangements):
+        path = Path(directory) / f"{k}.arr"
+        path.write_text(serialize_arrangement(arr))
+        paths.append(str(path))
+    return paths
+
+
+COMPARE_ROWS = {
+    "matroids (labeled)": "matroid",
+    "betti": "betti",
+    "ideal ranks": "ideal-ranks",
+    "kappa ranks": "kappa-rank",
+    "triple multisets": "triple-multiset",
+}
+
+
+@pytest.mark.parametrize("conjugate_last", [False, True], ids=["z-linear", "conj"])
+@settings(PROPERTY, max_examples=8)
+@given(n=st.integers(3, 6), seeds=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)))
+def test_compare_text_marks_exactly_the_json_differing_rows(conjugate_last, n, seeds):
+    """The second arrangement's last member is conjugate-linear under `conjugate_last`."""
+    pair = [generic_lines(n, seeds[0]), generic_lines(n, seeds[1], conjugate_last)]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = written(tmp, pair)
+        code, text = cli_run("compare", *paths)
+        _, doc = cli_run("compare", *paths, "--format", "json")
+    marked = [COMPARE_ROWS[line.split(":")[0]] for line in text.splitlines() if line.endswith("DIFFER")]
+    assert marked == json.loads(doc)["differing"]
+    assert code == (10 if marked else 0)
+
+
+@pytest.mark.parametrize("name", INPUTS)
+@PROPERTY
+@given(data=st.data())
+def test_betti_order_changes_only_the_nbc_line(name, data):
+    _, arr = data.draw(changed(INPUTS[name]))
+    order = data.draw(st.permutations(range(1, arr.n + 1)))
+    calls = []
+    enumerate_nbc = matroid.nbc_sets
+
+    def spy(a, o=None):
+        calls.append(o)
+        return enumerate_nbc(a, o)
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(matroid, "nbc_sets", spy):
+        (path,) = written(tmp, [arr])
+        _, default = cli_run("betti", path)
+        code, ordered = cli_run("betti", path, "--order", ",".join(map(str, order)))
+    assert code == 0
+    assert ordered.splitlines()[1:] == default.splitlines()[1:]
+    assert ordered.splitlines()[2] == "whitney check: ok"
+    assert calls == [None, tuple(order)]
