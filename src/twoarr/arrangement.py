@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from ._value import Value
-from .linalg import Vector, closed_sets, dot, integer_rank, integer_row, sparse_echelon
+from .linalg import Vector, bitmask, closed_sets, dot, integer_rank, integer_row, sparse_echelon
 
 
 class ParseError(ValueError):
@@ -50,7 +50,7 @@ class UnknownLabel(KeyError):
 
 
 class DegenerateRestriction(ValueError):
-    """Restriction dropped some subspace below codimension 2."""
+    """Restriction dropped some subspace below codimension 2, or left no subspace."""
 
 
 class ValidationError(ValueError):
@@ -96,10 +96,6 @@ class ComplexFormSpec(Value):
     zbar: tuple[tuple[Fraction, Fraction], ...]
 
     @property
-    def d(self) -> int:
-        return len(self.z)
-
-    @property
     def is_zero(self) -> bool:
         return all(a == 0 and b == 0 for a, b in self.z + self.zbar)
 
@@ -109,7 +105,7 @@ class ComplexFormSpec(Value):
         return all(a == 0 and b == 0 for a, b in self.zbar)
 
 
-def from_complex_form(spec: ComplexFormSpec, d: int | None = None) -> tuple[LinearForm, LinearForm]:
+def from_complex_form(spec: ComplexFormSpec) -> tuple[LinearForm, LinearForm]:
     """Real and imaginary part of a complex/conjugate-linear equation.
 
     With f = sum (a_j + i b_j) z_j + (c_j + i d_j) conj(z_j) and
@@ -118,8 +114,6 @@ def from_complex_form(spec: ComplexFormSpec, d: int | None = None) -> tuple[Line
         Re f = sum (a_j + c_j) x_j + (-b_j + d_j) y_j
         Im f = sum (b_j + d_j) x_j + ( a_j - c_j) y_j
     """
-    if d is not None and spec.d != d:
-        raise ParseError(f"expected {d} complex coefficients, got {spec.d}")
     if spec.is_zero:
         raise ZeroForm("complex form has no nonzero coefficient")
     re_part: list[Fraction] = []
@@ -214,12 +208,11 @@ class ValidationReport(Value):
 
 
 def _mask(arr: Arrangement, subset: Iterable[int]) -> int:
-    """Bitmask of a subset of 1-based indices, each checked; bit a-1 stands for subspace a."""
-    mask = 0
+    """`linalg.bitmask` of a subset of 1-based indices, each checked first."""
+    subset = tuple(subset)
     for a in subset:
         arr.pair(a)
-        mask |= 1 << (a - 1)
-    return mask
+    return bitmask(subset)
 
 
 def _members(mask: int) -> tuple[int, ...]:
@@ -311,6 +304,8 @@ def restrict(arr: Arrangement, at: str | int) -> Arrangement:
     inclusion. Orientations of restricted pairs are convention-dependent.
     """
     i = arr.index_of(at)
+    if arr.n == 1:
+        raise DegenerateRestriction(f"restricting to {arr.pair(i).name!r} leaves no subspace")
     basis = _kernel_basis(arr._integer_forms[i - 1], arr.dim)
     pairs: list[SubspacePair] = []
     for j, p in enumerate(arr.subspaces, start=1):
@@ -367,7 +362,6 @@ def arrangement_from_document(doc: dict) -> Arrangement:
         raise ParseError(f"'dim' must be a positive even integer, got {dim!r}")
     if not isinstance(doc["subspaces"], list) or not doc["subspaces"]:
         raise ParseError("'subspaces' must be a non-empty list")
-    d = dim // 2
     pairs: list[SubspacePair] = []
     for k, rec in enumerate(doc["subspaces"]):
         where = f"subspace #{k + 1}"
@@ -390,9 +384,9 @@ def arrangement_from_document(doc: dict) -> Arrangement:
                 coeff_rows.append(tuple(parse_rational(c) for c in form))
             pairs.append(SubspacePair(name, LinearForm(coeff_rows[0]), LinearForm(coeff_rows[1])))
         else:
-            spec = _parse_complex_block(rec["complex"], d, where)
+            spec = _parse_complex_block(rec["complex"], dim // 2, where)
             try:
-                first, second = from_complex_form(spec, d)
+                first, second = from_complex_form(spec)
             except ZeroForm as e:
                 raise ParseError(f"{where}: {e}") from e
             pairs.append(SubspacePair(name, first, second, spec))

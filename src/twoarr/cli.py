@@ -127,10 +127,7 @@ def cmd_betti(args) -> int:
             order = tuple(int(x) for x in args.order.split(","))
         except ValueError as e:
             raise UsageError(f"bad --order: {e}") from e
-    try:
-        complex_ = nbc_sets(arr, order)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+    complex_ = nbc_sets(arr, order)
     # NBC counts do not depend on the order; the whitney check catches one that did
     betti = complex_.counts
     whitney_ok = whitney_numbers(arr) == betti

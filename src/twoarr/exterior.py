@@ -17,7 +17,7 @@ from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._value import Value
-from .linalg import SparseRow, sparse_echelon
+from .linalg import SparseRow, bitmask, sparse_echelon
 
 Monomial = tuple[int, ...]
 
@@ -123,14 +123,6 @@ class ExtElement(Value):
         return " ".join(parts)
 
 
-def _mask(mon: Monomial) -> int:
-    """Bitmask of a monomial; bit i-1 stands for generator e_i."""
-    out = 0
-    for i in mon:
-        out |= 1 << (i - 1)
-    return out
-
-
 def _inversions(t: int, m: Monomial) -> int:
     """The pairs (i in t, j in m) with i > j: t ^ m has sign (-1) to this power.
 
@@ -151,7 +143,7 @@ def _masked(generators: Sequence[ExtElement]) -> list[tuple[int, list[tuple[int,
         q = g.degree
         if q is None:
             raise ValueError("generators must be homogeneous")
-        out.append((q, [(_mask(t), c) for t, c in g.terms]))
+        out.append((q, [(bitmask(t), c) for t, c in g.terms]))
     return out
 
 
@@ -172,7 +164,7 @@ def _slice_rows(
         if q > p:
             continue
         if q not in cofactors:
-            cofactors[q] = [(_mask(m), m) for m in monomials(n, p - q)]
+            cofactors[q] = [(bitmask(m), m) for m in monomials(n, p - q)]
         for mm, m in cofactors[q]:
             row = {}
             for t, c in terms:
@@ -185,7 +177,7 @@ def _slice_rows(
 def _columns(n: int, p: int) -> tuple[tuple[Monomial, ...], dict[int, int]]:
     """The degree-p monomials in lexicographic order, and each one's index by bitmask."""
     cols = monomials(n, p)
-    return cols, {_mask(m): j for j, m in enumerate(cols)}
+    return cols, {bitmask(m): j for j, m in enumerate(cols)}
 
 
 def ideal_slices(generators: Sequence[ExtElement], n: int) -> Iterator[list[SparseRow]]:
@@ -226,7 +218,7 @@ def gram_of_basis(basis: Sequence[ExtElement], n: int) -> tuple[tuple[tuple[int,
     `_inversions`; terms of other degrees are dropped.
     """
     cols, column = _columns(n, 4)
-    masked = [[(_mask(t), t, c) for t, c in b.terms] for b in basis]
+    masked = [[(bitmask(t), t, c) for t, c in b.terms] for b in basis]
     gram = []
     for left in masked:
         row = []

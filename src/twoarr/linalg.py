@@ -69,6 +69,14 @@ def _extend(basis: Sequence[SparseRow], rows: Iterable[SparseRow]) -> list[Spars
     return kept[len(basis):]
 
 
+def bitmask(indices: Iterable[int]) -> int:
+    """The bitmask of 1-based indices: bit i-1 stands for element i."""
+    out = 0
+    for i in indices:
+        out |= 1 << (i - 1)
+    return out
+
+
 def _span_key(rows: Iterable[SparseRow]) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The reduced echelon form of the rows' span as a tuple: equal iff the spans are."""
     return tuple(tuple(sorted(r.items())) for r in sparse_echelon(rows, reduced=True))

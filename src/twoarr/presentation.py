@@ -20,8 +20,10 @@ relation is
     sum_j (-1)^j sigma_j e_{A \ a_j}
 
 with the deleted-member monomials written in increasing index order.
-Arrangements built entirely from z-linear complex equations admit a direct
-route that skips the solves: there every sigma_j is +1.
+The input picks the route. On z-linear input a complex coefficient lambda
+acts on the (Re, Im) pair with determinant |lambda|^2 > 0, so every
+sigma_j is +1 and nothing is solved; the mode only checks the input and
+labels the result.
 
 The solves are integer: `full_presentation` reads each sigma_j from the
 rows of one reduced echelon form with positive pivots, and only
@@ -36,7 +38,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ._value import Value
 from .arrangement import Arrangement
@@ -129,22 +131,14 @@ def _solve(arr: Arrangement, c: tuple[int, ...]) -> list[SparseRow]:
     return echelon
 
 
-def _os_element(c: tuple[int, ...], signs: Sequence[int]) -> ExtElement:
-    terms = {}
-    for j in range(len(c)):
-        mon = c[:j] + c[j + 1 :]
-        terms[mon] = (-1) ** j * signs[j]
-    return ExtElement.from_terms(terms)
-
-
 def circuit_relation(arr: Arrangement, circuit: Iterable[int]) -> CircuitRelation:
     """The signed relation a circuit imposes."""
     c = _checked_circuit(arr, circuit)
-    return _relation(c, _solve(arr, c))
+    return _relation(c, _signs(c, _solve(arr, c)))
 
 
-def _relation(c: tuple[int, ...], echelon: list[SparseRow]) -> CircuitRelation:
-    """The relation with each sign read from the integer echelon rows of `_solve`.
+def _signs(c: tuple[int, ...], echelon: list[SparseRow]) -> tuple[int, ...]:
+    """Each sigma_j, read from the integer echelon rows of `_solve`.
 
     Rows j, j + 1 have positive pivots P, P' and right-hand sides (X, Y),
     (X', Y'), so alpha delta - beta gamma = (X Y' - X' Y) / (P P') has the
@@ -161,28 +155,33 @@ def _relation(c: tuple[int, ...], echelon: list[SparseRow]) -> CircuitRelation:
                 "arrangement violates the even-rank condition"
             )
         signs.append(1 if det > 0 else -1)
-    return CircuitRelation(c, tuple(signs), _os_element(c, signs))
+    return tuple(signs)
+
+
+def _relation(c: tuple[int, ...], signs: tuple[int, ...]) -> CircuitRelation:
+    """The relation sum_j (-1)^j sigma_j e_{c minus c_j}, its terms in graded-lex order."""
+    # leaving out a later member gives a smaller monomial, so j runs downwards
+    terms = tuple((c[:j] + c[j + 1 :], (-1) ** j * signs[j]) for j in reversed(range(len(c))))
+    return CircuitRelation(c, signs, ExtElement(terms))
 
 
 def full_presentation(arr: Arrangement, mode: str = MODE_REAL) -> Presentation:
-    """One relation per circuit.
+    """One relation per circuit, its signs found by the route the input picks.
 
-    Real mode runs the dependency solves; complex mode requires purely
-    z-linear input and emits the alternating-sign relations directly.
+    z-linear input takes every sigma_j = +1 and solves nothing; other input is
+    solved. The mode only checks the input (`ModeMismatch`) and labels the result.
     """
     if mode not in _MODE_ALIASES:
         raise ValueError(f"unknown mode {mode!r}")
     mode = _MODE_ALIASES[mode]
-    cs = circuits(arr)
-    if mode == MODE_COMPLEX:
-        if not arr.is_holomorphic_input:
-            raise ModeMismatch("complex mode needs all subspaces given by z-linear equations")
-        relations = tuple(
-            CircuitRelation(c, (1,) * len(c), _os_element(c, (1,) * len(c))) for c in cs
-        )
-    else:
-        # circuits() found these, so they skip _checked_circuit's re-check
-        relations = tuple(_relation(c, _solve(arr, c)) for c in cs)
+    holomorphic = arr.is_holomorphic_input
+    if mode == MODE_COMPLEX and not holomorphic:
+        raise ModeMismatch("complex mode needs all subspaces given by z-linear equations")
+    # circuits() found these, so they skip _checked_circuit's re-check
+    relations = tuple(
+        _relation(c, (1,) * len(c) if holomorphic else _signs(c, _solve(arr, c)))
+        for c in circuits(arr)
+    )
     return Presentation(arr.n, relations, mode)
 
 

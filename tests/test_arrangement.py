@@ -75,9 +75,12 @@ def test_conversion_zero_form_raises():
         from_complex_form(cspec([(0, 0)]))
 
 
-def test_conversion_wrong_length_raises():
-    with pytest.raises(ParseError):
-        from_complex_form(cspec([(1, 0)]), d=2)
+@pytest.mark.parametrize("key", ["z", "zbar"])
+def test_parse_complex_block_of_wrong_length(key):
+    block = {"z": [["1", "0"], ["0", "0"]], "zbar": [["0", "0"], ["0", "0"]]}
+    block[key] = block[key][:1]
+    with pytest.raises(ParseError, match=f"subspace #1: '{key}' must list 2 coefficient pairs"):
+        arrangement_from_document(doc(4, {"name": "H1", "complex": block}))
 
 
 # --- parsing ----------------------------------------------------------------
@@ -300,6 +303,13 @@ def test_restrict_has_own_closed_sets(arr_bhat):
             assert codim(r, s) == codim(reparsed, s)
         assert r._closed_sets is not arr_bhat._closed_sets
         assert r._closed_sets == reparsed._closed_sets
+
+
+def test_restrict_leaving_no_subspace_raises(single_subspace, independent_pair):
+    with pytest.raises(DegenerateRestriction, match="restricting to 'H1' leaves no subspace"):
+        restrict(single_subspace, 1)
+    with pytest.raises(DegenerateRestriction, match="restricting to 'H2' leaves no subspace"):
+        restrict(restrict(independent_pair, "H1"), "H2")
 
 
 def test_restrict_unknown_label(arr_b):

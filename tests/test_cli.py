@@ -169,6 +169,11 @@ def test_betti_with_order(fx, capsys):
     assert code == 3
 
 
+def test_betti_bad_order_message(fx, capsys):
+    code, out, err = run(capsys, "betti", fx("thm32-Bhat"), "--order", "5,5,4,3,2")
+    assert (code, out, err) == (3, "", "error: order must be a permutation of 1..n\n")
+
+
 def test_lattice_and_circuits(fx, capsys):
     code, out, _ = run(capsys, "lattice", fx("example22-B"))
     assert code == 0
@@ -290,6 +295,13 @@ def test_betti_enumerates_each_nbc_complex_once(fx, capsys, monkeypatch, order):
     assert out.splitlines()[1:] == ["betti: 1 5 10 6", "whitney check: ok"]
     # NBC counts do not depend on the order, so --order builds no second complex
     assert calls == ([None] if order is None else [(5, 4, 3, 2, 1)])
+
+
+def test_restrict_leaving_no_subspace_exits_3(tmp_path, capsys):
+    path = tmp_path / "point.arr"
+    path.write_text(json.dumps({"dim": 2, "subspaces": [{"name": "H1", "forms": [["1", "0"], ["0", "1"]]}]}))
+    code, out, err = run(capsys, "restrict", str(path), "--index", "1")
+    assert (code, out, err) == (3, "", "error: restricting to 'H1' leaves no subspace\n")
 
 
 @pytest.mark.parametrize(

@@ -13,9 +13,8 @@ A golden is refreshed only together with a CHANGES.md entry saying why.
 The goldens are written by CPython 3.11. Every case also matches on 3.10,
 the declared floor (`requires-python >= 3.10`), and on 3.12; on 3.13 only
 `help` differs, because its argparse keeps the trailing `...` of the
-top-level usage on the line of the verb choices. That was checked without
-pytest, by importing this module under a stub `pytest` module and calling
-`run_case` on every case.
+top-level usage on the line of the verb choices. `check_goldens.py` in
+this directory runs that check on an interpreter without pytest.
 """
 
 import contextlib

@@ -152,6 +152,43 @@ def test_complex_mode_rejects_conjugate_input(arr_bprime):
         full_presentation(arr_bprime, "complex")
 
 
+@pytest.mark.parametrize("mode", [MODE_REAL, MODE_COMPLEX])
+def test_the_input_not_the_mode_picks_the_route(monkeypatch, mode, arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
+    """z-linear input runs no solve in either mode; other input solves every circuit."""
+    calls = []
+    solve = presentation._solve
+    monkeypatch.setattr(presentation, "_solve", lambda arr, c: calls.append(c) or solve(arr, c))
+    for arr in (arr_b, arr_bhat_complex, braid_a4(), generic_lines(7, 3)):
+        full_presentation(arr, mode)
+    assert calls == []
+    for arr in (arr_bprime, arr_bhat, generic_lines(7, 3, True)):
+        calls.clear()
+        if mode == MODE_COMPLEX:
+            with pytest.raises(ModeMismatch):
+                full_presentation(arr, mode)
+            assert calls == []
+        else:
+            full_presentation(arr, mode)
+            assert calls == circuits(arr)
+
+
+def z_linear_cases():
+    from twoarr.fixtures import load_fixture
+
+    cases = [pytest.param(load_fixture(name), id=name) for name in ("example22-B", "thm32-Bhat-complex")]
+    cases.append(pytest.param(braid_a4(), id="braid-a4"))
+    cases += [pytest.param(generic_lines(n, n), id=f"lines{n}") for n in range(3, 8)]
+    cases += [pytest.param(generic_hyperplanes(n, 3, n), id=f"planes{n}") for n in range(4, 8)]
+    return cases
+
+
+@pytest.mark.parametrize("arr", z_linear_cases())
+def test_z_linear_relations_are_the_solved_ones(arr):
+    """The solver certifies the all-plus route it skips on z-linear input."""
+    assert arr.is_holomorphic_input
+    assert full_presentation(arr).relations == tuple(circuit_relation(arr, c) for c in circuits(arr))
+
+
 def test_full_presentation_no_circuits(independent_pair):
     pres = full_presentation(independent_pair)
     assert pres.relations == ()
