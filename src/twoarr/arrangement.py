@@ -208,7 +208,7 @@ class ValidationReport(Value):
 
 
 def _mask(arr: Arrangement, subset: Iterable[int]) -> int:
-    """`linalg.bitmask` of a subset of 1-based indices, each checked first."""
+    """`linalg.bitmask` of a caller's subset of 1-based indices, each checked first."""
     subset = tuple(subset)
     for a in subset:
         arr.pair(a)
@@ -282,7 +282,7 @@ def _kernel_basis(rows: Sequence[Sequence[int]], cols: int) -> list[Vector]:
     echelon form pivoted at p: the entries of the classical rref, since
     that form is unique and `sparse_echelon` only scales its rows.
     """
-    echelon = sparse_echelon((dict(enumerate(r)) for r in rows), reduced=True, columns=cols)
+    echelon = sparse_echelon((dict(enumerate(r)) for r in rows), reduced=True)
     pivots = {min(row): row for row in echelon}
     basis: list[Vector] = []
     for f in range(cols):

@@ -46,7 +46,7 @@ def _sign_char(s: int) -> str:
 
 def _read_arrangement(path: str) -> Arrangement:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:  # JSON text is UTF-8 (RFC 8259)
             text = f.read()
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e}") from e
@@ -71,7 +71,7 @@ def _report_doc(report: ValidationReport) -> dict:
     return {
         "ok": report.ok,
         "violations": [
-            {"kind": v.kind, "subset": list(v.subset), "detail": v.detail}
+            {"kind": v.kind, "subset": v.subset, "detail": v.detail}
             for v in report.violations
         ],
     }
@@ -100,7 +100,7 @@ def cmd_lattice(args) -> int:
         lines.append(
             f"rank {group[0].rank}: " + " ".join(_fmt_set(f.elements) for f in group)
         )
-        doc_flats += [{"rank": f.rank, "elements": list(f.elements)} for f in group]
+        doc_flats += [{"rank": f.rank, "elements": f.elements} for f in group]
     counts = [len(g) for g in lattice.flats_by_rank]
     lines.append("counts by rank: " + " ".join(str(c) for c in counts))
     _emit(args, lines, {"flats": doc_flats, "counts": counts})
@@ -113,7 +113,7 @@ def cmd_circuits(args) -> int:
     arr = _read_arrangement(args.file)
     cs = circuits(arr)
     lines = [_fmt_set(c) for c in cs] or ["no circuits"]
-    _emit(args, lines, {"circuits": [list(c) for c in cs]})
+    _emit(args, lines, {"circuits": cs})
     return 0
 
 
@@ -122,7 +122,7 @@ def cmd_betti(args) -> int:
 
     arr = _read_arrangement(args.file)
     order = None
-    if args.order:
+    if args.order is not None:
         try:
             order = tuple(int(x) for x in args.order.split(","))
         except ValueError as e:
@@ -136,12 +136,7 @@ def cmd_betti(args) -> int:
         "betti: " + " ".join(str(b) for b in betti),
         "whitney check: " + ("ok" if whitney_ok else "FAILED"),
     ]
-    doc = {
-        "nbc": [list(s) for s in complex_.all_sets()],
-        "betti": list(betti),
-        "whitney_ok": whitney_ok,
-    }
-    _emit(args, lines, doc)
+    _emit(args, lines, {"nbc": complex_.all_sets(), "betti": betti, "whitney_ok": whitney_ok})
     return 0
 
 
@@ -163,10 +158,10 @@ def cmd_present(args) -> int:
     doc = {
         "mode": pres.mode,
         "relations": [
-            {"circuit": list(r.circuit), "signs": list(r.signs), "element": str(r.element)}
+            {"circuit": r.circuit, "signs": r.signs, "element": str(r.element)}
             for r in pres.relations
         ],
-        "ideal_ranks": list(profile),
+        "ideal_ranks": profile,
     }
     _emit(args, lines, doc)
     return 0
@@ -181,24 +176,23 @@ def cmd_kappa(args) -> int:
     lines = [f"basis size: {len(form.basis)}", f"rank: {krank}"]
     for b in form.basis:
         lines.append(f"basis element: {b}")
+    gram: object = form.gram
     if form.is_scalar:
         gram = form.scalar_gram()
         lines.append("gram:")
         for row in gram:
             lines.append("  " + " ".join(f"{x:3d}" for x in row))
-        gram_doc: object = [list(r) for r in gram]
     else:
         lines.append(
             "gram entries are degree-4 coefficient vectors "
             "(vector-valued extension of the scalar n=4 pairing)"
         )
-        gram_doc = [[list(v) for v in row] for row in form.gram]
     doc = {
         "kappa": {
             "basis_size": len(form.basis),
             "rank": krank,
             "basis": [str(b) for b in form.basis],
-            "gram": gram_doc,
+            "gram": gram,
             "scalar": form.is_scalar,
         }
     }
@@ -220,8 +214,8 @@ def cmd_linking(args) -> int:
         lines.append(f"  {_fmt_set(t)}: {'+1' if s > 0 else '-1'}")
     doc = {
         "linking": {
-            "pairwise": [list(row) for row in lk],
-            "triples": [{"triple": list(t), "sign": s} for t, s in sorted(triples.items())],
+            "pairwise": lk,
+            "triples": [{"triple": t, "sign": s} for t, s in sorted(triples.items())],
         }
     }
     _emit(args, lines, doc)
@@ -259,13 +253,11 @@ def cmd_compare(args) -> int:
     lines.append(f"verdict: {report.verdict}")
     doc = {
         "matroids_equal": report.matroids_equal,
-        "betti": [list(b) for b in report.betti],
-        "ideal_ranks": [list(p) for p in report.ideal_ranks],
-        "kappa_ranks": list(report.kappa_ranks),
-        "triples": None
-        if report.triple_multisets is None
-        else [list(t) for t in report.triple_multisets],
-        "differing": list(report.differing),
+        "betti": report.betti,
+        "ideal_ranks": report.ideal_ranks,
+        "kappa_ranks": report.kappa_ranks,
+        "triples": report.triple_multisets,
+        "differing": report.differing,
         "verdict": report.verdict,
     }
     _emit(args, lines, doc)
@@ -307,6 +299,11 @@ def build_parser(verb: str | None = None) -> _Parser:
             for arg, kwargs in arguments:
                 p.add_argument(arg, **kwargs)
             p.set_defaults(func=func)
+    # The usage wrapped as argparse 3.10-3.12 wraps it at 80 columns; 3.13 keeps
+    # "..." on the verbs' line. Set after add_subparsers, which derives each
+    # verb's prog from the usage.
+    indent = "\n" + " " * len("usage: twoarr ")
+    parser.usage = "%(prog)s [-h]" + indent + "{" + ",".join(VERBS) + "}" + indent + "..."
     return parser
 
 
@@ -316,9 +313,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 3
@@ -326,7 +320,7 @@ def main(argv=None) -> int:
         for line in _report_lines(e.report):
             print(line, file=sys.stderr)
         return 2
-    except (UnknownLabel, ValueError) as e:
+    except (UsageError, UnknownLabel, ValueError) as e:
         # DimensionNot4, ModeMismatch, SizeMismatch, DegenerateRestriction, ...
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -19,7 +19,7 @@ def fixture_text(name: str) -> str:
         name += ".arr"
     if name not in FIXTURES:
         raise KeyError(f"no bundled fixture {name!r}; have {FIXTURES}")
-    return resources.files(__package__).joinpath(name).read_text()
+    return resources.files(__package__).joinpath(name).read_text(encoding="utf-8")
 
 
 def load_fixture(name: str) -> Arrangement:

@@ -8,7 +8,9 @@ Every rank question, `matroid_rank` included, is answered from the
 arrangement's cached closed sets (`Arrangement._closed_sets`: one
 breadth-first walk, keyed by bitmask) by one lookup,
 `arrangement._least_closed`: a subset's rank is that of the least closed
-set containing it. The circuits are cached beside them.
+set containing it. The circuits are cached beside them. A caller's subset
+has its indices checked (`arrangement._mask`); the subsets built here, from
+1..n or from the circuits, are masked with `linalg.bitmask` alone.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Iterable, Sequence
 
 from ._value import Value
 from .arrangement import Arrangement, _least_closed, _mask, _members, codim
+from .linalg import bitmask
 
 
 class SizeMismatch(ValueError):
@@ -89,7 +92,7 @@ def _scan_circuits(arr: Arrangement) -> list[tuple[int, ...]]:
     found: list[int] = []
     for size in range(2, min(arr.n, max(arr._closed_sets.values()) // 2 + 1) + 1):
         for comb in itertools.combinations(range(1, arr.n + 1), size):
-            mask = _mask(arr, comb)
+            mask = bitmask(comb)
             if any(m & mask == m for m in found):
                 continue
             c, _ = _least_closed(arr, mask)
@@ -124,12 +127,12 @@ def nbc_sets(arr: Arrangement, order: Sequence[int] | None = None) -> NbcComplex
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError("order must be a permutation of 1..n")
     pos = {e: i for i, e in enumerate(order)}
-    broken = {_mask(arr, set(c) - {min(c, key=pos.__getitem__)}) for c in circuits(arr)}
+    broken = {bitmask(set(c) - {min(c, key=pos.__getitem__)}) for c in circuits(arr)}
     groups: list[list[tuple[int, ...]]] = []
     for size in range(n + 1):
         level = []
         for comb in itertools.combinations(range(1, n + 1), size):
-            mask = _mask(arr, comb)
+            mask = bitmask(comb)
             if not any(b & mask == b for b in broken):
                 level.append(comb)
         if not level:
@@ -150,7 +153,7 @@ def whitney_numbers(arr: Arrangement) -> tuple[int, ...]:
     for group in flats(arr).flats_by_rank:
         out.append(0)
         for f in group:
-            mask = _mask(arr, f.elements)
+            mask = bitmask(f.elements)
             mu[mask] = -sum(v for g, v in mu.items() if g & mask == g) if mu else 1
             out[-1] += abs(mu[mask])
     return tuple(out)

@@ -35,14 +35,12 @@ kappa's degree-2 basis comes from the same pass.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from math import comb
 from typing import Iterable
 
 from ._value import Value
 from .arrangement import Arrangement
-from .exterior import ExtElement, ideal_ranks, ideal_slices
+from .exterior import ExtElement, ideal_ranks
 from .linalg import SparseRow, integer_row, sparse_echelon
 from .matroid import circuits
 
@@ -125,7 +123,7 @@ def _solve(arr: Arrangement, c: tuple[int, ...]) -> list[SparseRow]:
         forms += [p.first.coeffs, p.second.coeffs]
     unknowns = len(forms) - 2
     rows = (dict(enumerate(integer_row([f[i] for f in forms]))) for i in range(arr.dim))
-    echelon = sparse_echelon(rows, True, len(forms))
+    echelon = sparse_echelon(rows, reduced=True)
     if [min(row) for row in echelon] != list(range(unknowns)):
         raise ValueError(f"circuit {c} has no unique dependency")
     return echelon
@@ -200,18 +198,6 @@ def normalize_signs(pres: Presentation) -> Presentation:
             )
         out.append(rel)
     return Presentation(pres.n, tuple(out), pres.mode)
-
-
-def ideal_rank(pres: Presentation, degree: int) -> int:
-    """Rank over the rationals of the degree slice of the relation ideal.
-
-    Builds no slice above `degree`. A pass that ends below it ends on a full
-    slice, so the slice there is full too: C(n, degree), which is 0 above n.
-    """
-    if degree < 0:
-        raise ValueError(f"negative degree {degree}")
-    slices = list(itertools.islice(ideal_slices(pres.elements(), pres.n), degree + 1))
-    return len(slices[degree]) if degree < len(slices) else comb(pres.n, degree)
 
 
 def ideal_rank_profile(pres: Presentation) -> tuple[int, ...]:

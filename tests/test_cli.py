@@ -2,7 +2,9 @@ import argparse
 import contextlib
 import io
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +174,32 @@ def test_betti_with_order(fx, capsys):
 def test_betti_bad_order_message(fx, capsys):
     code, out, err = run(capsys, "betti", fx("thm32-Bhat"), "--order", "5,5,4,3,2")
     assert (code, out, err) == (3, "", "error: order must be a permutation of 1..n\n")
+
+
+def test_betti_empty_order_is_a_bad_order(fx, capsys):
+    code, out, err = run(capsys, "betti", fx("example22-B"), "--order", "")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: bad --order: ")
+    assert run(capsys, "betti", fx("example22-B"), "--order", "4,3,2,1,") == (code, out, err)
+
+
+def test_utf8_file_is_read_under_an_ascii_locale(tmp_path):
+    """Arrangement files are JSON text, so UTF-8 whatever the locale (RFC 8259, section 8.1)."""
+    doc = json.loads(fixture_text("example22-B"))
+    doc["subspaces"][0]["name"] = "Ĥ1"
+    path = tmp_path / "hat.arr"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    env = {
+        "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+        "PYTHONDONTWRITEBYTECODE": "1",
+        "LC_ALL": "C",
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONUTF8": "0",
+    }
+    argv = [sys.executable, "-m", "twoarr.cli", "validate", str(path)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "no violations"
 
 
 def test_lattice_and_circuits(fx, capsys):

@@ -11,10 +11,10 @@ Running this file as a script rewrites every golden from the current code:
 A golden is refreshed only together with a CHANGES.md entry saying why.
 
 The goldens are written by CPython 3.11. Every case also matches on 3.10,
-the declared floor (`requires-python >= 3.10`), and on 3.12; on 3.13 only
-`help` differs, because its argparse keeps the trailing `...` of the
-top-level usage on the line of the verb choices. `check_goldens.py` in
-this directory runs that check on an interpreter without pytest.
+the declared floor (`requires-python >= 3.10`), and on 3.12 and 3.13; `help`
+matches on 3.13 because the CLI spells out the top-level usage, which that
+argparse would wrap differently. `check_goldens.py` in this directory runs
+that check on an interpreter without pytest.
 """
 
 import contextlib

@@ -18,7 +18,7 @@ from twoarr.matroid import (
     same_labeled_matroid,
     whitney_numbers,
 )
-from conftest import pair
+from conftest import braid_a4, pair
 
 U24_NBC = [(), (1,), (2,), (3,), (4,), (1, 2), (1, 3), (1, 4)]
 
@@ -91,6 +91,21 @@ def test_circuits_found_once_per_arrangement(monkeypatch):
     restricted = restrict(arr, 3)
     assert len(circuits(restricted)) == 4  # a restriction scans its own
     assert calls == [arr, restricted]
+
+
+def test_enumerations_check_no_index(monkeypatch):
+    """Subsets built from 1..n or from the circuits are masked without an index check."""
+    arrs = {load_fixture("thm32-Bhat"): (1, 5, 10, 6), braid_a4(): (1, 10, 35, 50, 24)}
+
+    def no_pair(self, index):
+        raise AssertionError(f"Arrangement.pair({index}) was called")
+
+    monkeypatch.setattr(Arrangement, "pair", no_pair)
+    for arr, betti in arrs.items():  # fresh: the circuits are not scanned yet
+        assert circuits(arr)
+        assert nbc_sets(arr).counts == betti
+        assert nbc_sets(arr, range(arr.n, 0, -1)).counts == betti
+        assert whitney_numbers(arr) == betti
 
 
 def test_circuits_independent(independent_pair):

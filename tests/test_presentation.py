@@ -4,9 +4,9 @@ from math import comb, prod
 
 import pytest
 
-from twoarr import exterior, presentation
+from twoarr import presentation
 from twoarr.arrangement import Arrangement, LinearForm, SubspacePair
-from twoarr.exterior import ExtElement, monomials
+from twoarr.exterior import ExtElement, ideal_ranks, monomials
 from twoarr.invariants import _kappa_of
 from twoarr.matroid import circuits, nbc_sets
 from twoarr.presentation import (
@@ -18,7 +18,6 @@ from twoarr.presentation import (
     circuit_dependencies,
     circuit_relation,
     full_presentation,
-    ideal_rank,
     ideal_rank_profile,
     normalize_signs,
     Presentation,
@@ -212,10 +211,8 @@ def test_normalize_signs(arr_bprime):
 def test_ideal_ranks(arr_b, arr_bprime):
     for arr in (arr_b, arr_bprime):
         pres = full_presentation(arr)
-        assert ideal_rank(pres, 1) == 0
-        assert ideal_rank(pres, 2) == 3
-        assert ideal_rank(pres, 3) == 4
-        assert ideal_rank(pres, 4) == 1
+        ranks = ideal_ranks(pres.elements(), pres.n)
+        assert [ranks[p] for p in range(1, 5)] == [0, 3, 4, 1]
         assert ideal_rank_profile(pres) == (0, 3, 4, 1)
 
 
@@ -239,9 +236,9 @@ def profile_cases():
 def test_grown_profile_matches_direct_slices(arr, mode):
     pres = full_presentation(arr, mode)
     n = arr.n
-    direct = list(direct_ranks(pres.elements(), n))
-    assert ideal_rank_profile(pres) == tuple(direct[1:])
-    assert [ideal_rank(pres, d) for d in range(n + 3)] == direct + [0, 0]
+    direct = direct_ranks(pres.elements(), n)
+    assert ideal_rank_profile(pres) == direct[1:]
+    assert ideal_ranks(pres.elements(), n) == direct
 
 
 @pytest.mark.parametrize("arr, mode", profile_cases())
@@ -252,32 +249,12 @@ def test_kappa_basis_is_the_reference_reduced_slice(arr, mode):
     assert len(basis) == rank
 
 
-def test_ideal_rank_builds_no_slice_above_its_degree(monkeypatch, arr_bprime, arr_bhat):
-    degrees = []
-    rows = exterior._slice_rows
-    monkeypatch.setattr(exterior, "_slice_rows", lambda g, p, n, col: degrees.append(p) or rows(g, p, n, col))
-    for arr in (arr_bprime, arr_bhat, generic_lines(7, seed=3)):
-        pres = full_presentation(arr)
-        degrees.clear()
-        ideal_rank(pres, 2)
-        assert degrees == [0, 1, 2]
-        for d in range(arr.n + 3):
-            degrees.clear()
-            ideal_rank(pres, d)
-            assert degrees == list(range(len(degrees))) and max(degrees) <= d
-
-
 def test_ideal_rank_rejects_inhomogeneous_relations_in_every_degree(arr_b):
     pres = full_presentation(arr_b)
     mixed = CircuitRelation((1, 2, 3), (1, 1, 1), elem(((1,), 1), ((2, 3), 1)))
     bad = Presentation(pres.n, pres.relations + (mixed,), pres.mode)
-    for d in range(pres.n + 3):
-        with pytest.raises(ValueError):
-            ideal_rank(bad, d)
     with pytest.raises(ValueError):
         ideal_rank_profile(bad)
-    with pytest.raises(ValueError):
-        ideal_rank(pres, -1)
 
 
 def quad_signs(dep):
@@ -405,9 +382,10 @@ def test_rank_nbc_identity_all_degrees(arr_b, arr_bprime, arr_bhat, arr_bhat_com
     for arr in (arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
         pres = full_presentation(arr)
         counts = nbc_sets(arr).counts
+        ranks = ideal_ranks(pres.elements(), pres.n)
         for p in range(arr.n + 1):
             nbc_p = counts[p] if p < len(counts) else 0
-            assert ideal_rank(pres, p) + nbc_p == comb(arr.n, p)
+            assert ranks[p] + nbc_p == comb(arr.n, p)
 
 
 @pytest.mark.parametrize("conjugate_last", [False, True])
