@@ -23,8 +23,6 @@ coefficients; `complex` blocks list d coefficient pairs [re, im] for the
 z_j and the conjugate zbar_j variables. Unknown fields are rejected.
 """
 
-from __future__ import annotations
-
 import json
 import re
 from fractions import Fraction
@@ -73,10 +71,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ValueError as e:  # more digits than int() accepts
         raise ParseError(f"rational of {len(text)} characters: {e}") from e
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 class LinearForm(Value):
@@ -416,13 +410,13 @@ def arrangement_to_document(arr: Arrangement) -> dict:
         rec: dict = {"name": p.name}
         if p.complex_spec is not None:
             rec["complex"] = {
-                "z": [[format_rational(a), format_rational(b)] for a, b in p.complex_spec.z],
-                "zbar": [[format_rational(a), format_rational(b)] for a, b in p.complex_spec.zbar],
+                "z": [[str(a), str(b)] for a, b in p.complex_spec.z],
+                "zbar": [[str(a), str(b)] for a, b in p.complex_spec.zbar],
             }
         else:
             rec["forms"] = [
-                [format_rational(c) for c in p.first.coeffs],
-                [format_rational(c) for c in p.second.coeffs],
+                [str(c) for c in p.first.coeffs],
+                [str(c) for c in p.second.coeffs],
             ]
         subspaces.append(rec)
     return {"dim": arr.dim, "subspaces": subspaces}

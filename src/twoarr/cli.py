@@ -7,8 +7,6 @@ with --format json. Exit codes: 0 success (or no difference found),
 invariant was found by compare.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
@@ -25,6 +23,10 @@ from .arrangement import (
     restrict,
     serialize_arrangement,
 )
+
+
+# what each cmd_* hands to main: (exit code, text lines, JSON document or None)
+_Result = tuple[int, list[str], dict | None]
 
 
 class UsageError(Exception):
@@ -53,8 +55,8 @@ def _read_arrangement(path: str) -> Arrangement:
     return parse_arrangement(text)
 
 
-def _emit(args, lines: list[str], doc: dict) -> None:
-    if args.format == "json":
+def _emit(args, lines: list[str], doc: dict | None) -> None:
+    if args.format == "json" and doc is not None:
         print(json.dumps(doc, indent=2))
     else:
         for line in lines:
@@ -77,19 +79,17 @@ def _report_doc(report: ValidationReport) -> dict:
     }
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> _Result:
     try:
         arr = _read_arrangement(args.file)
     except ValidationError as e:
-        _emit(args, _report_lines(e.report), _report_doc(e.report))
-        return 2
+        return 2, _report_lines(e.report), _report_doc(e.report)
     report = ValidationReport(())  # parsing raised on any violation
     lines = [f"arrangement: {arr.n} subspaces in dimension {arr.dim}"] + _report_lines(report)
-    _emit(args, lines, _report_doc(report))
-    return 0
+    return 0, lines, _report_doc(report)
 
 
-def cmd_lattice(args) -> int:
+def cmd_lattice(args) -> _Result:
     from .matroid import flats
 
     arr = _read_arrangement(args.file)
@@ -103,21 +103,19 @@ def cmd_lattice(args) -> int:
         doc_flats += [{"rank": f.rank, "elements": f.elements} for f in group]
     counts = [len(g) for g in lattice.flats_by_rank]
     lines.append("counts by rank: " + " ".join(str(c) for c in counts))
-    _emit(args, lines, {"flats": doc_flats, "counts": counts})
-    return 0
+    return 0, lines, {"flats": doc_flats, "counts": counts}
 
 
-def cmd_circuits(args) -> int:
+def cmd_circuits(args) -> _Result:
     from .matroid import circuits
 
     arr = _read_arrangement(args.file)
     cs = circuits(arr)
     lines = [_fmt_set(c) for c in cs] or ["no circuits"]
-    _emit(args, lines, {"circuits": cs})
-    return 0
+    return 0, lines, {"circuits": cs}
 
 
-def cmd_betti(args) -> int:
+def cmd_betti(args) -> _Result:
     from .matroid import nbc_sets, whitney_numbers
 
     arr = _read_arrangement(args.file)
@@ -136,11 +134,10 @@ def cmd_betti(args) -> int:
         "betti: " + " ".join(str(b) for b in betti),
         "whitney check: " + ("ok" if whitney_ok else "FAILED"),
     ]
-    _emit(args, lines, {"nbc": complex_.all_sets(), "betti": betti, "whitney_ok": whitney_ok})
-    return 0
+    return 0, lines, {"nbc": complex_.all_sets(), "betti": betti, "whitney_ok": whitney_ok}
 
 
-def cmd_present(args) -> int:
+def cmd_present(args) -> _Result:
     from .presentation import full_presentation, ideal_rank_profile, normalize_signs
 
     arr = _read_arrangement(args.file)
@@ -163,11 +160,10 @@ def cmd_present(args) -> int:
         ],
         "ideal_ranks": profile,
     }
-    _emit(args, lines, doc)
-    return 0
+    return 0, lines, doc
 
 
-def cmd_kappa(args) -> int:
+def cmd_kappa(args) -> _Result:
     from .invariants import kappa, kappa_rank
 
     arr = _read_arrangement(args.file)
@@ -196,11 +192,10 @@ def cmd_kappa(args) -> int:
             "scalar": form.is_scalar,
         }
     }
-    _emit(args, lines, doc)
-    return 0
+    return 0, lines, doc
 
 
-def cmd_linking(args) -> int:
+def cmd_linking(args) -> _Result:
     from .invariants import _triples, pairwise_linking
 
     arr = _read_arrangement(args.file)
@@ -218,22 +213,20 @@ def cmd_linking(args) -> int:
             "triples": [{"triple": t, "sign": s} for t, s in sorted(triples.items())],
         }
     }
-    _emit(args, lines, doc)
-    return 0
+    return 0, lines, doc
 
 
-def cmd_restrict(args) -> int:
+def cmd_restrict(args) -> _Result:
     arr = _read_arrangement(args.file)
-    at: str | int = args.index
+    # a label is UTF-8, as the file is; this turns argv's surrogate escapes back into their bytes
+    at: str | int = args.index.encode("utf-8", "surrogateescape").decode("utf-8", "surrogateescape")
     if at.isdecimal():  # isdigit() also admits "²", which int() rejects
         at = int(at)
-    restricted = restrict(arr, at)
     # the restriction is itself an arrangement file, whatever the format
-    sys.stdout.write(serialize_arrangement(restricted))
-    return 0
+    return 0, serialize_arrangement(restrict(arr, at)).splitlines(), None
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> _Result:
     """Print `invariants.compare`'s report; its `differing` alone marks DIFFER and sets exit 10."""
     from .invariants import compare
 
@@ -260,8 +253,7 @@ def cmd_compare(args) -> int:
         "differing": report.differing,
         "verdict": report.verdict,
     }
-    _emit(args, lines, doc)
-    return 10 if report.differing else 0
+    return (10 if report.differing else 0), lines, doc
 
 
 _FILE = ("file", {})
@@ -312,7 +304,9 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code, lines, doc = args.func(args)
+        _emit(args, lines, doc)
+        return code
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 3

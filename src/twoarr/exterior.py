@@ -10,8 +10,6 @@ degree-2 slice to the unique reduced echelon basis. `gram_of_basis`
 multiplies elements on bitmasks; `ExtElement.wedge` is on neither path.
 """
 
-from __future__ import annotations
-
 import itertools
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence

@@ -1,7 +1,5 @@
 """Bundled arrangement files used by the test suite and handy for the CLI."""
 
-from __future__ import annotations
-
 from importlib import resources
 
 from ..arrangement import Arrangement, parse_arrangement

@@ -17,18 +17,12 @@ all, and are read off one pairwise table.
 matroid modules when called, so the linking signs load none of them.
 """
 
-from __future__ import annotations
-
 import itertools
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from ._value import Value
 from .arrangement import Arrangement
 from .linalg import det_sign, sparse_echelon
-
-if TYPE_CHECKING:
-    from .exterior import ExtElement
-    from .presentation import Presentation
 
 VERDICT_DISTINGUISHED = "DISTINGUISHED"
 VERDICT_UNRESOLVED = "OTHERWISE_UNRESOLVED"
@@ -50,7 +44,7 @@ class KappaForm(Value):
     """
 
     n: int
-    basis: tuple[ExtElement, ...]
+    basis: tuple["ExtElement", ...]
     gram: tuple[tuple[GramVector, ...], ...]
 
     @property
@@ -70,7 +64,7 @@ def kappa(arr: Arrangement) -> KappaForm:
     return _kappa_of(full_presentation(arr))
 
 
-def _kappa_of(pres: Presentation) -> KappaForm:
+def _kappa_of(pres: "Presentation") -> KappaForm:
     """Kappa form over the reduced echelon basis of the pass's degree-2 slice.
 
     Only degrees 0..2 are built. When the pass ends below degree 2, on a

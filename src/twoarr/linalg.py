@@ -21,8 +21,6 @@ normalisation (`_primitive`):
 `Fraction` appears only at the edges: `vec`, `dot` and `integer_row`.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence

@@ -13,8 +13,6 @@ has its indices checked (`arrangement._mask`); the subsets built here, from
 1..n or from the circuits, are masked with `linalg.bitmask` alone.
 """
 
-from __future__ import annotations
-
 import itertools
 from typing import Iterable, Sequence
 

@@ -33,8 +33,6 @@ grown from the echelon basis of the one below (`exterior.ideal_slices`);
 kappa's degree-2 basis comes from the same pass.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import Iterable
 

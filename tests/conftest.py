@@ -66,17 +66,21 @@ def generic_hyperplanes(n, rank, seed, conjugate_last=False):
     return arr
 
 
-def braid_a4():
-    """The braid arrangement A_4 in essential form: z_i (i = 1..4) and z_i - z_j in C^4."""
-    rows = [[int(k == i) for k in range(4)] for i in range(4)]
-    rows += [[int(k == i) - int(k == j) for k in range(4)] for i, j in itertools.combinations(range(4), 2)]
+def braid(d):
+    """The braid arrangement A_d in essential form: z_i (i = 1..d) and z_i - z_j in C^d."""
+    rows = [[int(k == i) for k in range(d)] for i in range(d)]
+    rows += [[int(k == i) - int(k == j) for k in range(d)] for i, j in itertools.combinations(range(d), 2)]
     zero = (Fraction(0), Fraction(0))
     pairs = []
     for k, row in enumerate(rows, start=1):
-        spec = ComplexFormSpec(tuple((Fraction(c), Fraction(0)) for c in row), (zero,) * 4)
+        spec = ComplexFormSpec(tuple((Fraction(c), Fraction(0)) for c in row), (zero,) * d)
         first, second = from_complex_form(spec)
         pairs.append(SubspacePair(f"H{k}", first, second, spec))
-    return Arrangement(8, tuple(pairs))
+    return Arrangement(2 * d, tuple(pairs))
+
+
+def braid_a4():
+    return braid(4)
 
 
 @pytest.fixture(scope="session")

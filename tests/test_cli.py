@@ -183,23 +183,36 @@ def test_betti_empty_order_is_a_bad_order(fx, capsys):
     assert run(capsys, "betti", fx("example22-B"), "--order", "4,3,2,1,") == (code, out, err)
 
 
-def test_utf8_file_is_read_under_an_ascii_locale(tmp_path):
-    """Arrangement files are JSON text, so UTF-8 whatever the locale (RFC 8259, section 8.1)."""
-    doc = json.loads(fixture_text("example22-B"))
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def run_under_ascii_locale(*argv):
+    env = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), **ASCII_LOCALE}
+    return subprocess.run([sys.executable, "-m", "twoarr.cli", *argv], env=env, capture_output=True, timeout=60)
+
+
+def hat_file(tmp_path, name):
+    """The fixture `name` with its first member renamed "Ĥ1", written as UTF-8."""
+    doc = json.loads(fixture_text(name))
     doc["subspaces"][0]["name"] = "Ĥ1"
     path = tmp_path / "hat.arr"
     path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
-    env = {
-        "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
-        "PYTHONDONTWRITEBYTECODE": "1",
-        "LC_ALL": "C",
-        "PYTHONCOERCECLOCALE": "0",
-        "PYTHONUTF8": "0",
-    }
-    argv = [sys.executable, "-m", "twoarr.cli", "validate", str(path)]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.splitlines()[-1] == "no violations"
+    return str(path)
+
+
+def test_utf8_file_is_read_under_an_ascii_locale(tmp_path):
+    """Arrangement files are JSON text, so UTF-8 whatever the locale (RFC 8259, section 8.1)."""
+    proc = run_under_ascii_locale("validate", hat_file(tmp_path, "example22-B"))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.splitlines()[-1] == b"no violations"
+
+
+def test_restrict_matches_a_utf8_label_under_an_ascii_locale(tmp_path, capsys):
+    path = hat_file(tmp_path, "thm32-Bhat")
+    expected = run(capsys, "restrict", path, "--index", "1")
+    assert expected[0] == 0
+    proc = run_under_ascii_locale("restrict", path, "--index", "Ĥ1".encode("utf-8"))
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == expected
 
 
 def test_lattice_and_circuits(fx, capsys):

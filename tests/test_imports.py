@@ -26,7 +26,7 @@ RUN_CLI = (
     + "; sys.exit(code)"
 )
 HEAVY = {"twoarr.matroid", "twoarr.exterior", "twoarr.presentation", "twoarr.invariants"}
-NEVER = {"dataclasses", "inspect"}
+NEVER = {"__future__", "dataclasses", "inspect"}
 
 B = str(FIXTURES / "example22-B.arr")
 BPRIME = str(FIXTURES / "example22-Bprime.arr")

@@ -18,7 +18,7 @@ from twoarr.matroid import (
     same_labeled_matroid,
     whitney_numbers,
 )
-from conftest import braid_a4, pair
+from conftest import braid, braid_a4, pair
 
 U24_NBC = [(), (1,), (2,), (3,), (4,), (1, 2), (1, 3), (1, 4)]
 
@@ -144,6 +144,15 @@ def test_whitney_check(arr_b, single_subspace, arr_bhat):
         assert whitney_numbers(arr) == betti_vector(arr)
     assert whitney_numbers(arr_b) == (1, 4, 3)
     assert whitney_numbers(arr_bhat) == (1, 5, 10, 6)
+
+
+def test_braid_a5_known_answers():
+    """A_5: flats are set partitions of 6 points (Stirling numbers of the second kind),
+    and both NBC and Whitney counts are the coefficients of (1 + t)(1 + 2t)...(1 + 5t)."""
+    arr = braid(5)
+    assert (arr.n, matroid_rank(arr, range(1, arr.n + 1))) == (15, 5)
+    assert tuple(len(g) for g in flats(arr).flats_by_rank) == (1, 15, 65, 90, 31, 1)
+    assert nbc_sets(arr).counts == whitney_numbers(arr) == (1, 15, 85, 225, 274, 120)
 
 
 def test_same_labeled_matroid(arr_b, arr_bprime):
