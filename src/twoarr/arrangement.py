@@ -65,7 +65,8 @@ _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ParseError(f"malformed rational {text!r}")
-    if "/" in text and text.split("/")[1].lstrip("0") == "":
+    # \d admits any decimal digit, not only ASCII 0-9, and int() reads each of them
+    if "/" in text and not any(map(int, text.split("/")[1])):
         raise ParseError(f"zero denominator in {text!r}")
     try:
         return Fraction(text)

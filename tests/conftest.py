@@ -66,17 +66,28 @@ def generic_hyperplanes(n, rank, seed, conjugate_last=False):
     return arr
 
 
-def braid(d):
-    """The braid arrangement A_d in essential form: z_i (i = 1..d) and z_i - z_j in C^d."""
-    rows = [[int(k == i) for k in range(d)] for i in range(d)]
-    rows += [[int(k == i) - int(k == j) for k in range(d)] for i, j in itertools.combinations(range(d), 2)]
+def graphic(d, edges):
+    """The graphic arrangement in C^d of a graph on the vertices 0..d, one member per edge.
+
+    An edge (0, i) gives z_i and an edge (i, j), 0 < i < j, gives z_i - z_j.
+    """
     zero = (Fraction(0), Fraction(0))
+
+    def z(v):
+        return [int(m == v) for m in range(1, d + 1)]
+
     pairs = []
-    for k, row in enumerate(rows, start=1):
+    for k, (i, j) in enumerate(edges, start=1):
+        row = z(j) if i == 0 else [a - b for a, b in zip(z(i), z(j))]
         spec = ComplexFormSpec(tuple((Fraction(c), Fraction(0)) for c in row), (zero,) * d)
         first, second = from_complex_form(spec)
         pairs.append(SubspacePair(f"H{k}", first, second, spec))
     return Arrangement(2 * d, tuple(pairs))
+
+
+def braid(d):
+    """The braid arrangement A_d in essential form: z_i (i = 1..d) and z_i - z_j in C^d."""
+    return graphic(d, itertools.combinations(range(d + 1), 2))
 
 
 def braid_a4():

@@ -116,6 +116,22 @@ def test_parse_bad_rational(bad):
         arrangement_from_document(document)
 
 
+@pytest.mark.parametrize("text", ["1/0", "-2/000", "1/\u0660", "1/\u0660\u0660", "\uff13/\uff10"])
+def test_every_zero_denominator_is_a_parse_error(text):
+    """Arabic-Indic and full-width zeros are zeros too: none of them reaches Fraction."""
+    with pytest.raises(ParseError, match=r"^zero denominator in "):
+        parse_rational(text)
+
+
+def test_non_ascii_digits_keep_their_values(int_digit_limit):
+    assert parse_rational("\uff13") == 3
+    assert parse_rational("-1/\u0661\u0660") == Fraction(-1, 10)
+    with pytest.raises(ParseError, match=r"^rational of "):
+        parse_rational("1/" + "1" * (int_digit_limit + 1))
+    with pytest.raises(ParseError, match=r"^zero denominator in "):
+        parse_rational("1/" + "\u0660" * (int_digit_limit + 1))
+
+
 def test_parse_wrong_coefficient_count():
     with pytest.raises(ParseError):
         arrangement_from_document(doc(4, forms_rec("H1", (1, 0), (0, 1))))

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import subprocess
@@ -77,6 +78,14 @@ def test_overlong_rational_is_a_parse_error(tmp_path, capsys, int_digit_limit):
     code, out, err = run(capsys, "validate", str(path))
     assert code == 3
     assert err.startswith("parse error: ") and out == ""
+
+
+def test_non_ascii_zero_denominator_is_a_parse_error(tmp_path, capsys):
+    document = json.loads(fixture_text("example22-B"))
+    document["subspaces"][0]["complex"]["z"][0][0] = "1/\u0660"
+    path = tmp_path / "zero.arr"
+    path.write_text(json.dumps(document))
+    assert run(capsys, "validate", str(path)) == (3, "", "parse error: zero denominator in '1/\u0660'\n")
 
 
 def test_missing_file_exit_3(capsys):
@@ -434,8 +443,40 @@ def test_a_verb_run_builds_only_its_own_subparser(fx, capsys, monkeypatch, argv,
 
 
 def test_run_reads_sys_argv(fx, capsys, monkeypatch):
+    monkeypatch.setattr(gc, "freeze", lambda: None)  # a real freeze would keep pytest's garbage
     monkeypatch.setattr(sys, "argv", ["twoarr", "circuits", fx("example22-B")])
     with pytest.raises(SystemExit) as exit_:
         cli.run()
     assert exit_.value.code == 0
     assert capsys.readouterr().out.splitlines() == ["{1,2,3}", "{1,2,4}", "{1,3,4}", "{2,3,4}"]
+
+
+def test_run_freezes_the_collector_before_and_after_main(fx, capsys, monkeypatch):
+    events = []
+    real_main = cli.main
+
+    def spy_main():
+        events.append("main starts")
+        code = real_main()
+        events.append("main returns")
+        return code
+
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(cli, "main", spy_main)
+    monkeypatch.setattr(sys, "argv", ["twoarr", "compare", fx("example22-B"), fx("example22-Bprime")])
+    with pytest.raises(SystemExit) as exit_:
+        cli.run()
+    assert events == ["freeze", "main starts", "main returns", "freeze"]
+    assert exit_.value.code == 10
+    assert capsys.readouterr().out.splitlines()[-1] == "verdict: DISTINGUISHED"
+
+
+@pytest.mark.parametrize("verb", list(cli.VERBS))
+def test_main_never_freezes_the_collector(verb, fx, capsys, monkeypatch):
+    """Callers run main many times in one process; a freeze there would keep their garbage."""
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(verb))
+    extra = {"restrict": ["--index", "1"], "compare": [fx("example22-Bprime")]}
+    assert main([verb, fx("example22-B"), *extra.get(verb, [])]) in (0, 10)
+    capsys.readouterr()
+    assert freezes == []

@@ -4,7 +4,10 @@ Each case runs `cli.main` in process with `COLUMNS` pinned (argparse wraps
 help to the terminal width) and compares its stdout, then its stderr under a
 `--- stderr` line when there is any, then a last line `exit N` with the exit
 code (the `SystemExit` code for `--help`), with `tests/goldens/<case>.txt`.
-Running this file as a script rewrites every golden from the current code:
+One case per verb, a usage error and a validation failure also run as
+`python -m twoarr.cli` processes, through `cli.run`, in the benchmark's child
+environment. Running this file as a script rewrites every golden from the
+current code:
 
     PYTHONPATH=src python tests/test_goldens.py
 
@@ -20,6 +23,7 @@ that check on an interpreter without pytest.
 import contextlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -27,12 +31,13 @@ from unittest import mock
 
 import pytest
 
-from twoarr.arrangement import serialize_arrangement
+from twoarr.arrangement import restrict, serialize_arrangement
 from twoarr.cli import main
 from twoarr.fixtures import FIXTURES, load_fixture
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "twoarr" / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
+FIXTURE_DIR = SRC / "twoarr" / "fixtures"
 # generated inputs, written to a scratch directory: name -> conftest generator and its arguments
 GENERATED = {
     "lines7": ("generic_lines", (7, 3, False)),
@@ -112,6 +117,11 @@ def input_paths(directory: Path) -> dict[str, str]:
     return paths
 
 
+def transcript(out: str, err: str, code) -> str:
+    stderr = f"--- stderr\n{err}" if err else ""
+    return out + stderr + f"exit {code}\n"
+
+
 def run_case(argv: list[str], paths: dict[str, str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.dict(os.environ, {"COLUMNS": "80"}):
@@ -119,8 +129,39 @@ def run_case(argv: list[str], paths: dict[str, str]) -> str:
             code = main([a.format(**paths) for a in argv])
         except SystemExit as e:  # --help
             code = e.code
-    stderr = f"--- stderr\n{err.getvalue()}" if err.getvalue() else ""
-    return out.getvalue() + stderr + f"exit {code}\n"
+    return transcript(out.getvalue(), err.getvalue(), code)
+
+
+# the benchmark's child environment, with COLUMNS pinned as in run_case
+PROCESS_ENV = {
+    "PYTHONPATH": str(SRC),
+    "PYTHONDONTWRITEBYTECODE": "1",
+    "PYTHONHASHSEED": "0",
+    "LC_ALL": "C.UTF-8",
+    "COLUMNS": "80",
+}
+# one case per verb, and a usage error
+PROCESS_CASES = (
+    "validate-example22-B-text",
+    "lattice-a4",
+    "circuits-thm32-Bhat-json",
+    "betti-example22-Bprime-reversed",
+    "present-thm32-Bhat-text",
+    "kappa-example22-Bprime-json",
+    "linking-lines7-conj",
+    "restrict-thm32-Bhat-3-text",
+    "compare-example22-B-example22-Bprime-text",
+    "usage-format-xml",
+)
+
+
+def run_process_case(argv: list[str], paths: dict[str, str]) -> str:
+    """`run_case` in a `python -m twoarr.cli` process."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "twoarr.cli", *(a.format(**paths) for a in argv)],
+        env=PROCESS_ENV, capture_output=True, encoding="utf-8", timeout=60,
+    )
+    return transcript(proc.stdout, proc.stderr, proc.returncode)
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +173,22 @@ def paths(tmp_path_factory) -> dict[str, str]:
 def test_output_matches_golden(case, paths):
     expected = (GOLDENS / f"{case}.txt").read_text()
     assert run_case(CASES[case], paths) == expected
+
+
+@pytest.mark.parametrize("case", PROCESS_CASES)
+def test_process_output_matches_golden(case, paths):
+    expected = (GOLDENS / f"{case}.txt").read_text()
+    assert run_process_case(CASES[case], paths) == expected
+
+
+def test_process_validation_failure_matches_main(paths, tmp_path):
+    """No golden fails validation, so the in-process run is the reference here."""
+    origin = tmp_path / "origin.arr"  # every member of example22-B restricts to the origin of R^2
+    origin.write_text(serialize_arrangement(restrict(load_fixture("example22-B"), 1)))
+    argv = ["validate", str(origin)]
+    expected = run_case(argv, paths)
+    assert expected.endswith("exit 2\n")
+    assert run_process_case(argv, paths) == expected
 
 
 def test_every_golden_file_has_a_case():

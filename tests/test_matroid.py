@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -18,7 +19,8 @@ from twoarr.matroid import (
     same_labeled_matroid,
     whitney_numbers,
 )
-from conftest import braid, braid_a4, pair
+from twoarr.presentation import full_presentation, ideal_rank_profile
+from conftest import braid, braid_a4, graphic, pair
 
 U24_NBC = [(), (1,), (2,), (3,), (4,), (1, 2), (1, 3), (1, 4)]
 
@@ -153,6 +155,45 @@ def test_braid_a5_known_answers():
     assert (arr.n, matroid_rank(arr, range(1, arr.n + 1))) == (15, 5)
     assert tuple(len(g) for g in flats(arr).flats_by_rank) == (1, 15, 65, 90, 31, 1)
     assert nbc_sets(arr).counts == whitney_numbers(arr) == (1, 15, 85, 225, 274, 120)
+
+
+# connected graphs on the vertices 0..d: name -> (d, edges)
+GRAPHS = {
+    "path P_5": (4, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    "cycle C_5": (4, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+    "star K_1,4": (4, [(0, 2), (1, 2), (2, 3), (2, 4)]),
+    "K_4 minus an edge": (3, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    "wheel W_5": (4, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (1, 4)]),  # hub 0
+    "triangular prism": (5, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]),
+    "K_2,3": (4, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]),
+}
+
+
+def chromatic(vertices: frozenset, edges: frozenset) -> list[int]:
+    """Coefficients (constant term first) of the chromatic polynomial, by deletion-contraction."""
+    if not edges:
+        return [0] * len(vertices) + [1]
+    edge = min(edges, key=sorted)
+    u, v = sorted(edge)
+    deleted = chromatic(vertices, edges - {edge})
+    merged = {frozenset(u if w == v else w for w in e) for e in edges - {edge}}
+    contracted = chromatic(vertices - {v}, frozenset(e for e in merged if len(e) == 2))
+    return [a - b for a, b in itertools.zip_longest(deleted, contracted, fillvalue=0)]
+
+
+@pytest.mark.parametrize("name", list(GRAPHS))
+def test_graphic_arrangement_known_answers(name):
+    """A connected graph's Betti numbers are the absolute coefficients of its chromatic
+    polynomial divided by t (Orlik-Terao, ch. 2), and rank I^p + b_p = C(n, p) in every degree."""
+    d, edges = GRAPHS[name]
+    arr = graphic(d, edges)
+    chi = chromatic(frozenset(range(d + 1)), frozenset(frozenset(e) for e in edges))
+    assert chi[0] == 0
+    betti = betti_vector(arr)
+    assert betti == tuple(abs(c) for c in reversed(chi[1:]))
+    padded = betti + (0,) * (arr.n + 1 - len(betti))
+    profile = ideal_rank_profile(full_presentation(arr))
+    assert tuple(r + b for r, b in zip(profile, padded[1:])) == tuple(math.comb(arr.n, p) for p in range(1, arr.n + 1))
 
 
 def test_same_labeled_matroid(arr_b, arr_bprime):
