@@ -10,6 +10,7 @@ invariant was found by compare.
 import argparse
 import gc
 import json
+import os
 import sys
 
 # Every verb and main's error handling need the arrangement module; each
@@ -331,7 +332,13 @@ def run() -> None:
     many times in one process would keep all their garbage to the end.
     """
     gc.freeze()
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe fails here, not in a traceback at shutdown
+    except BrokenPipeError:
+        # as the Python docs' SIGPIPE note: the flush at shutdown goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     gc.freeze()
     sys.exit(code)
 

@@ -1,13 +1,15 @@
 """Integer exterior algebra on generators e_1 .. e_n.
 
-Monomials are strictly increasing index tuples; elements are integer
-combinations of monomials. Ranks of graded spans are taken over the
-rationals by sparse integer elimination (`linalg.sparse_echelon`) on rows
-built from bitmask monomials. One pass, `ideal_slices`, builds every
-graded slice of an ideal, each grown from the forward echelon basis of the
-slice below: `ideal_ranks` reads its lengths, and kappa reduces its
+Monomials are strictly increasing index tuples; an `ExtElement`, the value
+relations and kappa bases come in, is an integer combination of them. All
+arithmetic runs on bitmask monomials, in one product (`_product`) that
+multiplies two term lists into a sparse row over a column map. Ranks of
+graded spans are taken over the rationals by sparse integer elimination
+(`linalg.sparse_echelon`) on its rows. One pass, `ideal_slices`, builds
+every graded slice of an ideal, each grown from the forward echelon basis
+of the slice below: `ideal_ranks` reads its lengths, and kappa reduces its
 degree-2 slice to the unique reduced echelon basis. `gram_of_basis`
-multiplies elements on bitmasks; `ExtElement.wedge` is on neither path.
+spreads the product's rows into kappa's dense Gram vectors.
 """
 
 import itertools
@@ -18,18 +20,7 @@ from ._value import Value
 from .linalg import SparseRow, bitmask, sparse_echelon
 
 Monomial = tuple[int, ...]
-
-
-def normalize(indices: Sequence[int]) -> tuple[Monomial, int]:
-    """Sort generator indices; return (monomial, sign of the sorting permutation).
-
-    The sign is 0 when an index repeats.
-    """
-    idx = tuple(sorted(indices))
-    if len(set(idx)) < len(idx):
-        return idx, 0
-    inversions = sum(a > b for a, b in itertools.combinations(indices, 2))
-    return idx, -1 if inversions & 1 else 1
+Terms = list[tuple[int, int]]  # (bitmask, coefficient) pairs
 
 
 def monomials(n: int, p: int) -> tuple[Monomial, ...]:
@@ -50,29 +41,6 @@ class ExtElement(Value):
 
     terms: tuple[tuple[Monomial, int], ...]
 
-    @staticmethod
-    def from_terms(
-        terms: Mapping[Monomial, int] | Iterable[tuple[Sequence[int], int]],
-    ) -> "ExtElement":
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Monomial, int] = {}
-        for mon, coeff in items:
-            mon2, sign = normalize(tuple(mon))
-            if sign == 0 or coeff == 0:
-                continue
-            acc[mon2] = acc.get(mon2, 0) + sign * coeff
-        kept = [(m, c) for m, c in acc.items() if c]
-        kept.sort(key=lambda t: (len(t[0]), t[0]))
-        return ExtElement(tuple(kept))
-
-    @staticmethod
-    def zero() -> "ExtElement":
-        return ExtElement(())
-
-    @staticmethod
-    def monomial(indices: Sequence[int], coeff: int = 1) -> "ExtElement":
-        return ExtElement.from_terms([(tuple(indices), coeff)])
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -85,29 +53,8 @@ class ExtElement(Value):
             return degs.pop()
         return None
 
-    def coeff_vector(self, mons: Sequence[Monomial]) -> tuple[int, ...]:
-        lookup = dict(self.terms)
-        return tuple(lookup.get(m, 0) for m in mons)
-
-    def scale(self, k: int) -> "ExtElement":
-        if k == 0:
-            return ExtElement.zero()
-        return ExtElement(tuple((m, k * c) for m, c in self.terms))
-
     def __neg__(self) -> "ExtElement":
-        return self.scale(-1)
-
-    def __add__(self, other: "ExtElement") -> "ExtElement":
-        return ExtElement.from_terms(list(self.terms) + list(other.terms))
-
-    def wedge(self, other: "ExtElement") -> "ExtElement":
-        acc: dict[Monomial, int] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                mon, sign = normalize(m1 + m2)
-                if sign:
-                    acc[mon] = acc.get(mon, 0) + sign * c1 * c2
-        return ExtElement.from_terms(acc)
+        return ExtElement(tuple((m, -c) for m, c in self.terms))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -121,15 +68,37 @@ class ExtElement(Value):
         return " ".join(parts)
 
 
-def _inversions(t: int, m: Monomial) -> int:
-    """The pairs (i in t, j in m) with i > j: t ^ m has sign (-1) to this power.
+def _inversions(t: int, u: int) -> int:
+    """The pairs (i in t, j in u) of bitmasks with i > j: t ^ u has sign (-1) to this power.
 
-    They are the inversions of the concatenation t + m; `t` is a bitmask.
+    They are the inversions of the concatenation t + u; each set bit of u
+    counts the bits of t above it.
     """
-    return sum((t >> j).bit_count() for j in m)
+    count = 0
+    while u:
+        low = u & -u
+        count += (t >> low.bit_length()).bit_count()
+        u ^= low
+    return count
 
 
-def _masked(generators: Sequence[ExtElement]) -> list[tuple[int, list[tuple[int, int]]]]:
+def _product(left: Terms, right: Terms, column: Mapping[int, int]) -> SparseRow:
+    """left ^ right over columns `column[bitmask]`, both (bitmask, coefficient) term lists.
+
+    A product of two terms that share a generator is zero, and one whose
+    bitmask has no column is dropped; the others carry the sign of their
+    `_inversions`. Entries may cancel to 0.
+    """
+    row: SparseRow = {}
+    for t, c in left:
+        for u, d in right:
+            k = None if t & u else column.get(t | u)
+            if k is not None:
+                row[k] = row.get(k, 0) + (-c * d if _inversions(t, u) & 1 else c * d)
+    return row
+
+
+def _masked(generators: Sequence[ExtElement]) -> list[tuple[int, Terms]]:
     """The nonzero generators as (degree, [(bitmask, coefficient)]).
 
     Raises ValueError for a generator that is not homogeneous.
@@ -146,36 +115,28 @@ def _masked(generators: Sequence[ExtElement]) -> list[tuple[int, list[tuple[int,
 
 
 def _slice_rows(
-    generators: Sequence[tuple[int, list[tuple[int, int]]]],
-    p: int,
-    n: int,
-    column: Mapping[int, int],
+    generators: Sequence[tuple[int, Terms]], p: int, n: int, column: Mapping[int, int]
 ) -> Iterable[SparseRow]:
-    """The nonzero rows g ^ m over columns `column[bitmask]`, computed on bitmasks.
+    """The nonzero rows g ^ m over columns `column[bitmask]`, by `_product`.
 
     `generators` come as `_masked` gives them; those above degree p add no
-    row. A term t of g times m is zero when t and m share a generator, and
-    otherwise has the sign of `_inversions(t, m)`.
+    row.
     """
-    cofactors: dict[int, list[tuple[int, Monomial]]] = {}
+    cofactors: dict[int, list[Terms]] = {}
     for q, terms in generators:
         if q > p:
             continue
         if q not in cofactors:
-            cofactors[q] = [(bitmask(m), m) for m in monomials(n, p - q)]
-        for mm, m in cofactors[q]:
-            row = {}
-            for t, c in terms:
-                if not t & mm:
-                    row[column[t | mm]] = -c if _inversions(t, m) & 1 else c
+            cofactors[q] = [[(bitmask(m), 1)] for m in monomials(n, p - q)]
+        for cofactor in cofactors[q]:
+            row = _product(terms, cofactor, column)
             if row:
                 yield row
 
 
-def _columns(n: int, p: int) -> tuple[tuple[Monomial, ...], dict[int, int]]:
-    """The degree-p monomials in lexicographic order, and each one's index by bitmask."""
-    cols = monomials(n, p)
-    return cols, {bitmask(m): j for j, m in enumerate(cols)}
+def _columns(n: int, p: int) -> dict[int, int]:
+    """The index of each degree-p monomial, by bitmask, in lexicographic order."""
+    return {bitmask(m): j for j, m in enumerate(monomials(n, p))}
 
 
 def ideal_slices(generators: Sequence[ExtElement], n: int) -> Iterator[list[SparseRow]]:
@@ -191,42 +152,43 @@ def ideal_slices(generators: Sequence[ExtElement], n: int) -> Iterator[list[Spar
     yield is full. Raises ValueError for a generator that is not homogeneous.
     """
     generators = _masked(generators)
-    below: list[tuple[int, list[tuple[int, int]]]] = []
+    below: list[tuple[int, Terms]] = []
     for p in range(n + 1):
-        cols, column = _columns(n, p)
+        column = _columns(n, p)
         rows = _slice_rows(below + [g for g in generators if g[0] == p], p, n, column)
-        echelon = sparse_echelon(rows, columns=len(cols))
+        echelon = sparse_echelon(rows, columns=len(column))
         yield echelon
-        if len(echelon) == len(cols):
+        if len(echelon) == len(column):
             return
         masks = list(column)
         below = [(p, [(masks[j], c) for j, c in row.items()]) for row in echelon]
 
 
-def ideal_ranks(generators: Sequence[ExtElement], n: int) -> tuple[int, ...]:
-    """Ranks of the degree 0..n slices of the ideal the generators span (`ideal_slices`)."""
-    ranks = tuple(len(echelon) for echelon in ideal_slices(generators, n))
+def _slice_ranks(slices: Iterable[list[SparseRow]], n: int) -> tuple[int, ...]:
+    """Ranks of the degree 0..n slices from those a pass over n generators yields."""
+    ranks = tuple(len(echelon) for echelon in slices)
     return ranks + tuple(comb(n, p) for p in range(len(ranks), n + 1))
 
 
-def gram_of_basis(basis: Sequence[ExtElement], n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Coefficient vectors over the degree-4 monomials of each product b_i ^ b_j.
+def ideal_ranks(generators: Sequence[ExtElement], n: int) -> tuple[int, ...]:
+    """Ranks of the degree 0..n slices of the ideal the generators span (`ideal_slices`)."""
+    return _slice_ranks(ideal_slices(generators, n), n)
 
-    The products are taken on bitmasks, each term's sign the parity of its
-    `_inversions`; terms of other degrees are dropped.
+
+def gram_of_basis(basis: Sequence[ExtElement], n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Coefficient vectors over the degree-4 monomials of each product b_i ^ b_j, by `_product`.
+
+    Terms of other degrees are dropped.
     """
-    cols, column = _columns(n, 4)
-    masked = [[(bitmask(t), t, c) for t, c in b.terms] for b in basis]
+    column = _columns(n, 4)
+    masked = [[(bitmask(t), c) for t, c in b.terms] for b in basis]
     gram = []
     for left in masked:
         row = []
         for right in masked:
-            v = [0] * len(cols)
-            for t, _, c in left:
-                for u, um, d in right:
-                    k = None if t & u else column.get(t | u)
-                    if k is not None:
-                        v[k] += -c * d if _inversions(t, um) & 1 else c * d
+            v = [0] * len(column)
+            for k, x in _product(left, right, column).items():
+                v[k] = x
             row.append(tuple(v))
         gram.append(tuple(row))
     return tuple(gram)

@@ -18,11 +18,11 @@ matroid modules when called, so the linking signs load none of them.
 """
 
 import itertools
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ._value import Value
 from .arrangement import Arrangement
-from .linalg import det_sign, sparse_echelon
+from .linalg import SparseRow, det_sign, sparse_echelon
 
 VERDICT_DISTINGUISHED = "DISTINGUISHED"
 VERDICT_UNRESOLVED = "OTHERWISE_UNRESOLVED"
@@ -59,27 +59,30 @@ class KappaForm(Value):
 
 def kappa(arr: Arrangement) -> KappaForm:
     """Kappa form of an arrangement, over the echelon basis of the degree-2 slice."""
+    from .exterior import ideal_slices
     from .presentation import full_presentation
 
-    return _kappa_of(full_presentation(arr))
+    pres = full_presentation(arr)
+    return _kappa_of(pres.n, ideal_slices(pres.elements(), pres.n))
 
 
-def _kappa_of(pres: "Presentation") -> KappaForm:
-    """Kappa form over the reduced echelon basis of the pass's degree-2 slice.
+def _kappa_of(n: int, slices: Iterable[list[SparseRow]]) -> KappaForm:
+    """Kappa form over the reduced echelon basis of a pass's degree-2 slice.
 
-    Only degrees 0..2 are built. When the pass ends below degree 2, on a
-    full slice, every degree-2 monomial is a basis element.
+    Only degrees 0..2 of `slices` are read, so a lazy pass builds no more.
+    When the pass ends below degree 2, on a full slice, every degree-2
+    monomial is a basis element.
     """
-    from .exterior import ExtElement, gram_of_basis, ideal_slices, monomials
+    from .exterior import ExtElement, gram_of_basis, monomials
 
-    cols = monomials(pres.n, 2)
-    slices = list(itertools.islice(ideal_slices(pres.elements(), pres.n), 3))
+    cols = monomials(n, 2)
+    slices = list(itertools.islice(slices, 3))
     rows = slices[2] if len(slices) == 3 else [{j: 1} for j in range(len(cols))]
     basis = tuple(
         ExtElement(tuple((cols[j], row[j]) for j in sorted(row)))
         for row in sparse_echelon(rows, reduced=True)
     )
-    return KappaForm(pres.n, basis, gram_of_basis(basis, pres.n))
+    return KappaForm(n, basis, gram_of_basis(basis, n))
 
 
 def kappa_rank(form: KappaForm) -> int:
@@ -146,16 +149,22 @@ def compare(
     from it alone. Arrangements of different sizes raise
     `matroid.SizeMismatch`, from `same_labeled_matroid`.
     """
+    from .exterior import _slice_ranks, ideal_slices
     from .matroid import betti_vector, same_labeled_matroid
-    from .presentation import full_presentation, ideal_rank_profile
+    from .presentation import full_presentation
 
     matroids_equal = same_labeled_matroid(a1, a2, up_to_relabeling=permutation_search)
-    presentations = (full_presentation(a1), full_presentation(a2))
+    profiles, kappa_ranks = [], []
+    for pres in map(full_presentation, (a1, a2)):
+        slices = ideal_slices(pres.elements(), pres.n)  # one pass: kappa reads degrees 0..2
+        low = list(itertools.islice(slices, 3))
+        kappa_ranks.append(kappa_rank(_kappa_of(pres.n, low)))
+        profiles.append(_slice_ranks(itertools.chain(low, slices), pres.n)[1:])
     # the report's rows in order, each a pair or None; `differing` is read off them
     rows = {
         "betti": (betti_vector(a1), betti_vector(a2)),
-        "ideal-ranks": tuple(ideal_rank_profile(p) for p in presentations),
-        "kappa-rank": tuple(kappa_rank(_kappa_of(p)) for p in presentations),
+        "ideal-ranks": tuple(profiles),
+        "kappa-rank": tuple(kappa_ranks),
         "triple-multiset": None,
     }
     if a1.dim == 4 and a2.dim == 4 and a1.n >= 3 and a2.n >= 3:

@@ -18,7 +18,7 @@ normalisation (`_primitive`):
   arrangement's closed sets, which answer every rank question about it.
 - `det_sign` runs Bareiss elimination on dense integer rows.
 
-`Fraction` appears only at the edges: `vec`, `dot` and `integer_row`.
+`Fraction` appears only at the edges: `dot` and `integer_row`.
 """
 
 import math
@@ -31,11 +31,6 @@ SparseRow = dict[int, int]
 
 class NotSquare(ValueError):
     """Determinant requested for a non-square matrix."""
-
-
-def vec(entries: Iterable) -> Vector:
-    """Coerce ints / strings / Fractions to a rational vector."""
-    return tuple(Fraction(x) for x in entries)
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:

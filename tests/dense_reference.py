@@ -6,6 +6,12 @@ kernels against a computation that shares no code with them.
 """
 
 from fractions import Fraction
+from typing import Iterable
+
+
+def vec(entries: Iterable) -> tuple[Fraction, ...]:
+    """Coerce ints / strings / Fractions to a rational vector."""
+    return tuple(Fraction(x) for x in entries)
 
 
 def rref(rows) -> tuple[list[list[Fraction]], tuple[int, ...]]:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb
 
 from twoarr.arrangement import restrict
-from twoarr.exterior import ExtElement, ideal_ranks, monomials
+from twoarr.exterior import ideal_ranks, monomials
 from twoarr.invariants import (
     VERDICT_DISTINGUISHED,
     compare,
@@ -34,6 +34,7 @@ from twoarr.presentation import (
     ideal_rank_profile,
 )
 from dense_reference import rank as dense_rank
+from exterior_reference import coeff_vector, from_terms
 from test_presentation import (
     flip_generators,
     random_gl2,
@@ -44,7 +45,7 @@ from test_presentation import (
 
 
 def elem(*terms):
-    return ExtElement.from_terms({mon: c for mon, c in terms})
+    return from_terms({mon: c for mon, c in terms})
 
 
 def report(criterion, text):
@@ -52,7 +53,7 @@ def report(criterion, text):
 
 
 def degree2_rank(elements, n):
-    rows = [e.coeff_vector(monomials(n, 2)) for e in elements]
+    rows = [coeff_vector(e, monomials(n, 2)) for e in elements]
     return dense_rank(rows)
 
 

@@ -3,6 +3,7 @@ import contextlib
 import gc
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,9 @@ import pytest
 
 from twoarr import cli
 from twoarr.cli import UsageError, build_parser, main
-from twoarr.arrangement import parse_arrangement
+from twoarr.arrangement import parse_arrangement, serialize_arrangement
 from twoarr.fixtures import fixture_text, load_fixture
+from conftest import generic_lines
 
 
 @pytest.fixture
@@ -198,6 +200,37 @@ ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "P
 def run_under_ascii_locale(*argv):
     env = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), **ASCII_LOCALE}
     return subprocess.run([sys.executable, "-m", "twoarr.cli", *argv], env=env, capture_output=True, timeout=60)
+
+
+def run_into_closed_pipe(*argv):
+    """(exit code, stderr) of a CLI process whose stdout is a pipe with no reader left."""
+    read, write = os.pipe()
+    os.close(read)
+    env = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "twoarr.cli", *argv], stdout=write, stderr=subprocess.PIPE, env=env, timeout=60
+        )
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "example22-B"],  # fits the buffer: the flush at shutdown hits the pipe
+        ["compare", "example22-B", "example22-Bprime"],  # the same, where exit 10 was due
+        ["circuits", "lines20"],  # 1140 circuits overflow the buffer: a print inside main hits it
+    ],
+    ids=["validate", "compare", "circuits-lines20"],
+)
+def test_closed_stdout_exits_1_with_nothing_on_stderr(argv, fx, tmp_path):
+    lines20 = tmp_path / "lines20.arr"
+    lines20.write_text(serialize_arrangement(generic_lines(20, 3)))
+    files = {"lines20": str(lines20)}
+    argv = [argv[0]] + [files.get(a) or fx(a) for a in argv[1:]]
+    assert run_into_closed_pipe(*argv) == (1, b"")
 
 
 def hat_file(tmp_path, name):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from twoarr.arrangement import Arrangement, restrict
-from twoarr.exterior import ExtElement, gram_of_basis, monomials
+from twoarr.exterior import gram_of_basis, ideal_slices, monomials
 from twoarr.invariants import (
     DimensionNot4,
     _kappa_of,
@@ -23,10 +23,11 @@ from twoarr.invariants import (
 import twoarr
 from twoarr import cli, exterior, invariants, presentation
 from twoarr.linalg import integer_rank
-from twoarr.presentation import CircuitRelation, Presentation, full_presentation, ideal_rank_profile
+from twoarr.presentation import full_presentation, ideal_rank_profile
 from twoarr.matroid import SizeMismatch
 from test_presentation import complex_line_arrangement, recombined
 from conftest import braid_a4, generic_lines
+from exterior_reference import add, coeff_vector, monomial, scale, wedge, zero
 
 
 def kappa_entry_oracle(u, v, n):
@@ -87,9 +88,8 @@ def test_kappa_builds_no_slice_above_degree_two(monkeypatch, arr_bprime, arr_bha
 
 def test_kappa_basis_after_a_full_lower_slice():
     """A pass that ends below degree 2 leaves every degree-2 monomial in the basis."""
-    unit = CircuitRelation((1,), (1,), ExtElement.monomial(()))
-    form = _kappa_of(Presentation(4, (unit,), presentation.MODE_REAL))
-    assert form.basis == tuple(ExtElement.monomial(m) for m in monomials(4, 2))
+    form = _kappa_of(4, ideal_slices([monomial(())], 4))
+    assert form.basis == tuple(monomial(m) for m in monomials(4, 2))
 
 
 def test_kappa_gram_against_shuffle_oracle(arr_b, arr_bprime):
@@ -112,9 +112,9 @@ def test_kappa_rank_invariant_under_basis_change(arr_bprime):
                 break
         new_basis = []
         for row in t:
-            acc = ExtElement.zero()
+            acc = zero()
             for coeff, b in zip(row, form.basis):
-                acc = acc + b.scale(coeff)
+                acc = add(acc, scale(b, coeff))
             new_basis.append(acc)
         gram = gram_of_basis(new_basis, arr_bprime.n)
         rows = [tuple(itertools.chain.from_iterable(r)) for r in gram]
@@ -260,7 +260,7 @@ def test_kappa_gram_matches_wedge_products(arr_b, arr_bprime):
         form = kappa(arr)
         mons4 = monomials(arr.n, 4)
         assert form.gram == tuple(
-            tuple(bi.wedge(bj).coeff_vector(mons4) for bj in form.basis) for bi in form.basis
+            tuple(coeff_vector(wedge(bi, bj), mons4) for bj in form.basis) for bi in form.basis
         )
 
 
@@ -295,6 +295,19 @@ def test_compare_bprime_with_restriction(arr_bprime, arr_bhat):
     assert report.triple_multisets[0] == report.triple_multisets[1] == (-1, -1, 1, 1)
 
 
+def test_compare_runs_one_graded_pass_per_arrangement(monkeypatch):
+    """Both the ideal ranks row and the kappa ranks row read it."""
+    passes = []
+    real = exterior.ideal_slices
+    monkeypatch.setattr(exterior, "ideal_slices", lambda gens, n: passes.append(n) or real(gens, n))
+    pair = (generic_lines(7, seed=3), generic_lines(7, seed=3, conjugate_last=True))
+    report = compare(*pair)
+    assert passes == [7, 7]
+    assert report.ideal_ranks == tuple(ideal_rank_profile(full_presentation(a)) for a in pair)
+    assert report.kappa_ranks == tuple(kappa_rank(kappa(a)) for a in pair)
+    assert report.verdict == VERDICT_DISTINGUISHED
+
+
 def test_compare_size_mismatch(arr_b, arr_bhat):
     with pytest.raises(SizeMismatch, match=f"^{arr_b.n} vs {arr_bhat.n} subspaces$"):
         compare(arr_b, arr_bhat)
@@ -314,9 +327,8 @@ def test_slices_and_presentations_never_eliminate_over_fraction(
     monkeypatch, arr_b, arr_bprime, arr_bhat, arr_bhat_complex
 ):
     def forbidden(*args, **kwargs):
-        raise AssertionError("Fraction elimination, Fraction signs or ExtElement.wedge on a hot path")
+        raise AssertionError("Fraction elimination or Fraction signs on a hot path")
 
-    monkeypatch.setattr(ExtElement, "wedge", forbidden)
     monkeypatch.setattr(presentation, "Fraction", forbidden)
 
     # no module of the package binds a dense Fraction eliminator

@@ -6,9 +6,9 @@ import pytest
 
 from dense_reference import kernel_basis as dense_kernel_basis
 from dense_reference import rank as dense_rank
-from dense_reference import rref
+from dense_reference import rref, vec
 from twoarr.arrangement import _kernel_basis
-from twoarr.linalg import NotSquare, det_sign, dot, integer_rank, integer_row, sparse_echelon, vec
+from twoarr.linalg import NotSquare, det_sign, dot, integer_rank, integer_row, sparse_echelon
 
 # forms of the bundled transversal arrangements, written out literally
 B_FORMS = [

@@ -6,7 +6,7 @@ import pytest
 
 from twoarr import presentation
 from twoarr.arrangement import Arrangement, LinearForm, SubspacePair
-from twoarr.exterior import ExtElement, ideal_ranks, monomials
+from twoarr.exterior import ideal_ranks, ideal_slices, monomials
 from twoarr.invariants import _kappa_of
 from twoarr.matroid import circuits, nbc_sets
 from twoarr.presentation import (
@@ -24,11 +24,12 @@ from twoarr.presentation import (
 )
 from conftest import braid_a4, generic_hyperplanes, generic_lines, pair
 from dense_reference import rref
+from exterior_reference import coeff_vector, from_terms
 from test_exterior import direct_ranks, reference_span
 
 
 def elem(*terms):
-    return ExtElement.from_terms({mon: c for mon, c in terms})
+    return from_terms({mon: c for mon, c in terms})
 
 
 def F(x):
@@ -245,7 +246,7 @@ def test_grown_profile_matches_direct_slices(arr, mode):
 def test_kappa_basis_is_the_reference_reduced_slice(arr, mode):
     pres = full_presentation(arr, mode)
     rank, basis = reference_span(pres.elements(), 2, arr.n)
-    assert _kappa_of(pres).basis == tuple(basis)
+    assert _kappa_of(arr.n, ideal_slices(pres.elements(), arr.n)).basis == tuple(basis)
     assert len(basis) == rank
 
 
@@ -297,14 +298,14 @@ def random_gl2(rng):
 
 
 def flip_generators(element, signs):
-    return ExtElement.from_terms(
+    return from_terms(
         {mon: coeff * prod(signs[a] for a in mon) for mon, coeff in element.terms}
     )
 
 
 def span_signature(elements, n, degree=2):
     cols = monomials(n, degree)
-    rows = [e.coeff_vector(cols) for e in elements if not e.is_zero]
+    rows = [coeff_vector(e, cols) for e in elements if not e.is_zero]
     if not rows:
         return ()
     reduced, pivots = rref(rows)

@@ -5,12 +5,14 @@ import hashlib
 import pickle
 import re
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import twoarr
+from twoarr import exterior, linalg
 from twoarr._value import Value
 from twoarr.arrangement import (
     Arrangement,
@@ -108,6 +110,22 @@ def test_reprs_match_the_dataclass_reprs(arr_b, arr_bprime, arr_bhat, arr_bhat_c
     ]
     text = "\n".join(repr(o) for o in objs)
     assert hashlib.sha256(text.encode()).hexdigest() == REPRS_SHA256
+
+
+def test_exterior_arithmetic_is_one_product_on_bitmasks():
+    """`_product` alone multiplies terms, on (bitmask, coefficient) pairs; the
+    tuple arithmetic lives in tests/exterior_reference.py."""
+    assert exterior._inversions(0b0110, 0b1001) == 2  # e23 ^ e14: 2 > 1 and 3 > 1
+    functions = [f for f in vars(exterior).values() if isinstance(f, types.FunctionType)]
+    assert [f.__name__ for f in functions if "_inversions" in f.__code__.co_names] == ["_product"]
+    callers = {f.__name__ for f in functions if "_product" in f.__code__.co_names}
+    assert callers == {"_slice_rows", "gram_of_basis"}
+    assert not hasattr(exterior, "normalize") and not hasattr(linalg, "vec")
+    for name in ("from_terms", "monomial", "zero", "coeff_vector", "scale", "__add__", "wedge"):
+        assert not hasattr(exterior.ExtElement, name), name
+    x = exterior.ExtElement((((1, 2), 1), ((3, 4), -2)))
+    assert (-x).terms == (((1, 2), -1), ((3, 4), 2))
+    assert (x.degree, str(x), x.is_zero) == (2, "+e12 -2e34", False)
 
 
 class Point(Value):
