@@ -143,8 +143,9 @@ def test_ideal_ranks_and_nbc_counts_fill_every_degree(rank, conjugate_last, n, s
 def connected_graphs(draw):
     """(d, edges) of a connected graph on the vertices 0..d, d <= 6: a spanning tree plus extra edges.
 
-    Vertex v > 0 of the tree joins an earlier vertex, before the vertices are
-    relabelled; at most MAX_EXTRA_EDGES edges join it, in a drawn order.
+    In the tree each vertex v > 0 joins a drawn earlier vertex, and then the
+    vertices are relabelled; up to MAX_EXTRA_EDGES other edges are added, and
+    all the edges come in a drawn order.
     """
     d = draw(st.integers(1, 6))
     label = draw(st.permutations(range(d + 1)))
@@ -180,8 +181,8 @@ def test_graphic_arrangements_match_the_chromatic_polynomial(graph):
     betti = betti_vector(arr)
     assert betti == tuple(abs(c) for c in reversed(chi[1:]))
     betti += (0,) * (arr.n + 1 - len(betti))
-    pres = full_presentation(arr)
-    assert [r + b for r, b in zip(ideal_ranks(pres.elements(), arr.n), betti)] == [comb(arr.n, p) for p in range(arr.n + 1)]
+    ranks = ideal_ranks(full_presentation(arr).elements(), arr.n)
+    assert [r + b for r, b in zip(ranks, betti)] == [comb(arr.n, p) for p in range(arr.n + 1)]
     swapped = conjugated(arr)
     assert not swapped.is_holomorphic_input
     assert compare(arr, swapped).differing == ()
