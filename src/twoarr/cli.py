@@ -7,11 +7,11 @@ with --format json. Exit codes: 0 success (or no difference found),
 invariant was found by compare.
 """
 
-import argparse
 import gc
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 # Every verb and main's error handling need the arrangement module; each
 # cmd_* imports the rest of what it runs, so a verb loads only its own code.
@@ -33,11 +33,6 @@ _Result = tuple[int, list[str], dict | None]
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would sys.exit(2); we reserve 2
-        raise UsageError(message)
 
 
 def _fmt_set(elements) -> str:
@@ -258,8 +253,9 @@ def cmd_compare(args) -> _Result:
     return (10 if report.differing else 0), lines, doc
 
 
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
 _FILE = ("file", {})
-# verb -> (handler, help, its arguments after --format, in the order argparse lists them)
+# verb -> (handler, help, its arguments after _FORMAT, in the order argparse lists them)
 VERBS = {
     "validate": (cmd_validate, "check admissibility invariants", [_FILE]),
     "lattice": (cmd_lattice, "intersection lattice flats", [_FILE]),
@@ -278,19 +274,24 @@ VERBS = {
 }
 
 
-def build_parser(verb: str | None = None) -> _Parser:
+def build_parser(verb: str | None = None):
     """The CLI parser with every verb, or with only `verb`'s subparser when it names one.
 
     A verb's subparser is the same either way, and so is everything the
     top-level parser prints when its first argument names no verb.
     """
+    import argparse  # with gettext and, at its first message, locale: paid only off the plain path
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse would sys.exit(2); we reserve 2
+            raise UsageError(message)
+
     parser = _Parser(prog="twoarr", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
     for name, (func, help_, arguments) in VERBS.items():
         if verb not in VERBS or verb == name:
             p = sub.add_parser(name, help=help_)
-            p.add_argument("--format", choices=("text", "json"), default="text")
-            for arg, kwargs in arguments:
+            for arg, kwargs in (_FORMAT, *arguments):
                 p.add_argument(arg, **kwargs)
             p.set_defaults(func=func)
     # The usage wrapped as argparse 3.10-3.12 wraps it at 80 columns; 3.13 keeps
@@ -301,11 +302,48 @@ def build_parser(verb: str | None = None) -> _Parser:
     return parser
 
 
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser` parses from a plainly spelled argv, or None.
+
+    Plainly spelled: a verb, then its positionals and its long options in full,
+    each option at most once and followed by its value, if it takes one, which
+    starts with no "-" and is one of its choices; required options present.
+    Everything else, help and every usage error included, is argparse's to read.
+    """
+    if not argv or argv[0] not in VERBS:
+        return None
+    func, _, arguments = VERBS[argv[0]]
+    specs = dict((_FORMAT, *arguments))  # an option's name starts with "-", a positional's not
+    given: dict[str, str | bool] = {}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+        elif token not in specs or token in given:
+            return None
+        elif "action" in specs[token]:  # store_true, the only action in VERBS
+            given[token] = True
+        else:
+            given[token] = value = next(tokens, "-")
+            if value.startswith("-") or value not in specs[token].get("choices", (value,)):
+                return None
+    names = [arg for arg in specs if not arg.startswith("-")]
+    required = {arg for arg, kwargs in specs.items() if kwargs.get("required")}
+    if len(positionals) != len(names) or not required <= given.keys():
+        return None
+    options = {
+        arg[2:].replace("-", "_"): given.get(arg, False if "action" in kwargs else kwargs.get("default"))
+        for arg, kwargs in specs.items()
+        if arg.startswith("-")
+    }
+    return SimpleNamespace(verb=argv[0], **dict(zip(names, positionals)), **options, func=func)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = _plain_args(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
         code, lines, doc = args.func(args)
         _emit(args, lines, doc)
         return code

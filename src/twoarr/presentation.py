@@ -127,12 +127,6 @@ def _solve(arr: Arrangement, c: tuple[int, ...]) -> list[SparseRow]:
     return echelon
 
 
-def circuit_relation(arr: Arrangement, circuit: Iterable[int]) -> CircuitRelation:
-    """The signed relation a circuit imposes."""
-    c = _checked_circuit(arr, circuit)
-    return _relation(c, _signs(c, _solve(arr, c)))
-
-
 def _signs(c: tuple[int, ...], echelon: list[SparseRow]) -> tuple[int, ...]:
     """Each sigma_j, read from the integer echelon rows of `_solve`.
 

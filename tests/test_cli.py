@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoarr import cli
 from twoarr.cli import UsageError, build_parser, main
@@ -460,8 +462,81 @@ def test_one_verb_parser_parses_like_the_full_parser(argv, monkeypatch):
     assert parse_outcome(build_parser(argv[0] if argv else None), argv) == full
 
 
+# --- the plain path: argv spelled plainly is read without argparse, as argparse reads it
+
+# every argv shape the benchmark workloads run
+WORKLOAD_ARGVS = [
+    *([verb, "F"] for verb in ("validate", "lattice", "circuits", "betti", "present", "kappa", "linking")),
+    ["betti", "F", "--order", "5,4,3,2,1"],
+    ["present", "F", "--mode", "complex"],
+    ["restrict", "F", "--index", "H3"],
+    ["compare", "F", "G"],
+    *([verb, "F", "--format", "json"] for verb in ("validate", "lattice", "circuits", "betti", "present", "kappa", "linking")),
+    ["compare", "F", "G", "--format", "json"],
+]
+# each verb's positionals, and its options with values argparse accepts (None: a flag)
+POSITIONALS = {verb: ["F", "G"] if verb == "compare" else ["F"] for verb in VALID}
+OPTIONS = {
+    "betti": {"--order": ["2,1,3,4", "", "x"]},
+    "present": {"--mode": ["real", "complex"], "--normalize-signs": None},
+    "restrict": {"--index": ["H3", "2"]},
+    "compare": {"--permutation-search": None},
+}
+HOSTILE = ["-h", "--help", "--", "-", "-1", "--form", "--format=json", "", "xml", "quaternion", "--order", "--index"]
+TOKENS = sorted(
+    {"F", "G", "--format", "text", "json", *HOSTILE}
+    | {token for opts in OPTIONS.values() for option, values in opts.items() for token in [option, *(values or [])]}
+)
+
+
+@st.composite
+def drawn_argvs(draw) -> tuple[list[str], bool]:
+    """(argv, edited): a verb and any tokens (edited), or its plain argv, shuffled, perhaps edited."""
+    verb = draw(st.sampled_from(list(VALID)))
+    if draw(st.booleans()):
+        return [verb, *draw(st.lists(st.sampled_from(TOKENS), max_size=6))], True
+    options = {"--format": ["text", "json"], **OPTIONS.get(verb, {})}
+    groups = [[p] for p in POSITIONALS[verb]]
+    for option, values in options.items():
+        if option == "--index" or draw(st.booleans()):  # restrict's --index is required
+            groups.append([option] if values is None else [option, draw(st.sampled_from(values))])
+    tokens = [t for group in draw(st.permutations(groups)) for t in group]
+    kinds = st.sampled_from(["replace", "delete", "insert"])
+    edits = draw(st.lists(st.tuples(kinds, st.integers(0, len(tokens)), st.sampled_from(TOKENS)), max_size=2))
+    for kind, at, token in edits:
+        if kind == "insert":
+            tokens.insert(at, token)
+        elif tokens:
+            tokens[at % len(tokens) : at % len(tokens) + 1] = [token] if kind == "replace" else []
+    return [verb, *tokens], bool(edits)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(drawn_argvs())
+def test_plain_args_read_argv_as_argparse_does(drawn):
+    argv, edited = drawn
+    plain = cli._plain_args(argv)
+    if plain is None:
+        assert edited, argv
+    else:
+        assert vars(plain) == vars(build_parser(argv[0]).parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", WORKLOAD_ARGVS, ids=" ".join)
+def test_workload_argv_takes_the_plain_path(argv):
+    plain = cli._plain_args(argv)
+    assert plain is not None
+    assert vars(plain) == vars(build_parser(argv[0]).parse_args(argv))
+
+
 @pytest.mark.parametrize(
-    "argv, built", [(["validate", "FILE"], ["validate"]), (["--help"], list(cli.VERBS)), (["frobnicate"], list(cli.VERBS))]
+    "argv, built",
+    [
+        (["validate", "FILE"], []),  # read without argparse
+        (["--help"], list(cli.VERBS)),
+        (["frobnicate"], list(cli.VERBS)),
+        (["validate", "FILE", "--form", "json"], ["validate"]),
+    ],
 )
 def test_a_verb_run_builds_only_its_own_subparser(fx, capsys, monkeypatch, argv, built):
     names = []

@@ -1,4 +1,5 @@
-"""Import footprint of the CLI: each verb loads only the modules it runs.
+"""Import footprint of the CLI: each verb loads only the modules it runs, and
+argparse only when the argv is not plainly spelled.
 
 Each case runs the CLI in a fresh interpreter with the benchmark's child
 environment (no bytecode cache written, so every module is compiled) and
@@ -27,6 +28,8 @@ RUN_CLI = (
 )
 HEAVY = {"twoarr.matroid", "twoarr.exterior", "twoarr.presentation", "twoarr.invariants"}
 NEVER = {"__future__", "dataclasses", "inspect"}
+# argparse and what it loads; a plainly spelled argv is read without them
+PARSER = {"argparse", "gettext", "locale"}
 
 B = str(FIXTURES / "example22-B.arr")
 BPRIME = str(FIXTURES / "example22-Bprime.arr")
@@ -64,16 +67,26 @@ def test_verb_loads_only_its_modules(verb, baseline):
     assert proc.returncode == exit_code, proc.stderr
     loaded = set(proc.stderr.split()) - baseline
     assert "twoarr.cli" in loaded
-    assert not loaded & NEVER
+    assert not loaded & (NEVER | PARSER)
     assert not loaded & absent
 
 
-def test_importtime_of_validate_lists_no_heavy_module():
-    proc = child("-X", "importtime", "-m", "twoarr.cli", "validate", B)
+def importtime_names(*argv: str) -> set[str]:
+    """The modules `python -X importtime -m twoarr.cli *argv` imports, after exit 0."""
+    proc = child("-X", "importtime", "-m", "twoarr.cli", *argv)
     assert proc.returncode == 0, proc.stderr
-    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
+def test_importtime_of_validate_lists_no_heavy_module():
+    names = importtime_names("validate", B)
     assert "twoarr.arrangement" in names
-    assert not names & (NEVER | HEAVY)
+    assert not names & (NEVER | HEAVY | PARSER)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["validate", B, "--form", "json"]], ids=["help", "abbreviation"])
+def test_help_and_abbreviations_still_import_argparse(argv):
+    assert "argparse" in importtime_names(*argv)
 
 
 def test_bare_package_import_loads_no_submodule():

@@ -16,7 +16,6 @@ from twoarr.presentation import (
     ModeMismatch,
     NotACircuit,
     circuit_dependencies,
-    circuit_relation,
     full_presentation,
     ideal_rank_profile,
     normalize_signs,
@@ -34,6 +33,12 @@ def elem(*terms):
 
 def F(x):
     return Fraction(x)
+
+
+def circuit_relation(arr, circuit):
+    """The signed relation a circuit imposes, its signs solved as for input that is not z-linear."""
+    c = presentation._checked_circuit(arr, circuit)
+    return presentation._relation(c, presentation._signs(c, presentation._solve(arr, c)))
 
 
 # --- dependency solving ------------------------------------------------------
