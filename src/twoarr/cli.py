@@ -161,6 +161,8 @@ def cmd_present(args) -> _Result:
 
 
 def cmd_kappa(args) -> _Result:
+    from math import comb
+
     from .invariants import kappa, kappa_rank
 
     arr = _read_arrangement(args.file)
@@ -169,7 +171,7 @@ def cmd_kappa(args) -> _Result:
     lines = [f"basis size: {len(form.basis)}", f"rank: {krank}"]
     for b in form.basis:
         lines.append(f"basis element: {b}")
-    gram: object = form.gram
+    gram = None  # dense only where printed: the scalar matrix, or the vectors in JSON
     if form.is_scalar:
         gram = form.scalar_gram()
         lines.append("gram:")
@@ -180,6 +182,12 @@ def cmd_kappa(args) -> _Result:
             "gram entries are degree-4 coefficient vectors "
             "(vector-valued extension of the scalar n=4 pairing)"
         )
+        if args.format == "json":
+            width = comb(form.n, 4)  # row i holds b_i ^ b_j at columns j * width + k
+            gram = [
+                [[row.get(j * width + k, 0) for k in range(width)] for j in range(len(form.basis))]
+                for row in form._rows
+            ]
     doc = {
         "kappa": {
             "basis_size": len(form.basis),
@@ -274,12 +282,8 @@ VERBS = {
 }
 
 
-def build_parser(verb: str | None = None):
-    """The CLI parser with every verb, or with only `verb`'s subparser when it names one.
-
-    A verb's subparser is the same either way, and so is everything the
-    top-level parser prints when its first argument names no verb.
-    """
+def build_parser():
+    """The CLI parser with every verb."""
     import argparse  # with gettext and, at its first message, locale: paid only off the plain path
 
     class _Parser(argparse.ArgumentParser):
@@ -289,11 +293,10 @@ def build_parser(verb: str | None = None):
     parser = _Parser(prog="twoarr", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
     for name, (func, help_, arguments) in VERBS.items():
-        if verb not in VERBS or verb == name:
-            p = sub.add_parser(name, help=help_)
-            for arg, kwargs in (_FORMAT, *arguments):
-                p.add_argument(arg, **kwargs)
-            p.set_defaults(func=func)
+        p = sub.add_parser(name, help=help_)
+        for arg, kwargs in (_FORMAT, *arguments):
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(func=func)
     # The usage wrapped as argparse 3.10-3.12 wraps it at 80 columns; 3.13 keeps
     # "..." on the verbs' line. Set after add_subparsers, which derives each
     # verb's prog from the usage.
@@ -343,7 +346,7 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _plain_args(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
+        args = _plain_args(argv) or build_parser().parse_args(argv)
         code, lines, doc = args.func(args)
         _emit(args, lines, doc)
         return code

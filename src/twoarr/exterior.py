@@ -8,8 +8,9 @@ graded spans are taken over the rationals by sparse integer elimination
 (`linalg.sparse_echelon`) on its rows. One pass, `ideal_slices`, builds
 every graded slice of an ideal, each grown from the forward echelon basis
 of the slice below: `ideal_ranks` reads its lengths, and kappa reduces its
-degree-2 slice to the unique reduced echelon basis. `gram_of_basis`
-spreads the product's rows into kappa's dense Gram vectors.
+degree-2 slice to the unique reduced echelon basis. `gram_rows` lays the
+products of that basis side by side in one sparse row per element, which
+kappa's rank reads as they are.
 """
 
 import itertools
@@ -175,20 +176,16 @@ def ideal_ranks(generators: Sequence[ExtElement], n: int) -> tuple[int, ...]:
     return _slice_ranks(ideal_slices(generators, n), n)
 
 
-def gram_of_basis(basis: Sequence[ExtElement], n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Coefficient vectors over the degree-4 monomials of each product b_i ^ b_j, by `_product`.
+def gram_rows(basis: Sequence[ExtElement], n: int) -> list[SparseRow]:
+    """Row i holds each product b_i ^ b_j, by `_product`, at columns j * C(n, 4) + k.
 
-    Terms of other degrees are dropped.
+    k indexes the degree-4 monomials in lexicographic order; terms of other
+    degrees are dropped.
     """
     column = _columns(n, 4)
     masked = [[(bitmask(t), c) for t, c in b.terms] for b in basis]
-    gram = []
-    for left in masked:
-        row = []
-        for right in masked:
-            v = [0] * len(column)
-            for k, x in _product(left, right, column).items():
-                v[k] = x
-            row.append(tuple(v))
-        gram.append(tuple(row))
-    return tuple(gram)
+    rows: list[SparseRow] = [{} for _ in masked]
+    for row, left in zip(rows, masked):
+        for j, right in enumerate(masked):
+            row.update((j * len(column) + k, x) for k, x in _product(left, right, column).items())
+    return rows

@@ -5,19 +5,20 @@ degree 4; its rank is invariant under graded algebra isomorphism. For
 arrangements in R^4 the degree-4 slice is one-dimensional, so kappa is an
 honest symmetric bilinear form. Its basis is the reduced degree-2 slice
 of the one graded pass that also gives the ideal's rank profile
-(`exterior.ideal_slices`), its Gram data comes from
-`exterior.gram_of_basis`, which multiplies on bitmasks, and its rank from
-`sparse_echelon` on the Gram rows without their zeros. Pairwise linking
-signs of the great circles cut out on the unit 3-sphere are determinant
-signs of the stacked integer forms, by Bareiss elimination (`det_sign`);
-triple products of those signs do not depend on the member orientations at
-all, and are read off one pairwise table.
+(`exterior.ideal_slices`). Its rank is that of `sparse_echelon` on the
+products of the basis, one sparse row per element (`exterior.gram_rows`,
+which multiplies on bitmasks); no dense Gram vector is built for it.
+Pairwise linking signs of the great circles cut out on the unit 3-sphere
+are determinant signs of the stacked integer forms, by Bareiss elimination
+(`det_sign`); triple products of those signs do not depend on the member
+orientations at all, and are read off one pairwise table.
 
 `kappa` and `compare` import the presentation, exterior-algebra and
 matroid modules when called, so the linking signs load none of them.
 """
 
 import itertools
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from ._value import Value
@@ -32,20 +33,22 @@ class DimensionNot4(ValueError):
     """Linking data is defined only for arrangements in R^4."""
 
 
-GramVector = tuple[int, ...]
-
-
 class KappaForm(Value):
-    """Gram data of the multiplication pairing on the degree-2 relation slice.
+    """The multiplication pairing on the degree-2 relation slice, over its basis.
 
-    gram[i][j] is the coefficient vector of basis_i ^ basis_j over the
-    degree-4 monomials. When n = 4 that slice is one-dimensional and
-    `scalar_gram` exposes the integer matrix.
+    Its Gram data, the products basis_i ^ basis_j in degree 4, is computed
+    when first read, as `exterior.gram_rows`. When n = 4 that degree is
+    one-dimensional and `scalar_gram` exposes the integer matrix.
     """
 
     n: int
     basis: tuple["ExtElement", ...]
-    gram: tuple[tuple[GramVector, ...], ...]
+
+    @cached_property
+    def _rows(self) -> list[SparseRow]:
+        from .exterior import gram_rows
+
+        return gram_rows(self.basis, self.n)
 
     @property
     def is_scalar(self) -> bool:
@@ -54,7 +57,7 @@ class KappaForm(Value):
     def scalar_gram(self) -> tuple[tuple[int, ...], ...]:
         if not self.is_scalar:
             raise ValueError("scalar view exists only for n = 4")
-        return tuple(tuple(v[0] for v in row) for row in self.gram)
+        return tuple(tuple(row.get(j, 0) for j in range(len(self.basis))) for row in self._rows)
 
 
 def kappa(arr: Arrangement) -> KappaForm:
@@ -73,7 +76,7 @@ def _kappa_of(n: int, slices: Iterable[list[SparseRow]]) -> KappaForm:
     When the pass ends below degree 2, on a full slice, every degree-2
     monomial is a basis element.
     """
-    from .exterior import ExtElement, gram_of_basis, monomials
+    from .exterior import ExtElement, monomials
 
     cols = monomials(n, 2)
     slices = list(itertools.islice(slices, 3))
@@ -82,16 +85,12 @@ def _kappa_of(n: int, slices: Iterable[list[SparseRow]]) -> KappaForm:
         ExtElement(tuple((cols[j], row[j]) for j in sorted(row)))
         for row in sparse_echelon(rows, reduced=True)
     )
-    return KappaForm(n, basis, gram_of_basis(basis, n))
+    return KappaForm(n, basis)
 
 
 def kappa_rank(form: KappaForm) -> int:
     """Rank over the rationals of the flattened Gram data, as sparse rows."""
-    rows = (
-        {c: x for c, x in enumerate(itertools.chain.from_iterable(row)) if x}
-        for row in form.gram
-    )
-    return len(sparse_echelon(rows))
+    return len(sparse_echelon(form._rows))
 
 
 def pairwise_linking(arr: Arrangement) -> tuple[tuple[int, ...], ...]:

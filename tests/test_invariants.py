@@ -4,13 +4,15 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from twoarr.arrangement import Arrangement, restrict
-from twoarr.exterior import gram_of_basis, ideal_slices, monomials
+from twoarr.exterior import ideal_slices, monomials
 from twoarr.invariants import (
     DimensionNot4,
+    KappaForm,
     _kappa_of,
     VERDICT_DISTINGUISHED,
     VERDICT_UNRESOLVED,
@@ -26,7 +28,8 @@ from twoarr.linalg import integer_rank
 from twoarr.presentation import full_presentation, ideal_rank_profile
 from twoarr.matroid import SizeMismatch
 from test_presentation import complex_line_arrangement, recombined
-from conftest import braid_a4, generic_lines
+from conftest import braid_a4, generic_lines, graphic
+from test_matroid import GRAPHS
 from exterior_reference import add, coeff_vector, monomial, scale, wedge, zero
 
 
@@ -49,10 +52,33 @@ def kappa_entry_oracle(u, v, n):
     return tuple(acc.get(m, 0) for m in monomials(n, 4))
 
 
+def wedge_gram(basis, n):
+    """Coefficient vectors of each product x ^ y over the degree-4 monomials, by
+    tests/exterior_reference.py: the dense Gram, from code that shares nothing with
+    the package's."""
+    mons4 = monomials(n, 4)
+    return tuple(tuple(coeff_vector(wedge(x, y), mons4) for y in basis) for x in basis)
+
+
+def dense_gram(form):
+    """The form's Gram rows spread into one vector over the degree-4 monomials per (i, j)."""
+    width = comb(form.n, 4)
+    return tuple(
+        tuple(tuple(row.get(j * width + k, 0) for k in range(width)) for j in range(len(form.basis)))
+        for row in form._rows
+    )
+
+
+def flat_rank(gram):
+    """Rank over Q of a dense Gram, each row i flattened over j."""
+    return integer_rank(tuple(itertools.chain.from_iterable(row)) for row in gram)
+
+
 def test_kappa_vanishes_for_complexified(arr_b):
     form = kappa(arr_b)
     assert len(form.basis) == 3
-    assert all(all(x == 0 for x in vec) for row in form.gram for vec in row)
+    assert dense_gram(form) == wedge_gram(form.basis, arr_b.n)
+    assert all(all(x == 0 for x in vec) for row in dense_gram(form) for vec in row)
     assert kappa_rank(form) == 0
 
 
@@ -95,9 +121,10 @@ def test_kappa_basis_after_a_full_lower_slice():
 def test_kappa_gram_against_shuffle_oracle(arr_b, arr_bprime):
     for arr in (arr_b, arr_bprime):
         form = kappa(arr)
+        gram = dense_gram(form)
         for i, bi in enumerate(form.basis):
             for j, bj in enumerate(form.basis):
-                assert form.gram[i][j] == kappa_entry_oracle(bi, bj, arr.n)
+                assert gram[i][j] == kappa_entry_oracle(bi, bj, arr.n)
 
 
 def test_kappa_rank_invariant_under_basis_change(arr_bprime):
@@ -116,12 +143,15 @@ def test_kappa_rank_invariant_under_basis_change(arr_bprime):
             for coeff, b in zip(row, form.basis):
                 acc = add(acc, scale(b, coeff))
             new_basis.append(acc)
-        gram = gram_of_basis(new_basis, arr_bprime.n)
-        rows = [tuple(itertools.chain.from_iterable(r)) for r in gram]
-        assert integer_rank(rows) == base_rank
+        assert flat_rank(wedge_gram(new_basis, arr_bprime.n)) == base_rank
+        assert kappa_rank(KappaForm(arr_bprime.n, tuple(new_basis))) == base_rank
 
 
-KAPPA_RANK_CASES = {"braid-a4": braid_a4} | {
+KAPPA_RANK_CASES = {
+    "braid-a4": braid_a4,
+    "wheel-w5": lambda: graphic(*GRAPHS["wheel W_5"]),
+    "prism": lambda: graphic(*GRAPHS["triangular prism"]),
+} | {
     f"lines{n}-conj{int(conj)}": lambda n=n, conj=conj: generic_lines(n, seed=3, conjugate_last=conj)
     for n in (7, 8, 10, 12)
     for conj in (False, True)
@@ -130,15 +160,14 @@ KAPPA_RANK_CASES = {"braid-a4": braid_a4} | {
 
 @pytest.mark.parametrize("case", ["fixtures", *KAPPA_RANK_CASES])
 def test_sparse_kappa_rank_matches_the_dense_rank(case, arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
-    """kappa_rank on sparse Gram rows equals integer_rank on the dense flattened rows."""
+    """kappa_rank on the sparse Gram rows equals the rank of the dense Gram of wedge products."""
     if case == "fixtures":
         arrs = [arr_b, arr_bprime, arr_bhat, arr_bhat_complex]
     else:
         arrs = [KAPPA_RANK_CASES[case]()]
     for arr in arrs:
         form = kappa(arr)
-        dense = integer_rank(tuple(itertools.chain.from_iterable(row)) for row in form.gram)
-        assert kappa_rank(form) == dense
+        assert kappa_rank(form) == flat_rank(wedge_gram(form.basis, arr.n))
 
 
 def test_kappa_rank_invariant_under_relabeling(arr_b, arr_bprime):
@@ -258,10 +287,23 @@ def test_linking_verb_needs_three_subspaces(capsys, tmp_path, independent_pair):
 def test_kappa_gram_matches_wedge_products(arr_b, arr_bprime):
     for arr in (arr_b, arr_bprime, generic_lines(8, seed=3), generic_lines(8, seed=3, conjugate_last=True)):
         form = kappa(arr)
-        mons4 = monomials(arr.n, 4)
-        assert form.gram == tuple(
-            tuple(coeff_vector(wedge(bi, bj), mons4) for bj in form.basis) for bi in form.basis
-        )
+        assert dense_gram(form) == wedge_gram(form.basis, arr.n)
+
+
+@pytest.mark.parametrize("conjugate_last", [False, True], ids=["z-linear", "conj"])
+def test_kappa_json_gram_matches_wedge_products(conjugate_last, capsys, tmp_path):
+    """The vector Gram that `kappa --format json` prints, which no golden holds for n > 4."""
+    from twoarr.arrangement import serialize_arrangement
+
+    arr = generic_lines(8, 3, conjugate_last=conjugate_last)
+    path = tmp_path / "lines8.arr"
+    path.write_text(serialize_arrangement(arr))
+    assert cli.main(["kappa", str(path), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)["kappa"]
+    basis = kappa(arr).basis
+    assert doc["basis"] == [str(b) for b in basis] and not doc["scalar"]
+    assert doc["gram"] == json.loads(json.dumps(wedge_gram(basis, arr.n)))
+    assert any(x for row in doc["gram"] for vec in row for x in vec)
 
 
 def test_triple_is_product_of_pairwise(arr_bprime):

@@ -1,10 +1,12 @@
 """Hypothesis properties: invariance under form rechoice and relabelling, round trips,
 and the Björner–Ziegler identity.
 
-Each of the first three properties runs on every input: the four fixtures
-and small generated arrangements (n <= 7). A drawn case replaces each
-subspace's form pair by an invertible rational 2x2 recombination of it,
-which drops the complex block, and then reorders the subspaces. The
+Each of the first three properties runs on every input: the four fixtures,
+small generated arrangements (n <= 7), and two graphic arrangements (n = 8
+and 9) whose lattices are not those of uniform matroids. A drawn case
+replaces each subspace's form pair by an invertible rational 2x2
+recombination of it, which drops the complex block, and then reorders the
+subspaces. The
 Björner–Ziegler identity runs on drawn generic lines and planes. Two CLI
 properties close the file: `compare` marks DIFFER on exactly the rows its
 JSON `differing` names, on drawn pairs of generic lines; and `betti --order`
@@ -29,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import generic_hyperplanes, generic_lines, graphic
-from test_matroid import chromatic
+from test_matroid import GRAPHS, chromatic
 from test_presentation import recombined
 from twoarr import matroid
 from twoarr.arrangement import (
@@ -55,6 +57,9 @@ INPUTS = {
     "lines-6-conj": generic_lines(6, 5, conjugate_last=True),
     "planes-6": generic_hyperplanes(6, 3, 3),
     "planes-5-conj": generic_hyperplanes(5, 3, 7, conjugate_last=True),
+    # non-uniform lattices: the rest are uniform matroids or the small fixtures
+    "wheel-w5": graphic(*GRAPHS["wheel W_5"]),
+    "prism": graphic(*GRAPHS["triangular prism"]),
 }
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=3)
 
