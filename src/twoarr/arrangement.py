@@ -168,9 +168,13 @@ class Arrangement(Value):
         )
 
     @cached_property
-    def _closed_sets(self) -> dict[int, int]:
-        """codim of every closed set, by bitmask (bit a-1 stands for subspace a), found in one walk."""
+    def _walk(self) -> tuple[dict[int, int], dict[int, int]]:
+        """The closed sets' codims and covers (`linalg.closed_sets`); bit a-1 stands for subspace a."""
         return closed_sets(self._integer_forms)
+
+    @property
+    def _closed_sets(self) -> dict[int, int]:
+        return self._walk[0]
 
     @cached_property
     def _circuits(self) -> tuple[tuple[int, ...], ...]:
@@ -214,20 +218,23 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _least_closed(arr: Arrangement, mask: int) -> tuple[int, int]:
-    """(codim, bitmask) of the least cached closed set containing the subset `mask`."""
-    return min((c, g) for g, c in arr._closed_sets.items() if g & mask == mask)
+def _closure(arr: Arrangement, mask: int) -> int:
+    """The bitmask of cl(S), S the subset `mask`: from cl(()), one cover per element not yet inside."""
+    covers = arr._walk[1]
+    f = covers[0]
+    while rest := mask & ~f:
+        f = covers[f | rest & -rest]
+    return f
 
 
 def codim(arr: Arrangement, subset: Iterable[int]) -> int:
     """Real codimension of the intersection over a subset: rank of its stacked forms.
 
     Order and repeats in the subset do not matter. The forms of a subset
-    span what those of the least closed set containing it span, so the
-    answer is read off the arrangement's closed sets (`_closed_sets`, one
-    walk) and no subset is ranked on its own.
+    span what those of its closure span, so the answer is read off the
+    closed set `_closure` reaches, and no subset is ranked on its own.
     """
-    return _least_closed(arr, _mask(arr, subset))[0]
+    return arr._closed_sets[_closure(arr, _mask(arr, subset))]
 
 
 def validate(arr: Arrangement) -> ValidationReport:

@@ -180,12 +180,18 @@ def gram_rows(basis: Sequence[ExtElement], n: int) -> list[SparseRow]:
     """Row i holds each product b_i ^ b_j, by `_product`, at columns j * C(n, 4) + k.
 
     k indexes the degree-4 monomials in lexicographic order; terms of other
-    degrees are dropped.
+    degrees are dropped. Homogeneous elements of degrees p and q commute up
+    to the sign (-1)^(pq), so the product for each j >= i fills both rows.
     """
+    degrees = [0 if b.is_zero else b.degree for b in basis]
+    if None in degrees:
+        raise ValueError("basis elements must be homogeneous")
     column = _columns(n, 4)
     masked = [[(bitmask(t), c) for t, c in b.terms] for b in basis]
     rows: list[SparseRow] = [{} for _ in masked]
-    for row, left in zip(rows, masked):
-        for j, right in enumerate(masked):
-            row.update((j * len(column) + k, x) for k, x in _product(left, right, column).items())
+    for i, j in itertools.combinations_with_replacement(range(len(masked)), 2):
+        product = _product(masked[i], masked[j], column).items()
+        sign = -1 if degrees[i] * degrees[j] % 2 else 1
+        rows[i].update((j * len(column) + k, x) for k, x in product)
+        rows[j].update((i * len(column) + k, sign * x) for k, x in product)
     return rows

@@ -15,7 +15,7 @@ normalisation (`_primitive`):
   degree-2 slice basis of kappa, the circuit dependency solves,
   `restrict`'s kernel basis and the walk's span keys read it.
 - `closed_sets` walks the lattice of spans of groups of rows, an
-  arrangement's closed sets, which answer every rank question about it.
+  arrangement's closed sets, whose covers answer every rank question.
 - `det_sign` runs Bareiss elimination on dense integer rows.
 
 `Fraction` appears only at the edges: `dot` and `integer_row`.
@@ -80,14 +80,15 @@ def integer_rank(rows: Iterable[Sequence[int]]) -> int:
     return len(sparse_echelon(dict(enumerate(r)) for r in rows))
 
 
-def closed_sets(groups: Sequence[Sequence[Sequence[int]]]) -> dict[int, int]:
-    """Rank of every closed set of row groups, by bitmask, breadth-first from the closure of ().
+def closed_sets(groups: Sequence[Sequence[Sequence[int]]]) -> tuple[dict[int, int], dict[int, int]]:
+    """Rank of every closed set of row groups, by bitmask, breadth-first from cl(()); and covers.
 
     A set of groups is closed when no other group's rows lie in its span.
-    A closed set F carries, for each group b outside it, the rows b adds to
-    F's span, cleared in F's pivot columns (`new[b]`). closure(F + a) is F
-    plus each b whose new rows lie in the span of a's: those with the same
-    span, and those that add less and reduce to nothing against a's rows.
+    The covers map key 0 to cl(()) and F | 1 << b to cl(F + b), for closed
+    F and each group b outside it. F carries, for each such b, the rows b
+    adds to F's span, cleared in F's pivot columns (`new[b]`). cl(F + a) is
+    F plus each b whose new rows lie in the span of a's: those with the
+    same span, and those that add less and reduce to nothing against a's.
     """
     start = {
         b: _extend((), ({c: x for c, x in enumerate(r) if x} for r in rows))
@@ -95,6 +96,7 @@ def closed_sets(groups: Sequence[Sequence[Sequence[int]]]) -> dict[int, int]:
     }
     bottom = sum(1 << b for b, rows in start.items() if not rows)
     closed = {bottom: 0}
+    covers = {0: bottom}
     frontier = [(bottom, {b: rows for b, rows in start.items() if rows})]
     while frontier:
         nxt = []
@@ -102,18 +104,20 @@ def closed_sets(groups: Sequence[Sequence[Sequence[int]]]) -> dict[int, int]:
             spans: dict[tuple, list[int]] = {}
             for b, rows in new.items():
                 spans.setdefault(_span_key(rows), []).append(b)
-            for a, *same in spans.values():
-                rows = new[a]
-                cover = mask | sum(1 << b for b in (a, *same))
+            for group in spans.values():
+                rows = new[group[0]]
+                cover = mask | sum(1 << b for b in group)
                 for b, others in new.items():
                     if len(others) < len(rows) and not _extend(rows, others):
                         cover |= 1 << b
+                for b in group:
+                    covers[mask | 1 << b] = cover
                 if cover not in closed:
                     closed[cover] = closed[mask] + len(rows)
                     rest = (b for b in new if not cover >> b & 1)
                     nxt.append((cover, {b: _extend(rows, new[b]) for b in rest}))
         frontier = nxt
-    return closed
+    return closed, covers
 
 
 def _primitive(row: SparseRow, pivot: int) -> SparseRow:

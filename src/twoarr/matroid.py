@@ -4,21 +4,18 @@ The ground set is 1..n by subspace position. The matroid rank of a subset
 is half the real codimension of its intersection; operations here assume
 the arrangement has already passed validation.
 
-Every rank question, `matroid_rank` included, is answered from the
-arrangement's cached closed sets (`Arrangement._closed_sets`: one
-breadth-first walk, keyed by bitmask) by one lookup,
-`arrangement._least_closed`: a subset's rank is that of the least closed
-set containing it. The circuits are cached beside them. A caller's subset
-has its indices checked (`arrangement._mask`); the subsets built here, from
-1..n or from the circuits, are masked with `linalg.bitmask` alone.
+Every rank question, `matroid_rank` included, is a fold of cover lookups
+in the arrangement's one walk (`arrangement._closure`); the flats are the
+walk's closed sets, and the circuits and NBC sets are searches over
+closures. A caller's subset has its indices checked (`arrangement._mask`);
+subsets built here are bitmasks from the start.
 """
 
 import itertools
 from typing import Iterable, Sequence
 
 from ._value import Value
-from .arrangement import Arrangement, _least_closed, _mask, _members, codim
-from .linalg import bitmask
+from .arrangement import Arrangement, _closure, _mask, _members, codim
 
 
 class SizeMismatch(ValueError):
@@ -39,7 +36,7 @@ def matroid_rank(arr: Arrangement, subset: Iterable[int]) -> int:
 
 def closure(arr: Arrangement, subset: Iterable[int]) -> tuple[int, ...]:
     """The least closed set containing the subset: all elements in the span of its forms."""
-    return _members(_least_closed(arr, _mask(arr, subset))[1])
+    return _members(_closure(arr, _mask(arr, subset)))
 
 
 class Flat(Value):
@@ -56,17 +53,23 @@ class IntersectionLattice(Value):
         return [f for group in self.flats_by_rank for f in group]
 
 
+def _check_admissible(arr: Arrangement) -> None:
+    """Raise `NotAdmissible` on the first closed set, in walk order, of odd codimension."""
+    for mask, c in arr._closed_sets.items():
+        if c % 2:
+            raise NotAdmissible(f"subset {set(_members(mask))} has odd codimension {c}")
+
+
 def flats(arr: Arrangement) -> IntersectionLattice:
     """The intersection lattice: the arrangement's closed sets grouped by rank.
 
-    Raises `NotAdmissible` on the first closed set, in breadth-first order,
-    of odd codimension.
+    Raises `NotAdmissible` as `_check_admissible` does, as do `circuits`,
+    `nbc_sets` and `whitney_numbers`.
     """
+    _check_admissible(arr)
     closed = arr._closed_sets
     groups: list[list[Flat]] = [[] for _ in range(max(closed.values()) // 2 + 1)]
     for mask, c in closed.items():
-        if c % 2:
-            raise NotAdmissible(f"subset {set(_members(mask))} has odd codimension {c}")
         groups[c // 2].append(Flat(_members(mask), c // 2))
     for g in groups:
         g.sort(key=lambda f: f.elements)
@@ -82,22 +85,23 @@ def circuits(arr: Arrangement) -> list[tuple[int, ...]]:
 
 
 def _scan_circuits(arr: Arrangement) -> list[tuple[int, ...]]:
-    """Scan the subsets by size for minimal dependent ones; see `circuits`.
+    """Grow independent sets I depth first by each x > max I; see `circuits`.
 
-    No circuit has more than r + 1 elements, r the rank of the whole set,
-    so larger subsets are not scanned (Oxley, Matroid Theory, ch. 1).
+    If x is outside cl(I), I + x is independent; otherwise it is a circuit
+    exactly when no cl(I - y), y in I, holds x (Oxley, Matroid Theory, ch. 1).
     """
+    _check_admissible(arr)
+    covers = arr._walk[1]
     found: list[int] = []
-    for size in range(2, min(arr.n, max(arr._closed_sets.values()) // 2 + 1) + 1):
-        for comb in itertools.combinations(range(1, arr.n + 1), size):
-            mask = bitmask(comb)
-            if any(m & mask == m for m in found):
-                continue
-            c, _ = _least_closed(arr, mask)
-            if c % 2:
-                raise NotAdmissible(f"subset {set(comb)} has odd codimension {c}")
-            if c // 2 < size:
-                found.append(mask)
+
+    def grow(indep: int, closed: int, start: int) -> None:
+        for x in range(start, arr.n):
+            if not closed >> x & 1:
+                grow(indep | 1 << x, covers[closed | 1 << x], x + 1)
+            elif not any(_closure(arr, indep ^ 1 << y) >> x & 1 for y in range(x) if indep >> y & 1):
+                found.append(indep | 1 << x)
+
+    grow(0, covers[0], 0)
     return sorted(map(_members, found))
 
 
@@ -119,24 +123,29 @@ def nbc_sets(arr: Arrangement, order: Sequence[int] | None = None) -> NbcComplex
 
     `order` lists the elements from smallest to largest. A broken circuit is
     a circuit minus its smallest element; NBC sets contain none of them.
+    S = {s_1 < ... < s_k} is one exactly when it is independent and each s_i
+    is the least element of cl({s_i, ..., s_k}) (Björner 1992), so each
+    level grows by each x < s_1 outside cl(S) that is least in cl(S + x).
     """
     n = arr.n
     order = tuple(order) if order is not None else tuple(range(1, n + 1))
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError("order must be a permutation of 1..n")
-    pos = {e: i for i, e in enumerate(order)}
-    broken = {bitmask(set(c) - {min(c, key=pos.__getitem__)}) for c in circuits(arr)}
-    groups: list[list[tuple[int, ...]]] = []
-    for size in range(n + 1):
-        level = []
-        for comb in itertools.combinations(range(1, n + 1), size):
-            mask = bitmask(comb)
-            if not any(b & mask == b for b in broken):
-                level.append(comb)
-        if not level:
-            break
-        groups.append(level)
-    return NbcComplex(tuple(tuple(g) for g in groups))
+    _check_admissible(arr)
+    covers = arr._walk[1]
+    bits = [1 << (e - 1) for e in order]
+    before = [sum(bits[:p]) for p in range(n)]  # the elements before bits[p] in the order
+    level = [(0, covers[0], n)]  # (S, cl(S), position of its least element)
+    groups = []
+    while level:
+        groups.append(tuple(sorted(_members(s) for s, _, _ in level)))
+        level = [
+            (s | bit, covers[closed | bit], p)
+            for s, closed, end in level
+            for p, bit in enumerate(bits[:end])
+            if not closed & bit and not covers[closed | bit] & before[p]
+        ]
+    return NbcComplex(tuple(groups))
 
 
 def betti_vector(arr: Arrangement) -> tuple[int, ...]:
@@ -146,15 +155,13 @@ def betti_vector(arr: Arrangement) -> tuple[int, ...]:
 
 def whitney_numbers(arr: Arrangement) -> tuple[int, ...]:
     """Unsigned Whitney numbers: rank-level sums of |mu| over the lattice."""
+    _check_admissible(arr)
     mu: dict[int, int] = {}
-    out = []
-    for group in flats(arr).flats_by_rank:
-        out.append(0)
-        for f in group:
-            mask = bitmask(f.elements)
-            mu[mask] = -sum(v for g, v in mu.items() if g & mask == g) if mu else 1
-            out[-1] += abs(mu[mask])
-    return tuple(out)
+    out: dict[int, int] = {}
+    for mask, c in arr._closed_sets.items():  # walk order lists each flat after those below it
+        mu[mask] = -sum(v for g, v in mu.items() if g & mask == g) if mu else 1
+        out[c // 2] = out.get(c // 2, 0) + abs(mu[mask])
+    return tuple(out.values())
 
 
 def same_labeled_matroid(

@@ -387,3 +387,22 @@ def test_gram_of_basis_matches_wedge_products():
             for x in basis
         ]
         assert [{k: c for k, c in row.items() if c} for row in gram_rows(basis, n)] == expected
+
+
+def test_gram_rows_multiply_each_pair_once(monkeypatch):
+    """b_j ^ b_i is b_i ^ b_j up to sign, so m elements take m(m + 1)/2 products, not m^2."""
+    calls = []
+    product = exterior._product
+    monkeypatch.setattr(exterior, "_product", lambda *args: calls.append(args) or product(*args))
+    rng = random.Random(44)
+    for m in range(6):
+        basis = [random_element(rng, 6, rng.randint(1, 3)) for _ in range(m)]
+        calls.clear()
+        rows = gram_rows(basis, 6)
+        assert len(calls) == m * (m + 1) // 2
+        assert len(rows) == m
+
+
+def test_gram_rows_reject_a_mixed_element():
+    with pytest.raises(ValueError, match="homogeneous"):
+        gram_rows([from_terms({(1,): 1, (1, 2): 1})], 4)

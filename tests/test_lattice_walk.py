@@ -1,7 +1,8 @@
-"""The closed-set walk (`Arrangement._closed_sets`) against the code it replaced."""
+"""The closed-set walk (`Arrangement._walk`) and the searches on it, against the code they replaced."""
 
 import functools
 import itertools
+import math
 import random
 import re
 import sys
@@ -10,7 +11,7 @@ import time
 import pytest
 
 import lattice_reference as ref
-from conftest import braid_a4, generic_hyperplanes, generic_lines, pair
+from conftest import braid, braid_a4, generic_hyperplanes, generic_lines, pair
 from twoarr import arrangement, cli, linalg, matroid
 from twoarr.arrangement import (
     Arrangement,
@@ -126,6 +127,20 @@ def test_validate_matches_reference_on_inadmissible_arrangements():
     assert kinds == {"pair-rank", "not-essential", "pairwise-rank", "odd-rank"}
 
 
+def test_circuits_and_nbc_sets_raise_like_flats_on_inadmissible_input():
+    """The searches run the walk's parity check first, so they name the subset `flats` names."""
+    for arr in inadmissible_arrangements():
+        with pytest.raises(NotAdmissible) as raised:
+            flats(arr)
+        message = re.escape(str(raised.value))
+        with pytest.raises(NotAdmissible, match=message):
+            circuits(arr)
+        with pytest.raises(NotAdmissible, match=message):
+            nbc_sets(arr)
+        with pytest.raises(NotAdmissible, match=message):
+            nbc_sets(arr, range(arr.n, 0, -1))
+
+
 def test_one_walk_per_arrangement(monkeypatch, capsys):
     walked = []
     walk = arrangement.closed_sets
@@ -153,7 +168,7 @@ def test_one_walk_per_arrangement(monkeypatch, capsys):
     assert cli.main(["betti", "braid-a4.arr"]) == 0  # the file is not read
     assert "whitney check: ok" in capsys.readouterr().out
     assert walked == [arr._integer_forms]
-    assert len(counted) == 3  # nbc_sets reads the circuits through circuits()
+    assert len(counted) == 1  # the call above: nbc_sets and betti read no circuits
     flats(restricted)
     assert walked == [arr._integer_forms, restricted._integer_forms]  # a restriction walks its own
 
@@ -178,6 +193,81 @@ def test_rank_questions_after_parse_eliminate_nothing(monkeypatch):
             assert codim(arr, s) == ref.codim(arr, s)
             assert matroid.matroid_rank(arr, s) == ref.codim(arr, s) // 2
         assert validate(arr).ok
+
+
+class CountingDict(dict):
+    """A dict that counts the passes over it: iterations and views of its keys, values or items."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+    def keys(self):
+        self.passes += 1
+        return super().keys()
+
+    def values(self):
+        self.passes += 1
+        return super().values()
+
+    def items(self):
+        self.passes += 1
+        return super().items()
+
+
+def test_rank_questions_look_up_closures_and_never_scan_the_closed_sets():
+    """Rank questions fold cover lookups; each search passes over the closed sets once, for parity."""
+    arrs = [
+        parse_arrangement(serialize_arrangement(braid_a4())),
+        parse_arrangement(serialize_arrangement(restrict(load_fixture("thm32-Bhat"), "H3"))),
+    ]
+    for arr in arrs:
+        closed, covers = arr._walk
+        spy = CountingDict(closed)
+        vars(arr)["_walk"] = (spy, covers)
+        for s in all_subsets(arr.n):
+            assert codim(arr, s) == ref.codim(arr, s)
+            assert matroid.matroid_rank(arr, s) == ref.codim(arr, s) // 2
+            assert closure(arr, s) == ref.closure(arr, s)
+        assert spy.passes == 0
+        expected = ref.circuits(arr)
+        assert circuits(arr) == expected
+        assert spy.passes == 1
+        assert nbc_sets(arr) == ref.nbc_sets(arr, expected)
+        assert spy.passes == 2
+        order = list(range(arr.n, 0, -1))
+        assert nbc_sets(arr, order) == ref.nbc_sets(arr, expected, order)
+        assert spy.passes == 3
+
+
+def test_braid_a6_known_answers_stay_fast():
+    """A_6, the graphic arrangement of K_7, against answers from graph theory, in under 3 s.
+
+    Its circuits are the 1172 cycles of K_7, and its NBC counts are the
+    coefficients of (1 + t)(1 + 2t)...(1 + 6t).
+    """
+    text = serialize_arrangement(braid(6))
+    start = time.perf_counter()
+    arr = parse_arrangement(text)
+    cs = circuits(arr)
+    complex_ = nbc_sets(arr)
+    elapsed = time.perf_counter() - start
+    element = {e: k for k, e in enumerate(itertools.combinations(range(7), 2), start=1)}
+    cycles = {
+        tuple(sorted(element[tuple(sorted(e))] for e in zip(walk, walk[1:] + walk[:1])))
+        for size in range(3, 8)
+        for first, *rest in itertools.combinations(range(7), size)
+        for walk in ((first, *p) for p in itertools.permutations(rest))
+    }
+    assert sorted(cycles) == cs
+    assert len(cs) == sum(math.comb(7, k) * math.factorial(k - 1) // 2 for k in range(3, 8)) == 1172
+    coeffs = [1]
+    for k in range(1, 7):
+        coeffs = [a + k * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    assert complex_.counts == tuple(coeffs) == (1, 21, 175, 735, 1624, 1764, 720)
+    assert elapsed < 3.0, f"{elapsed:.2f} s"
 
 
 def test_twenty_generic_lines_stay_fast():

@@ -172,7 +172,7 @@ def test_instances_are_immutable_but_keep_cached_properties():
             del target.x
     before = (repr(arr), hash(arr))
     assert validate(arr).ok  # fills the rank cache
-    assert vars(arr)["_closed_sets"]
+    assert vars(arr)["_walk"]
     assert (repr(arr), hash(arr)) == before
     assert arr == load_fixture("example22-B")
 
