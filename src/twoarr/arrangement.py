@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from ._value import Value
-from .linalg import Vector, bitmask, closed_sets, dot, integer_rank, integer_row, sparse_echelon
+from .linalg import Vector, bitmask, closed_sets, dot, integer_rank, integer_row, reduced_echelon
 
 
 class ParseError(ValueError):
@@ -282,9 +282,9 @@ def _kernel_basis(rows: Sequence[Sequence[int]], cols: int) -> list[Vector]:
     The vector of free column f has v[f] = 1, zero at the other free
     columns, and v[p] = -row[f] / row[p] for each row of the reduced
     echelon form pivoted at p: the entries of the classical rref, since
-    that form is unique and `sparse_echelon` only scales its rows.
+    that form is unique and `reduced_echelon` only scales its rows.
     """
-    echelon = sparse_echelon((dict(enumerate(r)) for r in rows), reduced=True)
+    echelon = reduced_echelon(dict(enumerate(r)) for r in rows)
     pivots = {min(row): row for row in echelon}
     basis: list[Vector] = []
     for f in range(cols):

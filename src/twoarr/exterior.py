@@ -8,7 +8,7 @@ graded spans are taken over the rationals by sparse integer elimination
 (`linalg.sparse_echelon`) on its rows. One pass, `ideal_slices`, builds
 every graded slice of an ideal, each grown from the forward echelon basis
 of the slice below: `ideal_ranks` reads its lengths, and kappa reduces its
-degree-2 slice to the unique reduced echelon basis. `gram_rows` lays the
+degree-2 slice by `linalg.reduced_echelon`. `gram_rows` lays the
 products of that basis side by side in one sparse row per element, which
 kappa's rank reads as they are.
 """

@@ -3,9 +3,9 @@
 The kappa pairing multiplies two degree-2 relation-ideal elements into
 degree 4; its rank is invariant under graded algebra isomorphism. For
 arrangements in R^4 the degree-4 slice is one-dimensional, so kappa is an
-honest symmetric bilinear form. Its basis is the reduced degree-2 slice
-of the one graded pass that also gives the ideal's rank profile
-(`exterior.ideal_slices`). Its rank is that of `sparse_echelon` on the
+honest symmetric bilinear form. Its basis is the degree-2 slice of the
+graded pass that also gives the ideal's ranks (`exterior.ideal_slices`),
+in `reduced_echelon` form. Its rank is that of `sparse_echelon` on the
 products of the basis, one sparse row per element (`exterior.gram_rows`,
 which multiplies on bitmasks); no dense Gram vector is built for it.
 Pairwise linking signs of the great circles cut out on the unit 3-sphere
@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from ._value import Value
 from .arrangement import Arrangement
-from .linalg import SparseRow, det_sign, sparse_echelon
+from .linalg import SparseRow, det_sign, reduced_echelon, sparse_echelon
 
 VERDICT_DISTINGUISHED = "DISTINGUISHED"
 VERDICT_UNRESOLVED = "OTHERWISE_UNRESOLVED"
@@ -83,7 +83,7 @@ def _kappa_of(n: int, slices: Iterable[list[SparseRow]]) -> KappaForm:
     rows = slices[2] if len(slices) == 3 else [{j: 1} for j in range(len(cols))]
     basis = tuple(
         ExtElement(tuple((cols[j], row[j]) for j in sorted(row)))
-        for row in sparse_echelon(rows, reduced=True)
+        for row in reduced_echelon(rows)
     )
     return KappaForm(n, basis)
 

@@ -5,15 +5,15 @@ after scaling each rational row by the positive lcm of its denominators
 (`integer_row`), which leaves rank, row span and determinant sign as they
 were. Every elimination but the determinant's works on sparse rows,
 `{column: int}` dicts, with one row operation (`_cancel`) and one
-normalisation (`_primitive`):
+normalisation (`_primitive`), in two loops with one job each:
 
-- `sparse_echelon` eliminates rows and stops once every column has a
-  pivot. Forward elimination alone gives the rank and an echelon basis,
-  which is all the ideal slices' rank profile and `integer_rank` need.
-  With `reduced=True` a back-substitution pass returns the unique reduced
-  echelon form with each row primitive and its pivot positive; the
-  degree-2 slice basis of kappa, the circuit dependency solves,
-  `restrict`'s kernel basis and the walk's span keys read it.
+- `sparse_echelon` is forward elimination alone, which stops once every
+  column has a pivot. It gives the rank and an echelon basis: all that the
+  ideal slices' rank profile, kappa's rank and `integer_rank` need.
+- `reduced_echelon` extends an echelon basis, if any, by the rows fixed by
+  the span and the basis's pivots: primitive, positive at the pivot, zero
+  in every other pivot column. The walk, the circuit solves, kappa's
+  degree-2 basis and `restrict`'s kernel read it.
 - `closed_sets` walks the lattice of spans of groups of rows, an
   arrangement's closed sets, whose covers answer every rank question.
 - `det_sign` runs Bareiss elimination on dense integer rows.
@@ -45,34 +45,12 @@ def integer_row(row: Sequence[Fraction]) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in row]
 
 
-def _extend(basis: Sequence[SparseRow], rows: Iterable[SparseRow]) -> list[SparseRow]:
-    """The sparse rows that extend an echelon basis to span(basis + rows).
-
-    In `basis` and in the result each row is primitive, pivoted at its
-    smallest column, and zero in the pivot columns of the rows before it.
-    """
-    kept = list(basis)
-    for r in rows:
-        for b in kept:
-            c = min(b)
-            if c in r:
-                r = _cancel(r, b, c)
-        if r:
-            kept.append(_primitive(r, min(r)))
-    return kept[len(basis):]
-
-
 def bitmask(indices: Iterable[int]) -> int:
     """The bitmask of 1-based indices: bit i-1 stands for element i."""
     out = 0
     for i in indices:
         out |= 1 << (i - 1)
     return out
-
-
-def _span_key(rows: Iterable[SparseRow]) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The reduced echelon form of the rows' span as a tuple: equal iff the spans are."""
-    return tuple(tuple(sorted(r.items())) for r in sparse_echelon(rows, reduced=True))
 
 
 def integer_rank(rows: Iterable[Sequence[int]]) -> int:
@@ -85,15 +63,12 @@ def closed_sets(groups: Sequence[Sequence[Sequence[int]]]) -> tuple[dict[int, in
 
     A set of groups is closed when no other group's rows lie in its span.
     The covers map key 0 to cl(()) and F | 1 << b to cl(F + b), for closed
-    F and each group b outside it. F carries, for each such b, the rows b
-    adds to F's span, cleared in F's pivot columns (`new[b]`). cl(F + a) is
-    F plus each b whose new rows lie in the span of a's: those with the
-    same span, and those that add less and reduce to nothing against a's.
+    F and each group b outside it. F carries, for each such b, the reduced
+    rows b adds to F's span (`new[b]`), which span(F + b) fixes. cl(F + a)
+    is F plus each b whose new rows lie in the span of a's: those equal to
+    a's, and those that add less and reduce to nothing against a's.
     """
-    start = {
-        b: _extend((), ({c: x for c, x in enumerate(r) if x} for r in rows))
-        for b, rows in enumerate(groups)
-    }
+    start = {b: reduced_echelon(dict(enumerate(r)) for r in rows) for b, rows in enumerate(groups)}
     bottom = sum(1 << b for b, rows in start.items() if not rows)
     closed = {bottom: 0}
     covers = {0: bottom}
@@ -103,19 +78,19 @@ def closed_sets(groups: Sequence[Sequence[Sequence[int]]]) -> tuple[dict[int, in
         for mask, new in frontier:
             spans: dict[tuple, list[int]] = {}
             for b, rows in new.items():
-                spans.setdefault(_span_key(rows), []).append(b)
+                spans.setdefault(tuple(tuple(sorted(r.items())) for r in rows), []).append(b)
             for group in spans.values():
                 rows = new[group[0]]
                 cover = mask | sum(1 << b for b in group)
                 for b, others in new.items():
-                    if len(others) < len(rows) and not _extend(rows, others):
+                    if len(others) < len(rows) and not reduced_echelon(others, rows):
                         cover |= 1 << b
                 for b in group:
                     covers[mask | 1 << b] = cover
                 if cover not in closed:
                     closed[cover] = closed[mask] + len(rows)
                     rest = (b for b in new if not cover >> b & 1)
-                    nxt.append((cover, {b: _extend(rows, new[b]) for b in rest}))
+                    nxt.append((cover, {b: reduced_echelon(new[b], rows) for b in rest}))
         frontier = nxt
     return closed, covers
 
@@ -143,9 +118,7 @@ def _cancel(r: SparseRow, b: SparseRow, c: int) -> SparseRow:
     return out
 
 
-def sparse_echelon(
-    rows: Iterable[SparseRow], reduced: bool = False, columns: int | None = None
-) -> list[SparseRow]:
+def sparse_echelon(rows: Iterable[SparseRow], columns: int | None = None) -> list[SparseRow]:
     """Echelon basis of the row span of sparse integer rows, in pivot-column order.
 
     Each row is cancelled, at its smallest column, against the kept row with
@@ -153,9 +126,7 @@ def sparse_echelon(
     primitive with a positive pivot. When the rows' keys lie in
     range(columns), no row can add a pivot once all `columns` have one, so
     the rest of `rows` is not read. The number of rows returned is the rank
-    over the rationals. With `reduced`, each kept row is also cleared in
-    every other pivot column, from the last pivot back: the result is the
-    reduced row echelon form with each row scaled to a primitive integer row.
+    over the rationals.
     """
     kept: dict[int, SparseRow] = {}
     for row in rows:
@@ -169,15 +140,40 @@ def sparse_echelon(
             r = _cancel(r, b, c)
         if len(kept) == columns:
             break
-    pivots = sorted(kept)
-    if reduced:
-        for c in reversed(pivots):
-            r = kept[c]
-            later = [k for k in r if k > c and k in kept]
-            if later:
-                for k in later:
-                    r = _cancel(r, kept[k], k)
+    return [kept[c] for c in sorted(kept)]
+
+
+def reduced_echelon(rows: Iterable[SparseRow], basis: Sequence[SparseRow] = ()) -> list[SparseRow]:
+    """The rows that extend an echelon basis, given in pivot order, to span(basis + rows).
+
+    Each row is cleared in the basis's pivot columns, then cancelled at its
+    smallest column against the kept rows until it has a new pivot; kept
+    rows are then cleared in each later pivot column, last pivot first. Each
+    row returned is primitive, positive at its pivot and zero in every other
+    pivot column: with no basis, the primitive reduced row echelon form.
+    """
+    fixed = {min(b): b for b in basis}
+    kept: dict[int, SparseRow] = {}
+    for row in rows:
+        r = {c: x for c, x in row.items() if x}
+        for c, b in fixed.items():
+            if c in r:
+                r = _cancel(r, b, c)
+        while r:
+            c = min(r)
+            b = kept.get(c)
+            if b is None:
                 kept[c] = _primitive(r, c)
+                break
+            r = _cancel(r, b, c)
+    pivots = sorted(kept)
+    for c in reversed(pivots):
+        r = kept[c]
+        later = [k for k in r if k > c and k in kept]
+        if later:
+            for k in later:
+                r = _cancel(r, kept[k], k)
+            kept[c] = _primitive(r, c)
     return [kept[c] for c in pivots]
 
 

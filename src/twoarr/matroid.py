@@ -154,13 +154,23 @@ def betti_vector(arr: Arrangement) -> tuple[int, ...]:
 
 
 def whitney_numbers(arr: Arrangement) -> tuple[int, ...]:
-    """Unsigned Whitney numbers: rank-level sums of |mu| over the lattice."""
+    """Unsigned Whitney numbers: rank-level sums of |mu| over the lattice.
+
+    Weisner (Stanley, EC1 3.9): mu(F) = -sum mu(G) over closed G, a not in G
+    with cl(G + a) = F, a least in F outside cl(()); walk order lists G first.
+    """
     _check_admissible(arr)
-    mu: dict[int, int] = {}
+    closed, covers = arr._walk
+    below = {covers[0]: -1}  # -mu(F), summed from the G under F
     out: dict[int, int] = {}
-    for mask, c in arr._closed_sets.items():  # walk order lists each flat after those below it
-        mu[mask] = -sum(v for g, v in mu.items() if g & mask == g) if mu else 1
-        out[c // 2] = out.get(c // 2, 0) + abs(mu[mask])
+    for mask, c in closed.items():
+        mu = -below.pop(mask)
+        out[c // 2] = out.get(c // 2, 0) + abs(mu)
+        for a in range(arr.n):
+            if not mask >> a & 1:
+                f = covers[mask | 1 << a]
+                if not f & ~covers[0] & (1 << a) - 1:  # a is least in F outside cl(())
+                    below[f] = below.get(f, 0) + mu
     return tuple(out.values())
 
 

@@ -26,7 +26,7 @@ sigma_j is +1 and nothing is solved; the mode only checks the input and
 labels the result.
 
 The solves are integer: `full_presentation` reads each sigma_j from the
-rows of one reduced echelon form with positive pivots, and only
+integer rows of `linalg.reduced_echelon`, pivots positive, and only
 `circuit_dependencies` turns those rows into `Fraction` quads. The ideal's
 rank profile is read off the one pass that builds its graded slices, each
 grown from the echelon basis of the one below (`exterior.ideal_slices`);
@@ -39,7 +39,7 @@ from typing import Iterable
 from ._value import Value
 from .arrangement import Arrangement
 from .exterior import ExtElement, ideal_ranks
-from .linalg import SparseRow, integer_row, sparse_echelon
+from .linalg import SparseRow, integer_row, reduced_echelon
 from .matroid import circuits
 
 MODE_REAL = "real-2-arrangement"
@@ -121,7 +121,7 @@ def _solve(arr: Arrangement, c: tuple[int, ...]) -> list[SparseRow]:
         forms += [p.first.coeffs, p.second.coeffs]
     unknowns = len(forms) - 2
     rows = (dict(enumerate(integer_row([f[i] for f in forms]))) for i in range(arr.dim))
-    echelon = sparse_echelon(rows, reduced=True)
+    echelon = reduced_echelon(rows)
     if [min(row) for row in echelon] != list(range(unknowns)):
         raise ValueError(f"circuit {c} has no unique dependency")
     return echelon

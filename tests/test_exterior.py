@@ -15,7 +15,7 @@ from twoarr.exterior import (
     ideal_slices,
     monomials,
 )
-from twoarr.linalg import sparse_echelon
+from twoarr.linalg import reduced_echelon, sparse_echelon
 from twoarr.presentation import full_presentation
 from conftest import braid_a4, generic_lines
 from dense_reference import rref
@@ -173,7 +173,7 @@ def reduced_slices(generators, n):
         cols = monomials(n, p)
         basis = [
             ExtElement(tuple((cols[j], row[j]) for j in sorted(row)))
-            for row in sparse_echelon(echelon, reduced=True)
+            for row in reduced_echelon(echelon)
         ]
         out.append((len(echelon), basis))
     return out
@@ -355,9 +355,9 @@ def test_grown_slices_feed_the_kernel_few_rows(monkeypatch):
     """Degree p eliminates at most rank(I^(p-1)) * n + #R_p rows."""
     fed = []
 
-    def counting(rows, reduced=False, columns=None):
+    def counting(rows, columns=None):
         seen = []
-        out = sparse_echelon((seen.append(r) or r for r in rows), reduced, columns)
+        out = sparse_echelon((seen.append(r) or r for r in rows), columns)
         fed.append(len(seen))
         return out
 

@@ -183,7 +183,7 @@ def test_rank_questions_after_parse_eliminate_nothing(monkeypatch):
     def no_elimination(*args, **kwargs):
         raise AssertionError("linalg elimination after parse")
 
-    for name in ("_extend", "sparse_echelon"):
+    for name in ("reduced_echelon", "sparse_echelon"):
         real = getattr(linalg, name)
         for module in list(sys.modules.values()):
             if module is not None and module.__name__.startswith("twoarr") and getattr(module, name, None) is real:
@@ -193,6 +193,35 @@ def test_rank_questions_after_parse_eliminate_nothing(monkeypatch):
             assert codim(arr, s) == ref.codim(arr, s)
             assert matroid.matroid_rank(arr, s) == ref.codim(arr, s) // 2
         assert validate(arr).ok
+
+
+def test_walk_runs_no_forward_echelon(monkeypatch):
+    """Each residual of the walk is reduced once, by `reduced_echelon`, and keys its span as it is."""
+    arrs = [build(case) for case in CASES] + inadmissible_arrangements()
+    walks = [arr._walk for arr in arrs]
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("sparse_echelon in the walk")
+
+    monkeypatch.setattr(linalg, "sparse_echelon", no_forward)
+    assert [linalg.closed_sets(arr._integer_forms) for arr in arrs] == walks
+
+
+def test_whitney_numbers_with_a_loop_in_the_bottom_and_fast_on_a6():
+    """Weisner's sum skips the loops in cl(()); A_6's 877 flats take one pass over the covers."""
+    a4 = braid_a4()
+    members = list(a4.subspaces)
+    members.insert(2, pair("Z", (0,) * a4.dim, (0,) * a4.dim))
+    looped = Arrangement(a4.dim, tuple(members))
+    assert looped._walk[1][0] == 1 << 2  # the zero member is cl(())
+    assert whitney_numbers(looped) == ref.whitney_numbers(looped) == whitney_numbers(a4)
+    a6 = braid(6)
+    a6._walk  # walk first, so only the pass over the covers is timed
+    start = time.perf_counter()
+    numbers = whitney_numbers(a6)
+    elapsed = time.perf_counter() - start
+    assert numbers == (1, 21, 175, 735, 1624, 1764, 720)
+    assert elapsed < 0.1, f"{elapsed:.3f} s"
 
 
 class CountingDict(dict):

@@ -8,7 +8,7 @@ from dense_reference import kernel_basis as dense_kernel_basis
 from dense_reference import rank as dense_rank
 from dense_reference import rref, vec
 from twoarr.arrangement import _kernel_basis
-from twoarr.linalg import NotSquare, det_sign, dot, integer_rank, integer_row, sparse_echelon
+from twoarr.linalg import NotSquare, det_sign, dot, integer_rank, integer_row, reduced_echelon, sparse_echelon
 
 # forms of the bundled transversal arrangements, written out literally
 B_FORMS = [
@@ -25,7 +25,7 @@ def identity(n):
 
 
 def solve(columns, b):
-    """The unique x with sum_j x_j columns[j] = b, read off `sparse_echelon`'s reduced form.
+    """The unique x with sum_j x_j columns[j] = b, read off `reduced_echelon`.
 
     This is how the circuit dependency solves read it: the augmented rows'
     reduced form has the unknowns' columns as pivots, and row j gives
@@ -34,7 +34,7 @@ def solve(columns, b):
     """
     k = len(columns)
     rows = (dict(enumerate(integer_row(vec([c[i] for c in columns] + [b[i]])))) for i in range(len(b)))
-    echelon = sparse_echelon(rows, reduced=True)
+    echelon = reduced_echelon(rows)
     pivots = [min(row) for row in echelon]
     if k in pivots:
         raise ValueError("no solution: right-hand side outside the column span")
@@ -258,20 +258,47 @@ def test_integer_rank_matches_sympy():
         assert integer_rank(integer_row(row) for row in m) == sympy.Matrix(len(m), cols, entries).rank()
 
 
-def test_sparse_echelon_is_the_primitive_rref():
+def primitive_rref(m):
+    """The dense reference's rref rows as sparse integer rows, each divided by its content."""
+    reduced, pivots = rref(m)
+    out = []
+    for row in reduced[: len(pivots)]:
+        ints = integer_row(row)
+        g = math.gcd(*ints)
+        out.append({j: x // g for j, x in enumerate(ints) if x})
+    return out
+
+
+def test_reduced_echelon_is_the_primitive_rref():
     for m, _ in rational_matrices():
         rows = [dict(enumerate(integer_row(row))) for row in m]
-        reduced, pivots = rref(m)
-        expected = []
-        for row in reduced[: len(pivots)]:
-            ints = integer_row(row)
-            g = math.gcd(*ints)
-            expected.append({j: x // g for j, x in enumerate(ints) if x})
-        assert sparse_echelon(rows, reduced=True) == expected
+        pivots = rref(m)[1]
+        assert reduced_echelon(rows) == primitive_rref(m)
         forward = sparse_echelon(rows)
         assert [min(r) for r in forward] == list(pivots)
         for r in forward:
             assert r[min(r)] > 0 and math.gcd(*r.values()) == 1 and all(r.values())
+
+
+def test_reduced_echelon_extends_a_basis():
+    """Each matrix split into basis rows and extra rows, with a forward and a reduced basis.
+
+    The rows added are zero at every basis pivot, are a primitive rref
+    themselves, and complete the basis to the span of all the rows.
+    """
+    extended = 0
+    for m, cols in rational_matrices():
+        rows = [dict(enumerate(integer_row(row))) for row in m]
+        for split in range(len(rows) + 1):
+            for basis in (sparse_echelon(rows[:split]), reduced_echelon(rows[:split])):
+                added = reduced_echelon(rows[split:], basis)
+                pivots = {min(b) for b in basis}
+                assert not any(pivots & r.keys() for r in added)
+                dense = [[r.get(j, 0) for j in range(cols)] for r in basis + added]
+                assert primitive_rref(dense[len(basis):]) == added
+                assert dense_rank(dense) == len(dense) == dense_rank(m) == dense_rank(m + dense)
+                extended += bool(basis) and bool(added)
+    assert extended > 0
 
 
 def test_sparse_echelon_forward_rows_span_the_input():
@@ -287,11 +314,10 @@ def test_sparse_echelon_full_rank_stop_changes_nothing():
     stopped = 0
     for m, cols in rational_matrices():
         rows = [dict(enumerate(integer_row(row))) for row in m]
-        for reduced in (False, True):
-            unbounded = sparse_echelon(rows, reduced)
-            assert sparse_echelon(rows, reduced, cols) == unbounded
-            # one more column that no row uses: never full, so never stopped
-            assert sparse_echelon(rows, reduced, cols + 1) == unbounded
+        unbounded = sparse_echelon(rows)
+        assert sparse_echelon(rows, cols) == unbounded
+        # one more column that no row uses: never full, so never stopped
+        assert sparse_echelon(rows, cols + 1) == unbounded
         read = []
         sparse_echelon((read.append(r) or r for r in rows), columns=cols)
         # no row is read after the one that gives every column a pivot
