@@ -161,19 +161,17 @@ def cmd_present(args) -> _Result:
 
 
 def cmd_kappa(args) -> _Result:
-    from math import comb
-
     from .invariants import kappa, kappa_rank
 
     arr = _read_arrangement(args.file)
     form = kappa(arr)
     krank = kappa_rank(form)
+    scalar = form.n == 4
     lines = [f"basis size: {len(form.basis)}", f"rank: {krank}"]
     for b in form.basis:
         lines.append(f"basis element: {b}")
-    gram = None  # dense only where printed: the scalar matrix, or the vectors in JSON
-    if form.is_scalar:
-        gram = form.scalar_gram()
+    gram = form.gram() if scalar or args.format == "json" else None  # dense only where printed
+    if scalar:
         lines.append("gram:")
         for row in gram:
             lines.append("  " + " ".join(f"{x:3d}" for x in row))
@@ -182,19 +180,13 @@ def cmd_kappa(args) -> _Result:
             "gram entries are degree-4 coefficient vectors "
             "(vector-valued extension of the scalar n=4 pairing)"
         )
-        if args.format == "json":
-            width = comb(form.n, 4)  # row i holds b_i ^ b_j at columns j * width + k
-            gram = [
-                [[row.get(j * width + k, 0) for k in range(width)] for j in range(len(form.basis))]
-                for row in form._rows
-            ]
     doc = {
         "kappa": {
             "basis_size": len(form.basis),
             "rank": krank,
             "basis": [str(b) for b in form.basis],
             "gram": gram,
-            "scalar": form.is_scalar,
+            "scalar": scalar,
         }
     }
     return 0, lines, doc

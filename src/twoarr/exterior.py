@@ -1,8 +1,8 @@
 """Integer exterior algebra on generators e_1 .. e_n.
 
 Monomials are strictly increasing index tuples; an `ExtElement`, the value
-relations and kappa bases come in, is an integer combination of them. All
-arithmetic runs on bitmask monomials, in one product (`_product`) that
+relations and kappa bases come in, is an integer combination of them.
+`_masked` turns elements into bitmask terms, and one product (`_product`)
 multiplies two term lists into a sparse row over a column map. Ranks of
 graded spans are taken over the rationals by sparse integer elimination
 (`linalg.sparse_echelon`) on its rows. One pass, `ideal_slices`, builds
@@ -99,40 +99,19 @@ def _product(left: Terms, right: Terms, column: Mapping[int, int]) -> SparseRow:
     return row
 
 
-def _masked(generators: Sequence[ExtElement]) -> list[tuple[int, Terms]]:
-    """The nonzero generators as (degree, [(bitmask, coefficient)]).
+def _masked(elements: Sequence[ExtElement]) -> list[tuple[int, Terms]]:
+    """Each element as (degree, [(bitmask, coefficient)]), the zero element at degree 0.
 
-    Raises ValueError for a generator that is not homogeneous.
+    The one conversion from `ExtElement` to the terms `_product` takes.
+    Raises ValueError for an element that is not homogeneous.
     """
     out = []
-    for g in generators:
-        if g.is_zero:
-            continue
-        q = g.degree
+    for x in elements:
+        q = 0 if x.is_zero else x.degree
         if q is None:
-            raise ValueError("generators must be homogeneous")
-        out.append((q, [(bitmask(t), c) for t, c in g.terms]))
+            raise ValueError("elements must be homogeneous")
+        out.append((q, [(bitmask(t), c) for t, c in x.terms]))
     return out
-
-
-def _slice_rows(
-    generators: Sequence[tuple[int, Terms]], p: int, n: int, column: Mapping[int, int]
-) -> Iterable[SparseRow]:
-    """The nonzero rows g ^ m over columns `column[bitmask]`, by `_product`.
-
-    `generators` come as `_masked` gives them; those above degree p add no
-    row.
-    """
-    cofactors: dict[int, list[Terms]] = {}
-    for q, terms in generators:
-        if q > p:
-            continue
-        if q not in cofactors:
-            cofactors[q] = [[(bitmask(m), 1)] for m in monomials(n, p - q)]
-        for cofactor in cofactors[q]:
-            row = _product(terms, cofactor, column)
-            if row:
-                yield row
 
 
 def _columns(n: int, p: int) -> dict[int, int]:
@@ -145,24 +124,29 @@ def ideal_slices(generators: Sequence[ExtElement], n: int) -> Iterator[list[Spar
 
     The rows are over the degree-p monomials in lexicographic order
     (`monomials(n, p)`), each primitive with a positive pivot. Each slice
-    grows from the one below: I^p is spanned by b ^ e_j over the echelon
-    basis b of I^(p-1) and the generators of degree p, which is
-    rank(I^(p-1)) * n rows at most rather than one per generator and
-    monomial of complementary degree. The pass stops after the first slice
-    that is all of E^p, since E^p ^ E^1 = E^(p+1): every slice it does not
-    yield is full. Raises ValueError for a generator that is not homogeneous.
+    grows from the one below: its rows are b ^ e_j for each echelon row b
+    of I^(p-1) and each j, then the generators of degree p: rank(I^(p-1)) * n
+    rows plus those generators at most, rather than one per generator and
+    monomial of complementary degree. Each is built only when the
+    elimination reads it. The pass stops after the first slice that is all
+    of E^p, since E^p ^ E^1 = E^(p+1): every slice it does not yield is
+    full. Raises ValueError for a generator that is not homogeneous.
     """
     generators = _masked(generators)
-    below: list[tuple[int, Terms]] = []
+    units = [[(1 << i, 1)] for i in range(n)]  # e_1 .. e_n
+    below: list[Terms] = []
     for p in range(n + 1):
         column = _columns(n, p)
-        rows = _slice_rows(below + [g for g in generators if g[0] == p], p, n, column)
-        echelon = sparse_echelon(rows, columns=len(column))
+        rows = itertools.chain(
+            (_product(b, e, column) for b in below for e in units),
+            (_product(g, [(0, 1)], column) for q, g in generators if q == p),
+        )
+        echelon = sparse_echelon(filter(None, rows), columns=len(column))
         yield echelon
         if len(echelon) == len(column):
             return
         masks = list(column)
-        below = [(p, [(masks[j], c) for j, c in row.items()]) for row in echelon]
+        below = [[(masks[j], c) for j, c in row.items()] for row in echelon]
 
 
 def _slice_ranks(slices: Iterable[list[SparseRow]], n: int) -> tuple[int, ...]:
@@ -179,19 +163,18 @@ def ideal_ranks(generators: Sequence[ExtElement], n: int) -> tuple[int, ...]:
 def gram_rows(basis: Sequence[ExtElement], n: int) -> list[SparseRow]:
     """Row i holds each product b_i ^ b_j, by `_product`, at columns j * C(n, 4) + k.
 
-    k indexes the degree-4 monomials in lexicographic order; terms of other
-    degrees are dropped. Homogeneous elements of degrees p and q commute up
-    to the sign (-1)^(pq), so the product for each j >= i fills both rows.
+    k indexes the degree-4 monomials in lexicographic order, and
+    `KappaForm.gram` reads the layout back; terms of other degrees are
+    dropped. Homogeneous elements of degrees p and q commute up to the sign
+    (-1)^(pq), so the product for each j >= i fills both rows. Raises
+    ValueError for an element that is not homogeneous.
     """
-    degrees = [0 if b.is_zero else b.degree for b in basis]
-    if None in degrees:
-        raise ValueError("basis elements must be homogeneous")
+    masked = _masked(basis)
     column = _columns(n, 4)
-    masked = [[(bitmask(t), c) for t, c in b.terms] for b in basis]
     rows: list[SparseRow] = [{} for _ in masked]
-    for i, j in itertools.combinations_with_replacement(range(len(masked)), 2):
-        product = _product(masked[i], masked[j], column).items()
-        sign = -1 if degrees[i] * degrees[j] % 2 else 1
+    for (i, (p, s)), (j, (q, t)) in itertools.combinations_with_replacement(enumerate(masked), 2):
+        product = _product(s, t, column).items()
+        sign = -1 if p * q % 2 else 1
         rows[i].update((j * len(column) + k, x) for k, x in product)
         rows[j].update((i * len(column) + k, sign * x) for k, x in product)
     return rows

@@ -19,6 +19,7 @@ matroid modules when called, so the linking signs load none of them.
 
 import itertools
 from functools import cached_property
+from math import comb
 from typing import Iterable, Sequence
 
 from ._value import Value
@@ -37,8 +38,8 @@ class KappaForm(Value):
     """The multiplication pairing on the degree-2 relation slice, over its basis.
 
     Its Gram data, the products basis_i ^ basis_j in degree 4, is computed
-    when first read, as `exterior.gram_rows`. When n = 4 that degree is
-    one-dimensional and `scalar_gram` exposes the integer matrix.
+    as sparse rows (`exterior.gram_rows`) when first read; `gram` is its
+    dense view.
     """
 
     n: int
@@ -50,14 +51,12 @@ class KappaForm(Value):
 
         return gram_rows(self.basis, self.n)
 
-    @property
-    def is_scalar(self) -> bool:
-        return self.n == 4
-
-    def scalar_gram(self) -> tuple[tuple[int, ...], ...]:
-        if not self.is_scalar:
-            raise ValueError("scalar view exists only for n = 4")
-        return tuple(tuple(row.get(j, 0) for j in range(len(self.basis))) for row in self._rows)
+    def gram(self) -> tuple:
+        """The dense Gram: basis_i ^ basis_j at (i, j), as its coefficient vector over
+        the degree-4 monomials in lexicographic order, or its one integer when n = 4."""
+        m, width = len(self.basis), comb(self.n, 4)
+        vectors = [[tuple(row.get(j * width + k, 0) for k in range(width)) for j in range(m)] for row in self._rows]
+        return tuple(tuple(v[0] if self.n == 4 else v for v in row) for row in vectors)
 
 
 def kappa(arr: Arrangement) -> KappaForm:
@@ -155,10 +154,9 @@ def compare(
     matroids_equal = same_labeled_matroid(a1, a2, up_to_relabeling=permutation_search)
     profiles, kappa_ranks = [], []
     for pres in map(full_presentation, (a1, a2)):
-        slices = ideal_slices(pres.elements(), pres.n)  # one pass: kappa reads degrees 0..2
-        low = list(itertools.islice(slices, 3))
-        kappa_ranks.append(kappa_rank(_kappa_of(pres.n, low)))
-        profiles.append(_slice_ranks(itertools.chain(low, slices), pres.n)[1:])
+        slices = list(ideal_slices(pres.elements(), pres.n))  # one pass: kappa reads degrees 0..2
+        kappa_ranks.append(kappa_rank(_kappa_of(pres.n, slices)))
+        profiles.append(_slice_ranks(slices, pres.n)[1:])
     # the report's rows in order, each a pair or None; `differing` is read off them
     rows = {
         "betti": (betti_vector(a1), betti_vector(a2)),

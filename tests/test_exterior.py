@@ -15,7 +15,7 @@ from twoarr.exterior import (
     ideal_slices,
     monomials,
 )
-from twoarr.linalg import reduced_echelon, sparse_echelon
+from twoarr.linalg import bitmask, reduced_echelon, sparse_echelon
 from twoarr.presentation import full_presentation
 from conftest import braid_a4, generic_lines
 from dense_reference import rref
@@ -328,7 +328,13 @@ def direct_ranks(generators, n):
     ranks = []
     for p in range(n + 1):
         column = exterior._columns(n, p)
-        ranks.append(len(sparse_echelon(exterior._slice_rows(masked, p, n, column), columns=len(column))))
+        rows = (
+            exterior._product(g, [(bitmask(m), 1)], column)
+            for q, g in masked
+            if q <= p
+            for m in monomials(n, p - q)
+        )
+        ranks.append(len(sparse_echelon(rows, columns=len(column))))
     return tuple(ranks)
 
 

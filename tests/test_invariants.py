@@ -4,7 +4,6 @@ import json
 import random
 import sys
 from fractions import Fraction
-from math import comb
 
 import pytest
 
@@ -60,15 +59,6 @@ def wedge_gram(basis, n):
     return tuple(tuple(coeff_vector(wedge(x, y), mons4) for y in basis) for x in basis)
 
 
-def dense_gram(form):
-    """The form's Gram rows spread into one vector over the degree-4 monomials per (i, j)."""
-    width = comb(form.n, 4)
-    return tuple(
-        tuple(tuple(row.get(j * width + k, 0) for k in range(width)) for j in range(len(form.basis)))
-        for row in form._rows
-    )
-
-
 def flat_rank(gram):
     """Rank over Q of a dense Gram, each row i flattened over j."""
     return integer_rank(tuple(itertools.chain.from_iterable(row)) for row in gram)
@@ -77,8 +67,7 @@ def flat_rank(gram):
 def test_kappa_vanishes_for_complexified(arr_b):
     form = kappa(arr_b)
     assert len(form.basis) == 3
-    assert dense_gram(form) == wedge_gram(form.basis, arr_b.n)
-    assert all(all(x == 0 for x in vec) for row in dense_gram(form) for vec in row)
+    assert form.gram() == ((0, 0, 0),) * 3
     assert kappa_rank(form) == 0
 
 
@@ -86,7 +75,7 @@ def test_kappa_rank_two(arr_bprime):
     form = kappa(arr_bprime)
     assert len(form.basis) == 3
     assert kappa_rank(form) == 2
-    gram = form.scalar_gram()
+    gram = form.gram()
     assert gram == tuple(zip(*gram))  # symmetric
 
 
@@ -104,8 +93,8 @@ def test_kappa_restriction(arr_bhat, arr_bhat_complex):
 
 def test_kappa_builds_no_slice_above_degree_two(monkeypatch, arr_bprime, arr_bhat):
     degrees = []
-    rows = exterior._slice_rows
-    monkeypatch.setattr(exterior, "_slice_rows", lambda g, p, n, col: degrees.append(p) or rows(g, p, n, col))
+    columns = exterior._columns  # called once per degree the pass builds
+    monkeypatch.setattr(exterior, "_columns", lambda n, p: degrees.append(p) or columns(n, p))
     for arr in (arr_bprime, arr_bhat, generic_lines(7, seed=3)):
         degrees.clear()
         kappa(arr)
@@ -121,10 +110,10 @@ def test_kappa_basis_after_a_full_lower_slice():
 def test_kappa_gram_against_shuffle_oracle(arr_b, arr_bprime):
     for arr in (arr_b, arr_bprime):
         form = kappa(arr)
-        gram = dense_gram(form)
+        gram = form.gram()
         for i, bi in enumerate(form.basis):
             for j, bj in enumerate(form.basis):
-                assert gram[i][j] == kappa_entry_oracle(bi, bj, arr.n)
+                assert (gram[i][j],) == kappa_entry_oracle(bi, bj, arr.n)
 
 
 def test_kappa_rank_invariant_under_basis_change(arr_bprime):
@@ -285,9 +274,13 @@ def test_linking_verb_needs_three_subspaces(capsys, tmp_path, independent_pair):
 
 
 def test_kappa_gram_matches_wedge_products(arr_b, arr_bprime):
-    for arr in (arr_b, arr_bprime, generic_lines(8, seed=3), generic_lines(8, seed=3, conjugate_last=True)):
+    """`gram()` holds each product's one integer at n = 4 and its degree-4 vector otherwise."""
+    for arr in (arr_b, arr_bprime):
         form = kappa(arr)
-        assert dense_gram(form) == wedge_gram(form.basis, arr.n)
+        assert form.gram() == tuple(tuple(x for (x,) in row) for row in wedge_gram(form.basis, arr.n))
+    for arr in (generic_lines(8, seed=3), generic_lines(8, seed=3, conjugate_last=True)):
+        form = kappa(arr)
+        assert form.basis and form.gram() == wedge_gram(form.basis, arr.n)
 
 
 @pytest.mark.parametrize("conjugate_last", [False, True], ids=["z-linear", "conj"])
