@@ -353,6 +353,9 @@ def main(argv=None) -> int:
         # DimensionNot4, ModeMismatch, SizeMismatch, DegenerateRestriction, ...
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 4
 
 
 def run() -> None:

@@ -9,9 +9,10 @@ in `reduced_echelon` form. Its rank is that of `sparse_echelon` on the
 products of the basis, one sparse row per element (`exterior.gram_rows`,
 which multiplies on bitmasks); no dense Gram vector is built for it.
 Pairwise linking signs of the great circles cut out on the unit 3-sphere
-are determinant signs of the stacked integer forms, by Bareiss elimination
-(`det_sign`); triple products of those signs do not depend on the member
-orientations at all, and are read off one pairwise table.
+are signs of the Plücker pairing: the determinant of two members' stacked
+forms, expanded along their 2x2 minors, so no elimination runs. Triple
+products of those signs do not depend on the member orientations at all,
+and are read off one pairwise table.
 
 `kappa` and `compare` import the presentation, exterior-algebra and
 matroid modules when called, so the linking signs load none of them.
@@ -24,7 +25,7 @@ from typing import Iterable, Sequence
 
 from ._value import Value
 from .arrangement import Arrangement
-from .linalg import SparseRow, det_sign, reduced_echelon, sparse_echelon
+from .linalg import SparseRow, reduced_echelon, sparse_echelon
 
 VERDICT_DISTINGUISHED = "DISTINGUISHED"
 VERDICT_UNRESOLVED = "OTHERWISE_UNRESOLVED"
@@ -96,14 +97,20 @@ def pairwise_linking(arr: Arrangement) -> tuple[tuple[int, ...], ...]:
     """Linking signs of the great circles: det sign of the four stacked forms.
 
     Symmetric n x n table of +-1 with an unused zero diagonal; ambient
-    orientation is the coordinate order (x1, y1, ..., xd, yd).
+    orientation is the coordinate order (x1, y1, ..., xd, yd). det[A; B] is
+    expanded along A's rows (Laplace): a pairing of the members' 2x2 minors,
+    their Plücker coordinates over the column pairs in lexicographic order.
     """
     if arr.dim != 4:
         raise DimensionNot4(f"dim is {arr.dim}")
-    forms = arr._integer_forms  # positive row scales keep the determinant sign
+    pairs = list(itertools.combinations(range(4), 2))
+    # positive row scales keep the determinant sign
+    minors = [[f[i] * g[j] - f[j] * g[i] for i, j in pairs] for f, g in arr._integer_forms]
     table = [[0] * arr.n for _ in range(arr.n)]
     for a, b in itertools.combinations(range(arr.n), 2):
-        table[a][b] = table[b][a] = det_sign([*forms[a], *forms[b]])
+        p, q = minors[a], minors[b]
+        det = p[0] * q[5] - p[1] * q[4] + p[2] * q[3] + p[3] * q[2] - p[4] * q[1] + p[5] * q[0]
+        table[a][b] = table[b][a] = (det > 0) - (det < 0)
     return tuple(tuple(row) for row in table)
 
 

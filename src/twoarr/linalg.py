@@ -2,10 +2,10 @@
 
 Nothing is ever rounded. The hot work runs on Python ints, fraction-free,
 after scaling each rational row by the positive lcm of its denominators
-(`integer_row`), which leaves rank, row span and determinant sign as they
-were. Every elimination but the determinant's works on sparse rows,
-`{column: int}` dicts, with one row operation (`_cancel`) and one
-normalisation (`_primitive`), in two loops with one job each:
+(`integer_row`), which leaves rank and row span as they were. Every
+elimination works on sparse rows, `{column: int}` dicts, with one row
+operation (`_cancel`), one normalisation (`_primitive`) and one forward
+step (`_keep`), which the two echelon routines share:
 
 - `sparse_echelon` is forward elimination alone, which stops once every
   column has a pivot. It gives the rank and an echelon basis: all that the
@@ -16,7 +16,6 @@ normalisation (`_primitive`), in two loops with one job each:
   degree-2 basis and `restrict`'s kernel read it.
 - `closed_sets` walks the lattice of spans of groups of rows, an
   arrangement's closed sets, whose covers answer every rank question.
-- `det_sign` runs Bareiss elimination on dense integer rows.
 
 `Fraction` appears only at the edges: `dot` and `integer_row`.
 """
@@ -27,10 +26,6 @@ from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 SparseRow = dict[int, int]
-
-
-class NotSquare(ValueError):
-    """Determinant requested for a non-square matrix."""
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -118,26 +113,30 @@ def _cancel(r: SparseRow, b: SparseRow, c: int) -> SparseRow:
     return out
 
 
+def _keep(r: SparseRow, kept: dict[int, SparseRow]) -> None:
+    """The forward step: cancel r, which has no zero entries, at its smallest column
+    against the kept row with that pivot until it is zero or has a new pivot; keep
+    that pivot's row primitive and positive there."""
+    while r:
+        c = min(r)
+        b = kept.get(c)
+        if b is None:
+            kept[c] = _primitive(r, c)
+            return
+        r = _cancel(r, b, c)
+
+
 def sparse_echelon(rows: Iterable[SparseRow], columns: int | None = None) -> list[SparseRow]:
     """Echelon basis of the row span of sparse integer rows, in pivot-column order.
 
-    Each row is cancelled, at its smallest column, against the kept row with
-    that pivot until it is zero or has a new pivot; then it is kept,
-    primitive with a positive pivot. When the rows' keys lie in
+    Each row takes the forward step (`_keep`). When the rows' keys lie in
     range(columns), no row can add a pivot once all `columns` have one, so
     the rest of `rows` is not read. The number of rows returned is the rank
     over the rationals.
     """
     kept: dict[int, SparseRow] = {}
     for row in rows:
-        r = {c: x for c, x in row.items() if x}
-        while r:
-            c = min(r)
-            b = kept.get(c)
-            if b is None:
-                kept[c] = _primitive(r, c)
-                break
-            r = _cancel(r, b, c)
+        _keep({c: x for c, x in row.items() if x}, kept)
         if len(kept) == columns:
             break
     return [kept[c] for c in sorted(kept)]
@@ -146,11 +145,11 @@ def sparse_echelon(rows: Iterable[SparseRow], columns: int | None = None) -> lis
 def reduced_echelon(rows: Iterable[SparseRow], basis: Sequence[SparseRow] = ()) -> list[SparseRow]:
     """The rows that extend an echelon basis, given in pivot order, to span(basis + rows).
 
-    Each row is cleared in the basis's pivot columns, then cancelled at its
-    smallest column against the kept rows until it has a new pivot; kept
-    rows are then cleared in each later pivot column, last pivot first. Each
-    row returned is primitive, positive at its pivot and zero in every other
-    pivot column: with no basis, the primitive reduced row echelon form.
+    Each row is cleared in the basis's pivot columns and takes the forward
+    step (`_keep`); kept rows are then cleared in each later pivot column,
+    last pivot first. Each row returned is primitive, positive at its pivot
+    and zero in every other pivot column: with no basis, the primitive
+    reduced row echelon form.
     """
     fixed = {min(b): b for b in basis}
     kept: dict[int, SparseRow] = {}
@@ -159,13 +158,7 @@ def reduced_echelon(rows: Iterable[SparseRow], basis: Sequence[SparseRow] = ()) 
         for c, b in fixed.items():
             if c in r:
                 r = _cancel(r, b, c)
-        while r:
-            c = min(r)
-            b = kept.get(c)
-            if b is None:
-                kept[c] = _primitive(r, c)
-                break
-            r = _cancel(r, b, c)
+        _keep(r, kept)
     pivots = sorted(kept)
     for c in reversed(pivots):
         r = kept[c]
@@ -175,30 +168,3 @@ def reduced_echelon(rows: Iterable[SparseRow], basis: Sequence[SparseRow] = ()) 
                 r = _cancel(r, kept[k], k)
             kept[c] = _primitive(r, c)
     return [kept[c] for c in pivots]
-
-
-def det_sign(rows: Sequence[Sequence[int]]) -> int:
-    """Sign of the exact determinant of square integer rows: -1, 0 or +1.
-
-    Bareiss elimination: each step's entries are 2x2 minors divided exactly
-    by the previous pivot, and the last pivot is the determinant. Rows
-    scaled by positive factors (`integer_row`) keep the sign.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise NotSquare(f"{n} rows of lengths {sorted({len(r) for r in rows})} have no determinant")
-    a = [list(r) for r in rows]
-    sign, last = 1, 1
-    for c in range(n):
-        p = next((i for i in range(c, n) if a[i][c]), None)
-        if p is None:
-            return 0
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            sign = -sign
-        pivot = a[c]
-        for i in range(c + 1, n):
-            f = a[i][c]
-            a[i] = [(pivot[c] * x - f * y) // last for x, y in zip(a[i], pivot)]
-        last = pivot[c]
-    return sign if last > 0 else -sign

@@ -60,3 +60,14 @@ def kernel_basis(rows, cols: int) -> list[tuple[Fraction, ...]]:
             v[p] = -reduced[i][f]
         basis.append(tuple(v))
     return basis
+
+
+def det(rows) -> Fraction:
+    """Determinant of a square matrix by cofactor expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    total = Fraction(0)
+    for j, x in enumerate(rows[0]):
+        if x:
+            total += (-1) ** j * Fraction(x) * det([r[:j] + r[j + 1 :] for r in rows[1:]])
+    return total

@@ -176,6 +176,17 @@ def test_linking_dimension_guard(fx, capsys):
     assert code == 3
 
 
+def test_out_of_memory_exits_4_with_one_line(fx, capsys, monkeypatch):
+    """A MemoryError ends in exit 4 and one line on stderr, not in a traceback."""
+    from twoarr import invariants
+
+    def exhausted(arr):
+        raise MemoryError
+
+    monkeypatch.setattr(invariants, "kappa", exhausted)
+    assert run(capsys, "kappa", fx("example22-Bprime"), "--format", "json") == (4, "", "error: out of memory\n")
+
+
 def test_betti_with_order(fx, capsys):
     code, out, _ = run(capsys, "betti", fx("example22-B"), "--order", "4,3,2,1")
     assert code == 0

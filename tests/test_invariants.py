@@ -22,13 +22,14 @@ from twoarr.invariants import (
     triple_coefficients,
 )
 import twoarr
-from twoarr import cli, exterior, invariants, presentation
+from twoarr import cli, exterior, invariants, linalg, presentation
 from twoarr.linalg import integer_rank
 from twoarr.presentation import full_presentation, ideal_rank_profile
 from twoarr.matroid import SizeMismatch
 from test_presentation import complex_line_arrangement, recombined
-from conftest import braid_a4, generic_lines, graphic
+from conftest import braid_a4, generic_lines, graphic, pair
 from test_matroid import GRAPHS
+from dense_reference import det as dense_det
 from exterior_reference import add, coeff_vector, monomial, scale, wedge, zero
 
 
@@ -182,10 +183,77 @@ def test_kappa_vanishes_for_random_complex_lines():
 
 
 def test_pairwise_all_plus_for_complexified(arr_b):
-    lk = pairwise_linking(arr_b)
-    for a in range(4):
-        for b in range(4):
-            assert lk[a][b] == (1 if a != b else 0)
+    """Complex lines through 0 in C^2 meet S^3 in Hopf fibres, which link +1 pairwise."""
+    for arr in (arr_b, generic_lines(12, 3)):
+        lk = pairwise_linking(arr)
+        assert lk == tuple(tuple(int(a != b) for b in range(arr.n)) for a in range(arr.n))
+
+
+def linking_sign(rows):
+    """The linking sign of two members whose 2x4 form blocks stack to `rows`.
+
+    The arrangement is built directly, neither parsed nor validated, so a
+    singular pair is allowed; its sign is 0.
+    """
+    arr = Arrangement(4, (pair("A", rows[0], rows[1]), pair("B", rows[2], rows[3])))
+    return pairwise_linking(arr)[0][1]
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+def test_linking_examples():
+    e = [[int(i == j) for j in range(4)] for i in range(4)]
+    assert linking_sign(e) == 1
+    assert linking_sign([e[0], e[1], e[3], e[2]]) == -1
+    assert linking_sign([["1/2", 0, 0, 0], [0, "-1/2", 0, 0], e[2], e[3]]) == -1  # rational rows
+    assert linking_sign([(0, 0, 1, 0), (0, 0, 0, 1), (-2, 0, 1, 0), (0, 2, 0, 1)]) == -1  # B' H2, H4
+    assert linking_sign([e[0], e[1], e[0], e[3]]) == 0
+
+
+def test_linking_matches_cofactor_expansion():
+    rng = random.Random(13)
+    singular = 0
+    for _ in range(2000):
+        rows = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
+        expected = sign(dense_det(rows))
+        assert linking_sign(rows) == expected
+        singular += expected == 0
+    assert singular > 100
+
+
+def test_linking_matches_sympy_on_singular_pairs_zero_leading_columns_and_rational_rows():
+    """Rational rows are scaled to integers by positive factors, which keep the sign."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(89)
+    singular = swapped = 0
+    for _ in range(300):
+        rows = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(4)] for _ in range(4)]
+        kind = rng.randrange(3)
+        if kind == 0:  # a row that is a combination of two others
+            i, j, k = rng.sample(range(4), 3)
+            c = Fraction(rng.randint(-3, 3))
+            rows[k] = [c * a + Fraction(1, 2) * b for a, b in zip(rows[i], rows[j])]
+        elif kind == 1:  # zero leading entries, up to a zero leading column
+            for r in rows[: rng.randint(1, 4)]:
+                r[0] = Fraction(0)
+        expected = int(sympy.sign(sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows]).det()))
+        assert linking_sign(rows) == expected
+        singular += expected == 0
+        swapped += rows[0][0] == 0 and expected != 0
+    assert singular > 50 and swapped > 50
+
+
+def test_pairwise_linking_runs_no_elimination(monkeypatch, arr_bprime):
+    expected = pairwise_linking(arr_bprime)
+
+    def no_elimination(*args):
+        raise AssertionError("elimination in pairwise_linking")
+
+    for name in ("_keep", "_cancel"):
+        monkeypatch.setattr(linalg, name, no_elimination)
+    assert pairwise_linking(Arrangement(4, arr_bprime.subspaces)) == expected
 
 
 def test_pairwise_bprime_values(arr_bprime):

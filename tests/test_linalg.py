@@ -8,7 +8,8 @@ from dense_reference import kernel_basis as dense_kernel_basis
 from dense_reference import rank as dense_rank
 from dense_reference import rref, vec
 from twoarr.arrangement import _kernel_basis
-from twoarr.linalg import NotSquare, det_sign, dot, integer_rank, integer_row, reduced_echelon, sparse_echelon
+from twoarr import linalg
+from twoarr.linalg import dot, integer_rank, integer_row, reduced_echelon, sparse_echelon
 
 # forms of the bundled transversal arrangements, written out literally
 B_FORMS = [
@@ -120,40 +121,11 @@ def test_kernel_of_coordinate_plane_in_r6():
         assert v[4] == 0 and v[5] == 0
 
 
-def test_det_sign_examples():
-    assert det_sign([[-1, 0], [0, -1]]) == 1
-    assert det_sign([integer_row(vec(r)) for r in [["1/2", 0], [0, "-1/2"]]]) == -1
-    rows = [(0, 0, 1, 0), (0, 0, 0, 1)] + BPRIME_H4
-    assert det_sign(rows) == -1
-
-
-def test_det_sign_not_square():
-    with pytest.raises(NotSquare):
-        det_sign([[1, 2]])
-    with pytest.raises(NotSquare):
-        det_sign([[1, 2], [3]])
-
-
 # --- randomized properties ------------------------------------------------
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3) -> list[list[int]]:
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
-
-
-def det_cofactor(rows):
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return rows[0][0]
-    total = Fraction(0)
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * det_cofactor(minor)
-    return total
 
 
 def test_rank_equals_transpose_rank():
@@ -179,24 +151,6 @@ def test_solve_roundtrip_random():
         b = tuple(dot(vec(row), x) for row in a)
         assert solve([[row[j] for row in a] for j in range(cols)], b) == x
         done += 1
-
-
-def test_det_sign_matches_cofactor_expansion():
-    rng = random.Random(13)
-    # exhaustive 2x2 over {-1,0,1}
-    for a in range(-1, 2):
-        for b in range(-1, 2):
-            for c in range(-1, 2):
-                for d in range(-1, 2):
-                    m = [[a, b], [c, d]]
-                    expected = det_cofactor([[Fraction(a), Fraction(b)], [Fraction(c), Fraction(d)]])
-                    assert det_sign(m) == (expected > 0) - (expected < 0)
-    # sampled up to 5x5 over {-2..2}
-    for _ in range(300):
-        n = rng.randint(1, 5)
-        m = random_matrix(rng, n, n, -2, 2)
-        expected = det_cofactor(m)
-        assert det_sign(m) == (expected > 0) - (expected < 0)
 
 
 def test_kernel_dimension_and_membership():
@@ -327,36 +281,11 @@ def test_sparse_echelon_full_rank_stop_changes_nothing():
     assert stopped > 0
 
 
-def sympy_sign(m):
-    sympy = pytest.importorskip("sympy")
-    entries = [sympy.Rational(x.numerator, x.denominator) for row in m for x in row]
-    d = sympy.Matrix(len(m), len(m), entries).det()
-    return 0 if d == 0 else 1 if d > 0 else -1
-
-
-def test_det_sign_matches_sympy_on_singular_and_swapped_matrices():
-    rng = random.Random(89)
-    singular = swapped = 0
-    for _ in range(300):
-        n = rng.randint(1, 6)
-        rows = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(n)] for _ in range(n)]
-        kind = rng.randrange(3)
-        if kind == 0 and n > 1:  # a row that is a combination of two others
-            i, j, k = rng.sample(range(n), 2) + [rng.randrange(n)]
-            rows[k] = [Fraction(rng.randint(-3, 3)) * a + Fraction(1, 2) * b for a, b in zip(rows[i], rows[j])]
-        elif kind == 1:  # a zero leading entry forces a row swap
-            for r in rows[: rng.randint(1, n)]:
-                r[0] = Fraction(0)
-        expected = sympy_sign(rows)
-        # positive row scales keep the sign
-        assert det_sign([integer_row(r) for r in rows]) == expected
-        singular += expected == 0
-        swapped += rows[0][0] == 0 and expected != 0
-    assert singular > 20 and swapped > 20
-
-
-def test_det_sign_of_the_empty_matrix():
-    assert det_sign([]) == 1
+def test_one_elimination_kernel():
+    """Both echelon routines take the one forward step; no dense elimination is left."""
+    assert not hasattr(linalg, "det_sign") and not hasattr(linalg, "NotSquare")
+    for routine in (linalg.sparse_echelon, linalg.reduced_echelon):
+        assert "_keep" in routine.__code__.co_names
 
 
 def test_dot_length_mismatch_raises():
