@@ -27,10 +27,10 @@ import json
 import re
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ._value import Value
-from .linalg import Vector, bitmask, closed_sets, dot, integer_rank, integer_row, reduced_echelon
+from .linalg import Vector, bitmask, closed_sets, integer_row, reduced_echelon
 
 
 class ParseError(ValueError):
@@ -78,10 +78,6 @@ class LinearForm(Value):
     """A real linear form given by its coefficient vector."""
 
     coeffs: Vector
-
-    def restrict_to(self, basis: Sequence[Vector]) -> "LinearForm":
-        """Compose with the inclusion of the subspace the basis spans."""
-        return LinearForm(tuple(dot(self.coeffs, b) for b in basis))
 
 
 class ComplexFormSpec(Value):
@@ -276,50 +272,41 @@ def validate(arr: Arrangement) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-def _kernel_basis(rows: Sequence[Sequence[int]], cols: int) -> list[Vector]:
-    """Basis of the right null space of integer rows, one vector per free column.
-
-    The vector of free column f has v[f] = 1, zero at the other free
-    columns, and v[p] = -row[f] / row[p] for each row of the reduced
-    echelon form pivoted at p: the entries of the classical rref, since
-    that form is unique and `reduced_echelon` only scales its rows.
-    """
-    echelon = reduced_echelon(dict(enumerate(r)) for r in rows)
-    pivots = {min(row): row for row in echelon}
-    basis: list[Vector] = []
-    for f in range(cols):
-        if f in pivots:
-            continue
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for p, row in pivots.items():
-            v[p] = -Fraction(row.get(f, 0), row[p])
-        basis.append(tuple(v))
-    return basis
-
-
 def restrict(arr: Arrangement, at: str | int) -> Arrangement:
     """Arrangement induced on one subspace by intersecting all the others with it.
 
-    The subspace is identified with R^(2d-2) through the deterministic kernel
-    basis of its two forms; every other pair of forms is composed with that
-    inclusion. Orientations of restricted pairs are convention-dependent.
+    The subspace is identified with R^(2d-2) through the kernel basis its
+    two forms' rref gives, one vector per free column f: 1 at f, 0 at the
+    other free columns and -row[f]/row[p] at the pivot p of each reduced
+    echelon row. Every other pair of forms is composed with that inclusion,
+    and keeps codimension 2 exactly when the pair and the subspace span
+    codimension 4, which the walk answers. Orientations of restricted pairs
+    are convention-dependent.
     """
     i = arr.index_of(at)
+    name = arr.pair(i).name
     if arr.n == 1:
-        raise DegenerateRestriction(f"restricting to {arr.pair(i).name!r} leaves no subspace")
-    basis = _kernel_basis(arr._integer_forms[i - 1], arr.dim)
+        raise DegenerateRestriction(f"restricting to {name!r} leaves no subspace")
+    if (r := codim(arr, (i,))) != 2:
+        raise DegenerateRestriction(f"subspace {name!r} has form rank {r}, expected 2")
+    echelon = reduced_echelon(dict(enumerate(f)) for f in arr._integer_forms[i - 1])
+    pivots = {min(row): row for row in echelon}
+    kernel = [(f, [(p, Fraction(row[f], row[p])) for p, row in pivots.items() if f in row])
+              for f in range(arr.dim) if f not in pivots]
+
+    def compose(form: LinearForm) -> LinearForm:
+        c = form.coeffs
+        return LinearForm(tuple(c[f] - sum((c[p] * x for p, x in v), Fraction(0)) for f, v in kernel))
+
     pairs: list[SubspacePair] = []
     for j, p in enumerate(arr.subspaces, start=1):
         if j == i:
             continue
-        first = p.first.restrict_to(basis)
-        second = p.second.restrict_to(basis)
-        if integer_rank((integer_row(first.coeffs), integer_row(second.coeffs))) != 2:
+        if codim(arr, (i, j)) != 4:
             raise DegenerateRestriction(
-                f"subspace {p.name!r} loses codimension when restricted to {arr.pair(i).name!r}"
+                f"subspace {p.name!r} loses codimension when restricted to {name!r}"
             )
-        pairs.append(SubspacePair(p.name, first, second))
+        pairs.append(SubspacePair(p.name, compose(p.first), compose(p.second)))
     return Arrangement(arr.dim - 2, tuple(pairs))
 
 

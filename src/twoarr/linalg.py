@@ -9,7 +9,7 @@ step (`_keep`), which the two echelon routines share:
 
 - `sparse_echelon` is forward elimination alone, which stops once every
   column has a pivot. It gives the rank and an echelon basis: all that the
-  ideal slices' rank profile, kappa's rank and `integer_rank` need.
+  ideal slices' rank profile and kappa's rank need.
 - `reduced_echelon` extends an echelon basis, if any, by the rows fixed by
   the span and the basis's pivots: primitive, positive at the pivot, zero
   in every other pivot column. The walk, the circuit solves, kappa's
@@ -17,7 +17,7 @@ step (`_keep`), which the two echelon routines share:
 - `closed_sets` walks the lattice of spans of groups of rows, an
   arrangement's closed sets, whose covers answer every rank question.
 
-`Fraction` appears only at the edges: `dot` and `integer_row`.
+`Fraction` appears only at the edge, in `integer_row`.
 """
 
 import math
@@ -26,12 +26,6 @@ from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 SparseRow = dict[int, int]
-
-
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError(f"dot product of vectors of lengths {len(u)} and {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def integer_row(row: Sequence[Fraction]) -> list[int]:
@@ -46,11 +40,6 @@ def bitmask(indices: Iterable[int]) -> int:
     for i in indices:
         out |= 1 << (i - 1)
     return out
-
-
-def integer_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Row rank over the rationals of dense integer rows."""
-    return len(sparse_echelon(dict(enumerate(r)) for r in rows))
 
 
 def closed_sets(groups: Sequence[Sequence[Sequence[int]]]) -> tuple[dict[int, int], dict[int, int]]:

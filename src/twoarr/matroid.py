@@ -7,8 +7,9 @@ the arrangement has already passed validation.
 Every rank question, `matroid_rank` included, is a fold of cover lookups
 in the arrangement's one walk (`arrangement._closure`); the flats are the
 walk's closed sets, and the circuits and NBC sets are searches over
-closures. A caller's subset has its indices checked (`arrangement._mask`);
-subsets built here are bitmasks from the start.
+closures. The lattice readers take the walk from one parity gate,
+`_admissible_walk`. A caller's subset has its indices checked
+(`arrangement._mask`); subsets built here are bitmasks from the start.
 """
 
 import itertools
@@ -53,21 +54,22 @@ class IntersectionLattice(Value):
         return [f for group in self.flats_by_rank for f in group]
 
 
-def _check_admissible(arr: Arrangement) -> None:
-    """Raise `NotAdmissible` on the first closed set, in walk order, of odd codimension."""
-    for mask, c in arr._closed_sets.items():
+def _admissible_walk(arr: Arrangement) -> tuple[dict[int, int], dict[int, int]]:
+    """The walk (closed sets, covers); `NotAdmissible` on its first odd closed set, in walk order."""
+    closed, covers = arr._walk
+    for mask, c in closed.items():
         if c % 2:
             raise NotAdmissible(f"subset {set(_members(mask))} has odd codimension {c}")
+    return closed, covers
 
 
 def flats(arr: Arrangement) -> IntersectionLattice:
     """The intersection lattice: the arrangement's closed sets grouped by rank.
 
-    Raises `NotAdmissible` as `_check_admissible` does, as do `circuits`,
-    `nbc_sets` and `whitney_numbers`.
+    Raises `NotAdmissible` as the gate `_admissible_walk` does, as do
+    `circuits`, `nbc_sets` and `whitney_numbers`.
     """
-    _check_admissible(arr)
-    closed = arr._closed_sets
+    closed, _ = _admissible_walk(arr)
     groups: list[list[Flat]] = [[] for _ in range(max(closed.values()) // 2 + 1)]
     for mask, c in closed.items():
         groups[c // 2].append(Flat(_members(mask), c // 2))
@@ -90,8 +92,7 @@ def _scan_circuits(arr: Arrangement) -> list[tuple[int, ...]]:
     If x is outside cl(I), I + x is independent; otherwise it is a circuit
     exactly when no cl(I - y), y in I, holds x (Oxley, Matroid Theory, ch. 1).
     """
-    _check_admissible(arr)
-    covers = arr._walk[1]
+    _, covers = _admissible_walk(arr)
     found: list[int] = []
 
     def grow(indep: int, closed: int, start: int) -> None:
@@ -131,8 +132,7 @@ def nbc_sets(arr: Arrangement, order: Sequence[int] | None = None) -> NbcComplex
     order = tuple(order) if order is not None else tuple(range(1, n + 1))
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError("order must be a permutation of 1..n")
-    _check_admissible(arr)
-    covers = arr._walk[1]
+    _, covers = _admissible_walk(arr)
     bits = [1 << (e - 1) for e in order]
     before = [sum(bits[:p]) for p in range(n)]  # the elements before bits[p] in the order
     level = [(0, covers[0], n)]  # (S, cl(S), position of its least element)
@@ -159,8 +159,7 @@ def whitney_numbers(arr: Arrangement) -> tuple[int, ...]:
     Weisner (Stanley, EC1 3.9): mu(F) = -sum mu(G) over closed G, a not in G
     with cl(G + a) = F, a least in F outside cl(()); walk order lists G first.
     """
-    _check_admissible(arr)
-    closed, covers = arr._walk
+    closed, covers = _admissible_walk(arr)
     below = {covers[0]: -1}  # -mu(F), summed from the G under F
     out: dict[int, int] = {}
     for mask, c in closed.items():

@@ -66,23 +66,53 @@ def generic_hyperplanes(n, rank, seed, conjugate_last=False):
     return arr
 
 
+def z_linear(d, rows):
+    """The arrangement in C^d of the hyperplanes sum_j row[j] z_j = 0, named H1, H2, ...
+
+    Each row lists d Gaussian-integer coefficients as (re, im) pairs.
+    """
+    zero = (Fraction(0), Fraction(0))
+    pairs = []
+    for k, row in enumerate(rows, start=1):
+        spec = ComplexFormSpec(tuple((Fraction(a), Fraction(b)) for a, b in row), (zero,) * d)
+        first, second = from_complex_form(spec)
+        pairs.append(SubspacePair(f"H{k}", first, second, spec))
+    return Arrangement(2 * d, tuple(pairs))
+
+
 def graphic(d, edges):
     """The graphic arrangement in C^d of a graph on the vertices 0..d, one member per edge.
 
     An edge (0, i) gives z_i and an edge (i, j), 0 < i < j, gives z_i - z_j.
     """
-    zero = (Fraction(0), Fraction(0))
 
     def z(v):
         return [int(m == v) for m in range(1, d + 1)]
 
-    pairs = []
-    for k, (i, j) in enumerate(edges, start=1):
-        row = z(j) if i == 0 else [a - b for a, b in zip(z(i), z(j))]
-        spec = ComplexFormSpec(tuple((Fraction(c), Fraction(0)) for c in row), (zero,) * d)
-        first, second = from_complex_form(spec)
-        pairs.append(SubspacePair(f"H{k}", first, second, spec))
-    return Arrangement(2 * d, tuple(pairs))
+    rows = (z(j) if i == 0 else [a - b for a, b in zip(z(i), z(j))] for i, j in edges)
+    return z_linear(d, ([(c, 0) for c in row] for row in rows))
+
+
+# kind -> (m, whether z_i = 0 are members): B_d = G(2, 1, d), D_d = G(2, 2, d)
+REFLECTION_KINDS = {"B": (2, True), "D": (2, False), "G(4,1)": (4, True), "G(4,4)": (4, False)}
+
+
+def reflection(kind, d):
+    """The reflection arrangement in C^d of B_d, D_d, G(4, 1, d) or G(4, 4, d).
+
+    G(m, p, d) has z_i - w z_j for i < j and each m-th root of unity w, and
+    z_i (listed first) unless p = m. Its Betti numbers are the coefficients
+    of the product of 1 + (k m + 1) t over k < d - 1, times 1 + ((d - 1) m + 1) t,
+    or times 1 + (d - 1)(m - 1) t when p = m (Orlik-Terao, ch. 6).
+    """
+    m, with_axes = REFLECTION_KINDS[kind]
+    roots = [(1, 0), (0, 1), (-1, 0), (0, -1)][:: 4 // m]
+
+    def row(i, j=None, w=(1, 0)):
+        return [(1, 0) if v == i else (-w[0], -w[1]) if v == j else (0, 0) for v in range(d)]
+
+    axes = [row(i) for i in range(d)] if with_axes else []
+    return z_linear(d, axes + [row(i, j, w) for i, j in itertools.combinations(range(d), 2) for w in roots])
 
 
 def braid(d):

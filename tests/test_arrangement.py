@@ -25,7 +25,7 @@ from twoarr.arrangement import (
 )
 from twoarr.fixtures import FIXTURES, load_fixture
 from twoarr.matroid import closure
-from conftest import braid_a4, form, generic_hyperplanes, generic_lines, pair
+from conftest import braid_a4, form, generic_hyperplanes, generic_lines, pair, reflection
 from dense_reference import kernel_basis as dense_kernel_basis
 from dense_reference import rank as dense_rank
 
@@ -341,27 +341,95 @@ def test_restrict_degenerate_pair_raises():
         restrict(arr, "H1")
 
 
-@pytest.mark.parametrize("case", ["fixtures", "braid-a4", "lines7", "lines7-conj", "planes7"])
+def random_targets():
+    """Arrangements built directly, not parsed, whose first member has random forms of rank 2.
+
+    Half the entries are zero, so some members have form rank below 2 and
+    some lose codimension on a restriction.
+    """
+    rng = random.Random(29)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) if rng.random() < 0.5 else 0
+
+    out = []
+    while len(out) < 40:
+        dim = rng.choice((4, 6, 8))
+        members = [[[entry() for _ in range(dim)] for _ in range(2)] for _ in range(rng.randint(2, 5))]
+        if dense_rank(members[0]) == 2:
+            out.append(Arrangement(dim, tuple(pair(f"H{k}", *m) for k, m in enumerate(members, start=1))))
+    return out
+
+
+def dense_restriction(arr, i):
+    """What `restrict(arr, i)` gives, from the rref's kernel basis and dense ranks alone.
+
+    Either the (name, first, second) of each other member composed with
+    that basis, or the message of the `DegenerateRestriction` it raises.
+    """
+    p = arr.subspaces[i - 1]
+    target = [p.first.coeffs, p.second.coeffs]
+    if dense_rank(target) != 2:
+        return f"subspace {p.name!r} has form rank {dense_rank(target)}, expected 2"
+    basis = dense_kernel_basis(target, arr.dim)
+    out = []
+    for j, q in enumerate(arr.subspaces, start=1):
+        if j == i:
+            continue
+        first, second = (
+            form(*(sum(c * x for c, x in zip(f.coeffs, v)) for v in basis)) for f in (q.first, q.second)
+        )
+        if dense_rank([first.coeffs, second.coeffs]) != 2:
+            return f"subspace {q.name!r} loses codimension when restricted to {p.name!r}"
+        out.append((q.name, first, second))
+    return tuple(out)
+
+
+RESTRICT_CASES = {
+    "fixtures": lambda: [load_fixture(name) for name in FIXTURES],
+    "braid-a4": lambda: [braid_a4()],
+    "lines7": lambda: [generic_lines(7, 3)],
+    "lines7-conj": lambda: [generic_lines(7, 3, conjugate_last=True)],
+    "planes7": lambda: [generic_hyperplanes(7, 3, 3)],
+    "reflection-B3": lambda: [reflection("B", 3)],
+    "reflection-G443": lambda: [reflection("G(4,4)", 3)],
+    "random-targets": random_targets,
+}
+
+
+@pytest.mark.parametrize("case", list(RESTRICT_CASES))
 def test_restrict_matches_the_dense_kernel_basis(case):
-    """On every subspace, restrict composes with the rref's kernel basis, entry for entry."""
-    arrs = {
-        "fixtures": lambda: [load_fixture(name) for name in FIXTURES],
-        "braid-a4": lambda: [braid_a4()],
-        "lines7": lambda: [generic_lines(7, 3)],
-        "lines7-conj": lambda: [generic_lines(7, 3, conjugate_last=True)],
-        "planes7": lambda: [generic_hyperplanes(7, 3, 3)],
-    }[case]()
-    for arr in arrs:
-        for i, p in enumerate(arr.subspaces, start=1):
-            basis = dense_kernel_basis([p.first.coeffs, p.second.coeffs], arr.dim)
-            expected = tuple(
-                (q.name, q.first.restrict_to(basis), q.second.restrict_to(basis))
-                for q in arr.subspaces
-                if q is not p
-            )
+    """On every member, restrict composes with the rref's kernel basis, entry for entry,
+    and raises exactly where a dense rank is not 2."""
+    outcomes = set()
+    for arr in RESTRICT_CASES[case]():
+        for i in range(1, arr.n + 1):
+            expected = dense_restriction(arr, i)
+            if isinstance(expected, str):
+                with pytest.raises(DegenerateRestriction) as raised:
+                    restrict(arr, i)
+                assert str(raised.value) == expected
+                outcomes.add(expected.split()[2])  # "has" or "loses"
+                continue
             r = restrict(arr, i)
             assert r.dim == arr.dim - 2
             assert tuple((q.name, q.first, q.second) for q in r.subspaces) == expected
+            outcomes.add("composed")
+    assert outcomes == ({"composed", "has", "loses"} if case == "random-targets" else {"composed"})
+
+
+def test_restrict_at_a_member_of_form_rank_one_raises():
+    """Only a directly built arrangement has such a member; its restriction used to have
+    dim 2 and forms of length 3, so it did not parse back."""
+    arr = Arrangement(4, (pair("H1", (1, 0, 0, 0), (2, 0, 0, 0)),
+                          pair("H2", (0, 0, 1, 0), (0, 0, 0, 1)),
+                          pair("H3", (1, 0, 0, 1), (0, 1, 1, 0))))
+    with pytest.raises(DegenerateRestriction, match="subspace 'H1' has form rank 1, expected 2"):
+        restrict(arr, "H1")
+    for other in ("H2", "H3"):  # H1 and either other member span codimension 3
+        message = f"'H1' loses codimension when restricted to '{other}'"
+        with pytest.raises(DegenerateRestriction, match=message):
+            restrict(arr, other)
 
 
 def test_restrict_transversal_r4_collapses(arr_b):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from twoarr.arrangement import Arrangement, restrict
+from twoarr.arrangement import Arrangement, LinearForm, restrict
 from twoarr.exterior import ideal_slices, monomials
 from twoarr.invariants import (
     DimensionNot4,
@@ -23,7 +23,7 @@ from twoarr.invariants import (
 )
 import twoarr
 from twoarr import cli, exterior, invariants, linalg, presentation
-from twoarr.linalg import integer_rank
+from twoarr.linalg import sparse_echelon
 from twoarr.presentation import full_presentation, ideal_rank_profile
 from twoarr.matroid import SizeMismatch
 from test_presentation import complex_line_arrangement, recombined
@@ -60,9 +60,14 @@ def wedge_gram(basis, n):
     return tuple(tuple(coeff_vector(wedge(x, y), mons4) for y in basis) for x in basis)
 
 
+def rank_of(rows):
+    """Rank over Q of dense integer rows."""
+    return len(sparse_echelon(dict(enumerate(r)) for r in rows))
+
+
 def flat_rank(gram):
     """Rank over Q of a dense Gram, each row i flattened over j."""
-    return integer_rank(tuple(itertools.chain.from_iterable(row)) for row in gram)
+    return rank_of(tuple(itertools.chain.from_iterable(row)) for row in gram)
 
 
 def test_kappa_vanishes_for_complexified(arr_b):
@@ -125,7 +130,7 @@ def test_kappa_rank_invariant_under_basis_change(arr_bprime):
     for _ in range(100):
         while True:
             t = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
-            if integer_rank(t) == k:
+            if rank_of(t) == k:
                 break
         new_basis = []
         for row in t:
@@ -434,8 +439,9 @@ def test_slices_and_presentations_never_eliminate_over_fraction(
 
     monkeypatch.setattr(presentation, "Fraction", forbidden)
 
-    # no module of the package binds a dense Fraction eliminator
-    dense = {"Matrix", "rref", "solve_unique", "kernel_basis"}
+    # no module of the package binds a dense Fraction eliminator, nor the Fraction
+    # kernel path and second rank routine that restrict once had
+    dense = {"Matrix", "rref", "solve_unique", "kernel_basis", "_kernel_basis", "dot", "integer_rank"}
     for name in ("arrangement", "exterior", "invariants", "linalg", "matroid", "presentation", "cli"):
         importlib.import_module(f"twoarr.{name}")
     modules = [m for name, m in sys.modules.items() if name == "twoarr" or name.startswith("twoarr.")]
@@ -443,6 +449,7 @@ def test_slices_and_presentations_never_eliminate_over_fraction(
     for module in modules:
         assert not dense & set(vars(module)), module.__name__
     assert not any(hasattr(twoarr, name) for name in dense)
+    assert not hasattr(LinearForm, "restrict_to")
     lines = generic_lines(7, seed=3)
     lines_conj = generic_lines(7, seed=3, conjugate_last=True)
     for arr in (arr_b, arr_bprime, arr_bhat, arr_bhat_complex, lines, lines_conj):

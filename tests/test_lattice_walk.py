@@ -128,7 +128,7 @@ def test_validate_matches_reference_on_inadmissible_arrangements():
 
 
 def test_circuits_and_nbc_sets_raise_like_flats_on_inadmissible_input():
-    """The searches run the walk's parity check first, so they name the subset `flats` names."""
+    """The searches and Weisner's sum pass the walk's parity gate first, so they name the subset `flats` names."""
     for arr in inadmissible_arrangements():
         with pytest.raises(NotAdmissible) as raised:
             flats(arr)
@@ -139,6 +139,21 @@ def test_circuits_and_nbc_sets_raise_like_flats_on_inadmissible_input():
             nbc_sets(arr)
         with pytest.raises(NotAdmissible, match=message):
             nbc_sets(arr, range(arr.n, 0, -1))
+        with pytest.raises(NotAdmissible, match=message):
+            whitney_numbers(arr)
+
+
+def test_each_lattice_reader_passes_the_gate_once(monkeypatch):
+    """`flats`, the circuit search, `nbc_sets` and `whitney_numbers` each take the walk from one gate call."""
+    assert not hasattr(matroid, "_check_admissible")
+    gate = matroid._admissible_walk
+    passed = []
+    monkeypatch.setattr(matroid, "_admissible_walk", lambda arr: passed.append(arr) or gate(arr))
+    for reader in (flats, circuits, nbc_sets, whitney_numbers):
+        arr = braid_a4()
+        passed.clear()
+        reader(arr)
+        assert passed == [arr], reader.__name__
 
 
 def test_one_walk_per_arrangement(monkeypatch, capsys):
@@ -147,15 +162,20 @@ def test_one_walk_per_arrangement(monkeypatch, capsys):
     monkeypatch.setattr(arrangement, "closed_sets", lambda groups: walked.append(groups) or walk(groups))
     arr = parse_arrangement(serialize_arrangement(braid_a4()))
     assert walked == [arr._integer_forms]
-    restricted = restrict(arr, 1)
 
-    def no_rank(rows):
-        raise AssertionError("integer_rank called after parse")
+    def no_forward(*args, **kwargs):
+        raise AssertionError("sparse_echelon in restrict")
 
-    for module in list(sys.modules.values()):
-        if module is not None and module.__name__.startswith("twoarr"):
-            if getattr(module, "integer_rank", None) is linalg.integer_rank:
-                monkeypatch.setattr(module, "integer_rank", no_rank)
+    reduced = []
+    with monkeypatch.context() as m:
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("twoarr"):
+                if getattr(module, "sparse_echelon", None) is linalg.sparse_echelon:
+                    m.setattr(module, "sparse_echelon", no_forward)
+        m.setattr(arrangement, "reduced_echelon", lambda rows: reduced.append(rows) or linalg.reduced_echelon(rows))
+        restricted = restrict(arr, 1)
+    assert walked == [arr._integer_forms]  # restrict reads the parse's walk for its codimensions
+    assert len(reduced) == 1  # the kernel of member 1's forms
     monkeypatch.setattr(cli, "_read_arrangement", lambda path: arr)
     counted = []
     real_circuits = matroid.circuits

@@ -4,12 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from dense_reference import kernel_basis as dense_kernel_basis
 from dense_reference import rank as dense_rank
 from dense_reference import rref, vec
-from twoarr.arrangement import _kernel_basis
 from twoarr import linalg
-from twoarr.linalg import dot, integer_rank, integer_row, reduced_echelon, sparse_echelon
+from twoarr.linalg import integer_row, reduced_echelon, sparse_echelon
 
 # forms of the bundled transversal arrangements, written out literally
 B_FORMS = [
@@ -23,6 +21,11 @@ BPRIME_H4 = [(-2, 0, 1, 0), (0, 2, 0, 1)]
 
 def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def rank(rows):
+    """Rank over the rationals of dense integer rows: the length of their echelon basis."""
+    return len(sparse_echelon(dict(enumerate(r)) for r in rows))
 
 
 def solve(columns, b):
@@ -45,15 +48,15 @@ def solve(columns, b):
 
 
 def test_rank_identity():
-    assert integer_rank(identity(4)) == 4
+    assert rank(identity(4)) == 4
 
 
 def test_rank_zero_matrix():
-    assert integer_rank([[0] * 5] * 3) == 0
+    assert rank([[0] * 5] * 3) == 0
 
 
 def test_rank_stacked_forms():
-    assert integer_rank(B_FORMS) == 4
+    assert rank(B_FORMS) == 4
 
 
 # the dense oracle itself, on cases worked by hand
@@ -100,27 +103,6 @@ def test_solve_not_unique():
         solve([(1, 0), (2, 0)], vec([3, 0]))
 
 
-def in_kernel(rows, v):
-    return all(dot(vec(row), v) == 0 for row in rows)
-
-
-def test_kernel_identity_empty():
-    assert _kernel_basis(identity(3), 3) == []
-
-
-def test_kernel_difference_form():
-    assert _kernel_basis([[1, -1]], 2) == [vec([1, 1])]
-
-
-def test_kernel_of_coordinate_plane_in_r6():
-    rows = [[0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
-    basis = _kernel_basis(rows, 6)
-    assert len(basis) == 4
-    for v in basis:
-        assert in_kernel(rows, v)
-        assert v[4] == 0 and v[5] == 0
-
-
 # --- randomized properties ------------------------------------------------
 
 
@@ -134,7 +116,7 @@ def test_rank_equals_transpose_rank():
         cols = rng.randint(1, 5)
         m = random_matrix(rng, rng.randint(0, 5), cols)
         transpose = [[row[j] for row in m] for j in range(cols)]
-        assert integer_rank(m) == integer_rank(transpose)
+        assert rank(m) == rank(transpose)
 
 
 def test_solve_roundtrip_random():
@@ -145,23 +127,12 @@ def test_solve_roundtrip_random():
         if cols > rows:
             continue
         a = random_matrix(rng, rows, cols)
-        if integer_rank(a) < cols:
+        if rank(a) < cols:
             continue
         x = vec([rng.randint(-5, 5) for _ in range(cols)])
-        b = tuple(dot(vec(row), x) for row in a)
+        b = tuple(sum(c * y for c, y in zip(row, x)) for row in a)
         assert solve([[row[j] for row in a] for j in range(cols)], b) == x
         done += 1
-
-
-def test_kernel_dimension_and_membership():
-    rng = random.Random(17)
-    for _ in range(200):
-        cols = rng.randint(1, 6)
-        m = random_matrix(rng, rng.randint(1, 5), cols)
-        basis = _kernel_basis(m, cols)
-        assert len(basis) == cols - integer_rank(m)
-        assert all(in_kernel(m, v) for v in basis)
-        assert basis == dense_kernel_basis(m, cols)
 
 
 def rational_matrices() -> list[tuple[list[list[Fraction]], int]]:
@@ -197,9 +168,10 @@ def rational_matrices() -> list[tuple[list[list[Fraction]], int]]:
 
 
 def test_integer_rank_matches_rref_pivots():
+    """The rank of the integer rows, `rank`, against the dense rref's pivot count."""
     ranks = set()
     for m, _ in rational_matrices():
-        r = integer_rank(integer_row(row) for row in m)
+        r = rank(integer_row(row) for row in m)
         ranks.add(r)
         assert r == len(rref(m)[1])
     assert ranks == {0, 1, 2, 3, 4}
@@ -209,7 +181,7 @@ def test_integer_rank_matches_sympy():
     sympy = pytest.importorskip("sympy")
     for m, cols in rational_matrices():
         entries = [sympy.Rational(x.numerator, x.denominator) for row in m for x in row]
-        assert integer_rank(integer_row(row) for row in m) == sympy.Matrix(len(m), cols, entries).rank()
+        assert rank(integer_row(row) for row in m) == sympy.Matrix(len(m), cols, entries).rank()
 
 
 def primitive_rref(m):
@@ -282,12 +254,7 @@ def test_sparse_echelon_full_rank_stop_changes_nothing():
 
 
 def test_one_elimination_kernel():
-    """Both echelon routines take the one forward step; no dense elimination is left."""
-    assert not hasattr(linalg, "det_sign") and not hasattr(linalg, "NotSquare")
+    """Both echelon routines take the one forward step; no dense elimination or second rank routine is left."""
+    assert not any(hasattr(linalg, name) for name in ("det_sign", "NotSquare", "integer_rank", "dot"))
     for routine in (linalg.sparse_echelon, linalg.reduced_echelon):
         assert "_keep" in routine.__code__.co_names
-
-
-def test_dot_length_mismatch_raises():
-    with pytest.raises(ValueError):
-        dot(vec([1, 2]), vec([1]))

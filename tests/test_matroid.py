@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from twoarr.arrangement import Arrangement, codim, restrict
+from twoarr.arrangement import Arrangement, codim, restrict, validate
 from twoarr import matroid
 from twoarr.fixtures import load_fixture
 from twoarr.matroid import (
@@ -20,7 +20,7 @@ from twoarr.matroid import (
     whitney_numbers,
 )
 from twoarr.presentation import full_presentation, ideal_rank_profile
-from conftest import braid, braid_a4, graphic, pair
+from conftest import braid, braid_a4, graphic, pair, reflection
 
 U24_NBC = [(), (1,), (2,), (3,), (4,), (1, 2), (1, 3), (1, 4)]
 
@@ -192,6 +192,31 @@ def test_graphic_arrangement_known_answers(name):
     betti = betti_vector(arr)
     assert betti == tuple(abs(c) for c in reversed(chi[1:]))
     padded = betti + (0,) * (arr.n + 1 - len(betti))
+    profile = ideal_rank_profile(full_presentation(arr))
+    assert tuple(r + b for r, b in zip(profile, padded[1:])) == tuple(math.comb(arr.n, p) for p in range(1, arr.n + 1))
+
+
+# (kind, d) of `conftest.reflection` -> the exponents e_i, coexponents for G(4, p, 3)
+REFLECTIONS = {
+    ("B", 3): (1, 3, 5),
+    ("D", 4): (1, 3, 3, 5),
+    ("B", 4): (1, 3, 5, 7),
+    ("G(4,1)", 3): (1, 5, 9),
+    ("G(4,4)", 3): (1, 5, 6),
+}
+
+
+@pytest.mark.parametrize("kind, d", list(REFLECTIONS), ids=[f"{k}-{d}" for k, d in REFLECTIONS])
+def test_reflection_arrangement_known_answers(kind, d):
+    """Non-binary lattices, complex coefficients for G(4, p, 3): the Betti numbers are the
+    coefficients of the product of 1 + e_i t (Orlik-Terao, ch. 6), and rank I^p + b_p = C(n, p)."""
+    arr = reflection(kind, d)
+    product = [1]
+    for e in REFLECTIONS[kind, d]:
+        product = [a + e * b for a, b in zip(product + [0], [0] + product)]
+    assert arr.n == sum(REFLECTIONS[kind, d]) <= 16 and validate(arr).ok
+    assert betti_vector(arr) == whitney_numbers(arr) == tuple(product)
+    padded = tuple(product) + (0,) * (arr.n + 1 - len(product))
     profile = ideal_rank_profile(full_presentation(arr))
     assert tuple(r + b for r, b in zip(profile, padded[1:])) == tuple(math.comb(arr.n, p) for p in range(1, arr.n + 1))
 

@@ -2,8 +2,9 @@
 and the Björner–Ziegler identity.
 
 Each of the first three properties runs on every input: the four fixtures,
-small generated arrangements (n <= 7), and two graphic arrangements (n = 8
-and 9) whose lattices are not those of uniform matroids. A drawn case
+small generated arrangements (n <= 7), two graphic arrangements (n = 8
+and 9) and the reflection arrangement of G(4, 4, 3) (n = 12, complex
+coefficients), whose lattices are not those of uniform matroids. A drawn case
 replaces each subspace's form pair by an invertible rational 2x2
 recombination of it, which drops the complex block, and then reorders the
 subspaces. The
@@ -30,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import generic_hyperplanes, generic_lines, graphic
+from conftest import generic_hyperplanes, generic_lines, graphic, reflection
 from test_matroid import GRAPHS, chromatic
 from test_presentation import recombined
 from twoarr import matroid
@@ -60,6 +61,7 @@ INPUTS = {
     # non-uniform lattices: the rest are uniform matroids or the small fixtures
     "wheel-w5": graphic(*GRAPHS["wheel W_5"]),
     "prism": graphic(*GRAPHS["triangular prism"]),
+    "reflection-G443": reflection("G(4,4)", 3),
 }
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=3)
 
