@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_reference import kernel_basis as dense_kernel_basis
 from dense_reference import rank as dense_rank
 from dense_reference import rref, vec
 from twoarr import linalg
@@ -103,6 +104,42 @@ def test_solve_not_unique():
         solve([(1, 0), (2, 0)], vec([3, 0]))
 
 
+def kernel_basis(rows, cols):
+    """The right kernel basis read off `reduced_echelon`, one vector per free column in order.
+
+    This is how `restrict` reads it: free column f gets 1 at f and
+    -row[f] / row[p] at each pivot p.
+    """
+    pivots = {min(row): row for row in reduced_echelon(dict(enumerate(r)) for r in rows)}
+    return [
+        tuple(Fraction(int(c == f)) if c not in pivots else -Fraction(pivots[c].get(f, 0), pivots[c][c])
+              for c in range(cols))
+        for f in range(cols)
+        if f not in pivots
+    ]
+
+
+def in_kernel(rows, v):
+    return all(sum(c * x for c, x in zip(row, v)) == 0 for row in rows)
+
+
+def test_kernel_identity_empty():
+    assert kernel_basis(identity(3), 3) == []
+
+
+def test_kernel_difference_form():
+    assert kernel_basis([[1, -1]], 2) == [vec([1, 1])]
+
+
+def test_kernel_of_coordinate_plane_in_r6():
+    rows = [[0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
+    basis = kernel_basis(rows, 6)
+    assert len(basis) == 4
+    for v in basis:
+        assert in_kernel(rows, v)
+        assert v[4] == 0 and v[5] == 0
+
+
 # --- randomized properties ------------------------------------------------
 
 
@@ -133,6 +170,17 @@ def test_solve_roundtrip_random():
         b = tuple(sum(c * y for c, y in zip(row, x)) for row in a)
         assert solve([[row[j] for row in a] for j in range(cols)], b) == x
         done += 1
+
+
+def test_kernel_dimension_and_membership():
+    rng = random.Random(17)
+    for _ in range(200):
+        cols = rng.randint(1, 6)
+        m = random_matrix(rng, rng.randint(1, 5), cols)
+        basis = kernel_basis(m, cols)
+        assert len(basis) == cols - rank(m)
+        assert all(in_kernel(m, v) for v in basis)
+        assert basis == dense_kernel_basis(m, cols)
 
 
 def rational_matrices() -> list[tuple[list[list[Fraction]], int]]:
