@@ -17,16 +17,16 @@ pays only for the modules it touches.
 _EXPORTS = {
     name: module
     for module, names in {
-        "arrangement": """Arrangement DegenerateRestriction ParseError UnknownLabel ValidationError
-            parse_arrangement restrict""",
+        "arrangement": "Arrangement DegenerateRestriction ParseError UnknownLabel ValidationError parse_arrangement",
         "invariants": """ComparisonReport DimensionNot4 KappaForm compare kappa kappa_rank
             triple_coefficients""",
         "matroid": "SizeMismatch",
         "presentation": "ModeMismatch Presentation full_presentation",
+        "restriction": "restrict",
     }.items()
     for name in names.split()
 }
-_SUBMODULES = frozenset(("arrangement", "exterior", "invariants", "linalg", "matroid", "presentation"))
+_SUBMODULES = frozenset(("arrangement", "exterior", "invariants", "linalg", "matroid", "presentation", "restriction"))
 
 __all__ = list(_EXPORTS)
 __version__ = "0.1.0"

@@ -21,16 +21,22 @@ Arrangement files are JSON documents:
 Rationals are strings "p" or "p/q" with q > 0; `forms` entries list 2d
 coefficients; `complex` blocks list d coefficient pairs [re, im] for the
 z_j and the conjugate zbar_j variables. Unknown fields are rejected.
+
+Every verb parses, so this module holds only what parsing and the rank
+questions need: the parser, `validate`, the one walk every rank question
+reads (`codim`, `_closure`) and the circuit search that fills an
+arrangement's `_circuits` cache, so `present` and `kappa` load no matroid
+module. `restrict` and the document writer live in `restriction`, which
+only the `restrict` verb loads.
 """
 
 import json
-import re
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
 from ._value import Value
-from .linalg import Vector, bitmask, closed_sets, integer_row, reduced_echelon
+from .linalg import Vector, bitmask, closed_sets, integer_row
 
 
 class ParseError(ValueError):
@@ -59,14 +65,16 @@ class ValidationError(ValueError):
         self.report = report
 
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+class NotAdmissible(ValueError):
+    """A subset's intersection has odd codimension, so there is no matroid rank."""
 
 
 def parse_rational(text: str) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    num, slash, den = text.partition("/") if isinstance(text, str) else ("", "", "")
+    # the pattern [+-]?\d+(/\d+)?\Z, uncompiled: isdecimal() is \d, any Unicode decimal digit, and int() reads each
+    if not (num[1:] if num[:1] in "+-" else num).isdecimal() or slash and not den.isdecimal():
         raise ParseError(f"malformed rational {text!r}")
-    # \d admits any decimal digit, not only ASCII 0-9, and int() reads each of them
-    if "/" in text and not any(map(int, text.split("/")[1])):
+    if slash and not any(map(int, den)):
         raise ParseError(f"zero denominator in {text!r}")
     try:
         return Fraction(text)
@@ -142,16 +150,6 @@ class Arrangement(Value):
             raise UnknownLabel(f"index {index} out of range 1..{self.n}")
         return self.subspaces[index - 1]
 
-    def index_of(self, label: str | int) -> int:
-        """1-based index from a label string or an index."""
-        if isinstance(label, int):
-            self.pair(label)
-            return label
-        for i, s in enumerate(self.subspaces, start=1):
-            if s.name == label:
-                return i
-        raise UnknownLabel(f"no subspace named {label!r}")
-
     # The caches below sit in the instance __dict__, outside the value
     # fields, so ==, hash and repr ignore them.
 
@@ -174,9 +172,7 @@ class Arrangement(Value):
 
     @cached_property
     def _circuits(self) -> tuple[tuple[int, ...], ...]:
-        """The circuits, found once; `matroid.circuits` hands out copies."""
-        from .matroid import _scan_circuits
-
+        """The circuits, found once by `_scan_circuits`; `matroid.circuits` hands out copies."""
         return tuple(_scan_circuits(self))
 
     @property
@@ -272,45 +268,37 @@ def validate(arr: Arrangement) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-def restrict(arr: Arrangement, at: str | int) -> Arrangement:
-    """Arrangement induced on one subspace by intersecting all the others with it.
+def _admissible_walk(arr: Arrangement) -> tuple[dict[int, int], dict[int, int]]:
+    """The walk (closed sets, covers); `NotAdmissible` on its first odd closed set, in walk order."""
+    closed, covers = arr._walk
+    for mask, c in closed.items():
+        if c % 2:
+            raise NotAdmissible(f"subset {set(_members(mask))} has odd codimension {c}")
+    return closed, covers
 
-    The subspace is identified with R^(2d-2) through the kernel basis its
-    two forms' rref gives, one vector per free column f: 1 at f, 0 at the
-    other free columns and -row[f]/row[p] at the pivot p of each reduced
-    echelon row. Every other pair of forms is composed with that inclusion,
-    and keeps codimension 2 exactly when the pair and the subspace span
-    codimension 4, which the walk answers. Orientations of restricted pairs
-    are convention-dependent.
+
+def _scan_circuits(arr: Arrangement) -> list[tuple[int, ...]]:
+    """The minimal dependent subsets, in lexicographic order, for `Arrangement._circuits`.
+
+    Grows independent sets I depth first by each x > max I. If x is outside
+    cl(I), I + x is independent; otherwise it is a circuit exactly when no
+    cl(I - y), y in I, holds x (Oxley, Matroid Theory, ch. 1).
     """
-    i = arr.index_of(at)
-    name = arr.pair(i).name
-    if arr.n == 1:
-        raise DegenerateRestriction(f"restricting to {name!r} leaves no subspace")
-    if (r := codim(arr, (i,))) != 2:
-        raise DegenerateRestriction(f"subspace {name!r} has form rank {r}, expected 2")
-    echelon = reduced_echelon(dict(enumerate(f)) for f in arr._integer_forms[i - 1])
-    pivots = {min(row): row for row in echelon}
-    kernel = [(f, [(p, Fraction(row[f], row[p])) for p, row in pivots.items() if f in row])
-              for f in range(arr.dim) if f not in pivots]
+    _, covers = _admissible_walk(arr)
+    found: list[int] = []
 
-    def compose(form: LinearForm) -> LinearForm:
-        c = form.coeffs
-        return LinearForm(tuple(c[f] - sum((c[p] * x for p, x in v), Fraction(0)) for f, v in kernel))
+    def grow(indep: int, closed: int, start: int) -> None:
+        for x in range(start, arr.n):
+            if not closed >> x & 1:
+                grow(indep | 1 << x, covers[closed | 1 << x], x + 1)
+            elif not any(_closure(arr, indep ^ 1 << y) >> x & 1 for y in range(x) if indep >> y & 1):
+                found.append(indep | 1 << x)
 
-    pairs: list[SubspacePair] = []
-    for j, p in enumerate(arr.subspaces, start=1):
-        if j == i:
-            continue
-        if codim(arr, (i, j)) != 4:
-            raise DegenerateRestriction(
-                f"subspace {p.name!r} loses codimension when restricted to {name!r}"
-            )
-        pairs.append(SubspacePair(p.name, compose(p.first), compose(p.second)))
-    return Arrangement(arr.dim - 2, tuple(pairs))
+    grow(0, covers[0], 0)
+    return sorted(map(_members, found))
 
 
-# --- document parsing and serialization ---------------------------------
+# --- document parsing -----------------------------------------------------
 
 
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
@@ -399,23 +387,15 @@ def parse_arrangement(text: str) -> Arrangement:
     return arrangement_from_document(doc)
 
 
-def arrangement_to_document(arr: Arrangement) -> dict:
-    subspaces = []
-    for p in arr.subspaces:
-        rec: dict = {"name": p.name}
-        if p.complex_spec is not None:
-            rec["complex"] = {
-                "z": [[str(a), str(b)] for a, b in p.complex_spec.z],
-                "zbar": [[str(a), str(b)] for a, b in p.complex_spec.zbar],
-            }
-        else:
-            rec["forms"] = [
-                [str(c) for c in p.first.coeffs],
-                [str(c) for c in p.second.coeffs],
-            ]
-        subspaces.append(rec)
-    return {"dim": arr.dim, "subspaces": subspaces}
+def __getattr__(name: str):
+    """`restrict` and the document writer, which moved to `restriction` (PEP 562).
 
+    Only the `restrict` verb loads that module. The names stay resolvable here
+    because bench/tracer.py wraps `twoarr.arrangement.restrict` by name; the
+    tracer's rewrite (ROADMAP item 7) deletes this shim.
+    """
+    if name in ("restrict", "arrangement_to_document", "serialize_arrangement"):
+        from . import restriction
 
-def serialize_arrangement(arr: Arrangement) -> str:
-    return json.dumps(arrangement_to_document(arr), indent=2) + "\n"
+        return getattr(restriction, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

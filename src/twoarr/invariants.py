@@ -14,8 +14,9 @@ forms, expanded along their 2x2 minors, so no elimination runs. Triple
 products of those signs do not depend on the member orientations at all,
 and are read off one pairwise table.
 
-`kappa` and `compare` import the presentation, exterior-algebra and
-matroid modules when called, so the linking signs load none of them.
+`kappa` and `compare` import the presentation and exterior-algebra
+modules when called, and `compare` the matroid module too, so the linking
+signs load none of them and kappa loads no matroid module.
 """
 
 import itertools

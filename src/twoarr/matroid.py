@@ -8,7 +8,9 @@ Every rank question, `matroid_rank` included, is a fold of cover lookups
 in the arrangement's one walk (`arrangement._closure`); the flats are the
 walk's closed sets, and the circuits and NBC sets are searches over
 closures. The lattice readers take the walk from one parity gate,
-`_admissible_walk`. A caller's subset has its indices checked
+`arrangement._admissible_walk`. The circuit search sits in `arrangement`
+beside the `_circuits` cache it fills, so the presentation reads circuits
+without loading this module. A caller's subset has its indices checked
 (`arrangement._mask`); subsets built here are bitmasks from the start.
 """
 
@@ -16,15 +18,11 @@ import itertools
 from typing import Iterable, Sequence
 
 from ._value import Value
-from .arrangement import Arrangement, _closure, _mask, _members, codim
+from .arrangement import Arrangement, NotAdmissible, _admissible_walk, _closure, _mask, _members, codim
 
 
 class SizeMismatch(ValueError):
     """Two arrangements with different ground set sizes were compared."""
-
-
-class NotAdmissible(ValueError):
-    """A subset's intersection has odd codimension, so there is no matroid rank."""
 
 
 def matroid_rank(arr: Arrangement, subset: Iterable[int]) -> int:
@@ -54,15 +52,6 @@ class IntersectionLattice(Value):
         return [f for group in self.flats_by_rank for f in group]
 
 
-def _admissible_walk(arr: Arrangement) -> tuple[dict[int, int], dict[int, int]]:
-    """The walk (closed sets, covers); `NotAdmissible` on its first odd closed set, in walk order."""
-    closed, covers = arr._walk
-    for mask, c in closed.items():
-        if c % 2:
-            raise NotAdmissible(f"subset {set(_members(mask))} has odd codimension {c}")
-    return closed, covers
-
-
 def flats(arr: Arrangement) -> IntersectionLattice:
     """The intersection lattice: the arrangement's closed sets grouped by rank.
 
@@ -79,31 +68,11 @@ def flats(arr: Arrangement) -> IntersectionLattice:
 
 
 def circuits(arr: Arrangement) -> list[tuple[int, ...]]:
-    """Minimal dependent subsets, in lexicographic order.
+    """Minimal dependent subsets, in lexicographic order (`arrangement._scan_circuits`).
 
     They are computed once per arrangement; each call returns a new list.
     """
     return list(arr._circuits)
-
-
-def _scan_circuits(arr: Arrangement) -> list[tuple[int, ...]]:
-    """Grow independent sets I depth first by each x > max I; see `circuits`.
-
-    If x is outside cl(I), I + x is independent; otherwise it is a circuit
-    exactly when no cl(I - y), y in I, holds x (Oxley, Matroid Theory, ch. 1).
-    """
-    _, covers = _admissible_walk(arr)
-    found: list[int] = []
-
-    def grow(indep: int, closed: int, start: int) -> None:
-        for x in range(start, arr.n):
-            if not closed >> x & 1:
-                grow(indep | 1 << x, covers[closed | 1 << x], x + 1)
-            elif not any(_closure(arr, indep ^ 1 << y) >> x & 1 for y in range(x) if indep >> y & 1):
-                found.append(indep | 1 << x)
-
-    grow(0, covers[0], 0)
-    return sorted(map(_members, found))
 
 
 class NbcComplex(Value):

@@ -40,7 +40,6 @@ from ._value import Value
 from .arrangement import Arrangement
 from .exterior import ExtElement, ideal_ranks
 from .linalg import SparseRow, integer_row, reduced_echelon
-from .matroid import circuits
 
 MODE_REAL = "real-2-arrangement"
 MODE_COMPLEX = "complex"
@@ -167,10 +166,10 @@ def full_presentation(arr: Arrangement, mode: str = MODE_REAL) -> Presentation:
     holomorphic = arr.is_holomorphic_input
     if mode == MODE_COMPLEX and not holomorphic:
         raise ModeMismatch("complex mode needs all subspaces given by z-linear equations")
-    # circuits() found these, so they skip _checked_circuit's re-check
+    # the circuit search found these, so they skip _checked_circuit's re-check
     relations = tuple(
         _relation(c, (1,) * len(c) if holomorphic else _signs(c, _solve(arr, c)))
-        for c in circuits(arr)
+        for c in arr._circuits
     )
     return Presentation(arr.n, relations, mode)
 

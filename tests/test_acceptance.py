@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 from math import comb
 
-from twoarr.arrangement import restrict
+from twoarr.restriction import restrict
 from twoarr.exterior import ideal_ranks, monomials
 from twoarr.invariants import (
     VERDICT_DISTINGUISHED,

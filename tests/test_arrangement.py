@@ -1,9 +1,12 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoarr.arrangement import (
     Arrangement,
@@ -14,15 +17,13 @@ from twoarr.arrangement import (
     ValidationError,
     ZeroForm,
     arrangement_from_document,
-    arrangement_to_document,
     codim,
     from_complex_form,
     parse_arrangement,
     parse_rational,
-    restrict,
-    serialize_arrangement,
     validate,
 )
+from twoarr.restriction import arrangement_to_document, restrict, serialize_arrangement
 from twoarr.fixtures import FIXTURES, load_fixture
 from twoarr.matroid import closure
 from conftest import braid_a4, form, generic_hyperplanes, generic_lines, pair, reflection
@@ -130,6 +131,25 @@ def test_non_ascii_digits_keep_their_values(int_digit_limit):
         parse_rational("1/" + "1" * (int_digit_limit + 1))
     with pytest.raises(ParseError, match=r"^zero denominator in "):
         parse_rational("1/" + "\u0660" * (int_digit_limit + 1))
+
+
+# the format parse_rational checks, as a pattern; \d is any Unicode decimal digit (Nd)
+RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+# signs, slashes, whitespace, ASCII digits, and non-ASCII characters that are
+# decimal digits (Arabic-Indic and full-width) or only look like digits (², ½, Ⅻ)
+RATIONAL_ALPHABET = "+-/ \t\n0159\u0660\u0669\uff10\uff13\u00b2\u00bd\u216b.x"
+
+
+@settings(derandomize=True, database=None, max_examples=2000)
+@given(st.text(RATIONAL_ALPHABET, max_size=8))
+def test_rational_format_check_is_the_pattern(text):
+    """parse_rational rejects a string as malformed exactly when the pattern does not match it."""
+    try:
+        parse_rational(text)
+        malformed = False
+    except ParseError as e:
+        malformed = str(e).startswith("malformed rational")
+    assert malformed == (RATIONAL_PATTERN.match(text) is None)
 
 
 def test_parse_wrong_coefficient_count():

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from twoarr import cli
 from twoarr.cli import UsageError, build_parser, main
-from twoarr.arrangement import parse_arrangement, serialize_arrangement
+from twoarr.arrangement import parse_arrangement
+from twoarr.restriction import serialize_arrangement
 from twoarr.fixtures import fixture_text, load_fixture
 from conftest import generic_lines
 
@@ -95,6 +96,21 @@ def test_non_ascii_zero_denominator_is_a_parse_error(tmp_path, capsys):
 def test_missing_file_exit_3(capsys):
     code, _, err = run(capsys, "kappa", "/nonexistent/nope.arr")
     assert code == 3
+
+
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+def test_file_that_is_not_utf8_names_itself(tmp_path, capsys):
+    bad = tmp_path / "bad.arr"
+    bad.write_bytes(b"\xff\xfe")
+    assert run(capsys, "validate", str(bad)) == (3, "", f"error: cannot read {bad}: {NOT_UTF8}\n")
+
+
+def test_compare_names_its_second_file_when_that_one_is_not_utf8(fx, tmp_path, capsys):
+    bad = tmp_path / "bad.arr"
+    bad.write_bytes(b"\xff\xfe")
+    assert run(capsys, "compare", fx("example22-B"), str(bad)) == (3, "", f"error: cannot read {bad}: {NOT_UTF8}\n")
 
 
 def test_usage_error_exit_3(capsys):

@@ -31,7 +31,7 @@ from unittest import mock
 
 import pytest
 
-from twoarr.arrangement import restrict, serialize_arrangement
+from twoarr.restriction import restrict, serialize_arrangement
 from twoarr.cli import main
 from twoarr.fixtures import FIXTURES, load_fixture
 

@@ -1,5 +1,6 @@
-"""Import footprint of the CLI: each verb loads only the modules it runs, and
-argparse only when the argv is not plainly spelled.
+"""Import footprint of the CLI: each verb loads only the modules it runs, its
+own handler module among them, and argparse only when the argv is not plainly
+spelled.
 
 Each case runs the CLI in a fresh interpreter with the benchmark's child
 environment (no bytecode cache written, so every module is compiled) and
@@ -39,8 +40,9 @@ CASES = {
     "lattice": (["lattice", B], 0, HEAVY - {"twoarr.matroid"}),
     "circuits": (["circuits", B], 0, HEAVY - {"twoarr.matroid"}),
     "betti": (["betti", B], 0, HEAVY - {"twoarr.matroid"}),
-    "present": (["present", B], 0, {"twoarr.invariants"}),
-    "kappa": (["kappa", B], 0, set()),
+    # the presentation reads the circuits the arrangement found, without twoarr.matroid
+    "present": (["present", B], 0, {"twoarr.invariants", "twoarr.matroid"}),
+    "kappa": (["kappa", B], 0, {"twoarr.matroid"}),
     "linking": (["linking", B], 0, HEAVY - {"twoarr.invariants"}),
     "compare": (["compare", B, BPRIME], 10, set()),
 }
@@ -69,13 +71,24 @@ def test_verb_loads_only_its_modules(verb, baseline):
     assert "twoarr.cli" in loaded
     assert not loaded & (NEVER | PARSER)
     assert not loaded & absent
+    assert {m for m in loaded if m.startswith("twoarr.verbs")} == {"twoarr.verbs", f"twoarr.verbs.{verb}"}
+    assert ("twoarr.restriction" in loaded) == (verb == "restrict")
 
 
-def importtime_names(*argv: str) -> set[str]:
-    """The modules `python -X importtime -m twoarr.cli *argv` imports, after exit 0."""
+def importtime_names(*argv: str, exit_code: int = 0) -> set[str]:
+    """The modules `python -X importtime -m twoarr.cli *argv` imports, after `exit_code`."""
     proc = child("-X", "importtime", "-m", "twoarr.cli", *argv)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == exit_code, proc.stderr
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("verb", list(CASES))
+def test_cli_run_as_main_is_compiled_once(verb):
+    """Under -m, cli.py runs as __main__; no verb module imports it a second time as twoarr.cli."""
+    argv, exit_code, _ = CASES[verb]
+    names = importtime_names(*argv, exit_code=exit_code)
+    assert f"twoarr.verbs.{verb}" in names
+    assert "twoarr.cli" not in names
 
 
 def test_importtime_of_validate_lists_no_heavy_module():

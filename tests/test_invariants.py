@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from twoarr.arrangement import Arrangement, LinearForm, restrict
+from twoarr.arrangement import Arrangement, LinearForm
+from twoarr.restriction import restrict
 from twoarr.exterior import ideal_slices, monomials
 from twoarr.invariants import (
     DimensionNot4,
@@ -323,7 +324,7 @@ def test_positive_recombination_keeps_pairwise(arr_bprime):
 
 
 def test_linking_verb_computes_the_table_once(monkeypatch, capsys, tmp_path, arr_bprime):
-    from twoarr.arrangement import serialize_arrangement
+    from twoarr.restriction import serialize_arrangement
 
     path = tmp_path / "bprime.arr"
     path.write_text(serialize_arrangement(arr_bprime))
@@ -338,7 +339,7 @@ def test_linking_verb_computes_the_table_once(monkeypatch, capsys, tmp_path, arr
 
 
 def test_linking_verb_needs_three_subspaces(capsys, tmp_path, independent_pair):
-    from twoarr.arrangement import serialize_arrangement
+    from twoarr.restriction import serialize_arrangement
 
     path = tmp_path / "pair.arr"
     path.write_text(serialize_arrangement(independent_pair))
@@ -359,7 +360,7 @@ def test_kappa_gram_matches_wedge_products(arr_b, arr_bprime):
 @pytest.mark.parametrize("conjugate_last", [False, True], ids=["z-linear", "conj"])
 def test_kappa_json_gram_matches_wedge_products(conjugate_last, capsys, tmp_path):
     """The vector Gram that `kappa --format json` prints, which no golden holds for n > 4."""
-    from twoarr.arrangement import serialize_arrangement
+    from twoarr.restriction import serialize_arrangement
 
     arr = generic_lines(8, 3, conjugate_last=conjugate_last)
     path = tmp_path / "lines8.arr"
@@ -442,10 +443,11 @@ def test_slices_and_presentations_never_eliminate_over_fraction(
     # no module of the package binds a dense Fraction eliminator, nor the Fraction
     # kernel path and second rank routine that restrict once had
     dense = {"Matrix", "rref", "solve_unique", "kernel_basis", "_kernel_basis", "dot", "integer_rank"}
-    for name in ("arrangement", "exterior", "invariants", "linalg", "matroid", "presentation", "cli"):
+    for name in ("arrangement", "exterior", "invariants", "linalg", "matroid", "presentation", "cli", "restriction",
+                 *(f"verbs.{verb}" for verb in cli.VERBS)):
         importlib.import_module(f"twoarr.{name}")
     modules = [m for name, m in sys.modules.items() if name == "twoarr" or name.startswith("twoarr.")]
-    assert len(modules) >= 8
+    assert len(modules) >= 21
     for module in modules:
         assert not dense & set(vars(module)), module.__name__
     assert not any(hasattr(twoarr, name) for name in dense)

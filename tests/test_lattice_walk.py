@@ -12,18 +12,18 @@ import pytest
 
 import lattice_reference as ref
 from conftest import braid, braid_a4, generic_hyperplanes, generic_lines, pair
-from twoarr import arrangement, cli, linalg, matroid
+from twoarr import arrangement, cli, linalg, matroid, restriction
 from twoarr.arrangement import (
     Arrangement,
     _members,
     codim,
     parse_arrangement,
-    restrict,
-    serialize_arrangement,
     validate,
 )
 from twoarr.fixtures import load_fixture
 from twoarr.matroid import NotAdmissible, circuits, closure, flats, nbc_sets, whitney_numbers
+from twoarr.restriction import restrict, serialize_arrangement
+from twoarr.verbs import betti as betti_verb
 
 FIXTURES = ("example22-B", "example22-Bprime", "thm32-Bhat", "thm32-Bhat-complex")
 CASES = (
@@ -146,9 +146,10 @@ def test_circuits_and_nbc_sets_raise_like_flats_on_inadmissible_input():
 def test_each_lattice_reader_passes_the_gate_once(monkeypatch):
     """`flats`, the circuit search, `nbc_sets` and `whitney_numbers` each take the walk from one gate call."""
     assert not hasattr(matroid, "_check_admissible")
-    gate = matroid._admissible_walk
+    gate = arrangement._admissible_walk
     passed = []
-    monkeypatch.setattr(matroid, "_admissible_walk", lambda arr: passed.append(arr) or gate(arr))
+    for module in (arrangement, matroid):  # the circuit search sits in arrangement, the other readers in matroid
+        monkeypatch.setattr(module, "_admissible_walk", lambda arr: passed.append(arr) or gate(arr))
     for reader in (flats, circuits, nbc_sets, whitney_numbers):
         arr = braid_a4()
         passed.clear()
@@ -172,11 +173,11 @@ def test_one_walk_per_arrangement(monkeypatch, capsys):
             if module is not None and module.__name__.startswith("twoarr"):
                 if getattr(module, "sparse_echelon", None) is linalg.sparse_echelon:
                     m.setattr(module, "sparse_echelon", no_forward)
-        m.setattr(arrangement, "reduced_echelon", lambda rows: reduced.append(rows) or linalg.reduced_echelon(rows))
+        m.setattr(restriction, "reduced_echelon", lambda rows: reduced.append(rows) or linalg.reduced_echelon(rows))
         restricted = restrict(arr, 1)
     assert walked == [arr._integer_forms]  # restrict reads the parse's walk for its codimensions
     assert len(reduced) == 1  # the kernel of member 1's forms
-    monkeypatch.setattr(cli, "_read_arrangement", lambda path: arr)
+    monkeypatch.setattr(betti_verb, "_read_arrangement", lambda path: arr)
     counted = []
     real_circuits = matroid.circuits
     monkeypatch.setattr(matroid, "circuits", lambda a: counted.append(a) or real_circuits(a))

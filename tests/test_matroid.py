@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from twoarr.arrangement import Arrangement, codim, restrict, validate
-from twoarr import matroid
+from twoarr.arrangement import Arrangement, codim, validate
+from twoarr import arrangement, matroid
+from twoarr.restriction import restrict
 from twoarr.fixtures import load_fixture
 from twoarr.matroid import (
     NotAdmissible,
@@ -79,8 +80,8 @@ def test_circuits_bhat(arr_bhat):
 def test_circuits_found_once_per_arrangement(monkeypatch):
     arr = load_fixture("thm32-Bhat")  # fresh, with empty caches
     calls = []
-    scan = matroid._scan_circuits
-    monkeypatch.setattr(matroid, "_scan_circuits", lambda a: calls.append(a) or scan(a))
+    scan = arrangement._scan_circuits
+    monkeypatch.setattr(arrangement, "_scan_circuits", lambda a: calls.append(a) or scan(a))
     first = circuits(arr)
     assert calls == [arr]
     first.append((99,))

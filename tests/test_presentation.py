@@ -339,7 +339,7 @@ def test_form_rechoice_equivariance(arr_b, arr_bprime, arr_bhat, seed):
 
 
 def restricted_u24(arr_bhat):
-    from twoarr.arrangement import restrict
+    from twoarr.restriction import restrict
 
     return restrict(arr_bhat, "H3")
 

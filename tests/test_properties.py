@@ -42,9 +42,8 @@ from twoarr.arrangement import (
     ValidationError,
     from_complex_form,
     parse_arrangement,
-    restrict,
-    serialize_arrangement,
 )
+from twoarr.restriction import restrict, serialize_arrangement
 from twoarr.cli import main
 from twoarr.fixtures import FIXTURES, load_fixture
 from twoarr.exterior import ideal_ranks

@@ -19,13 +19,13 @@ from twoarr.arrangement import (
     LinearForm,
     SubspacePair,
     parse_arrangement,
-    restrict,
     validate,
 )
 from twoarr.fixtures import fixture_text, load_fixture
 from twoarr.invariants import compare, kappa
 from twoarr.matroid import Flat, flats, nbc_sets
 from twoarr.presentation import circuit_dependencies, full_presentation
+from twoarr.restriction import restrict
 
 # repr(parse_arrangement(example22-B)) as the dataclass-based value classes gave it
 EXAMPLE22_B_REPR = (
@@ -89,6 +89,18 @@ def test_unknown_attribute_raises():
     assert not hasattr(twoarr, "Value")
     assert twoarr.linalg is sys.modules["twoarr.linalg"]
     assert {"Arrangement", "compare", "__version__"} <= set(dir(twoarr))
+
+
+def test_moved_names_still_resolve_from_their_old_modules():
+    """`restrict` and the document writer moved to `restriction`, the circuit search's
+    gate and exception from `matroid` to `arrangement`; the old names still resolve."""
+    from twoarr import arrangement, matroid, restriction
+
+    for name in ("restrict", "arrangement_to_document", "serialize_arrangement"):
+        assert getattr(arrangement, name) is getattr(restriction, name)
+    assert matroid.NotAdmissible is arrangement.NotAdmissible
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        arrangement.no_such_name
 
 
 def test_reprs_match_the_dataclass_reprs(arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
