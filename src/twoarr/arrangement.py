@@ -77,7 +77,7 @@ def parse_rational(text: str) -> Fraction:
     if slash and not any(map(int, den)):
         raise ParseError(f"zero denominator in {text!r}")
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den or 1))
     except ValueError as e:  # more digits than int() accepts
         raise ParseError(f"rational of {len(text)} characters: {e}") from e
 

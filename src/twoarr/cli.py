@@ -12,7 +12,6 @@ invariant was found by compare.
 # twoarr.verbs.<verb>, which main imports for the one verb it runs, so a call
 # compiles no other verb's code.
 import gc
-import json
 import os
 import sys
 from types import SimpleNamespace
@@ -23,7 +22,9 @@ from .verbs import UsageError, _report_lines
 
 def _emit(args, lines: list[str], doc: dict | None) -> None:
     if args.format == "json" and doc is not None:
-        print(json.dumps(doc, indent=2))
+        from ._jsontext import dumps  # compiled only where JSON is written
+
+        print(dumps(doc))
     else:
         for line in lines:
             print(line)
@@ -138,22 +139,23 @@ def main(argv=None) -> int:
 def run() -> None:
     """Entry point of the `twoarr` script and of `python -m twoarr.cli`: one `main` per process.
 
-    The first freeze moves what the imports made into the collector's permanent
-    generation, so collections inside `main` skip it; the second does the same for
-    what `main` leaves, so the collections at shutdown trace none of it, and the OS
-    reclaims its memory at exit. `main` itself never freezes: callers that run it
-    many times in one process would keep all their garbage to the end.
+    The freeze moves what the imports made into the collector's permanent
+    generation, so collections inside `main` skip it. Once `main` returns, the
+    process flushes stdout and stderr and ends by `os._exit`, without interpreter
+    teardown, which would only free objects the OS reclaims anyway; the bytes
+    written are the same. An exception that escapes `main`, such as `--help`'s
+    `SystemExit`, ends the process the usual way. `main` itself never freezes:
+    callers that run it many times in one process would keep all their garbage
+    to the end.
     """
     gc.freeze()
     try:
         code = main()
-        sys.stdout.flush()  # a closed pipe fails here, not in a traceback at shutdown
-    except BrokenPipeError:
-        # as the Python docs' SIGPIPE note: the flush at shutdown goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; os._exit writes nothing more
         code = 1
-    gc.freeze()
-    sys.exit(code)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

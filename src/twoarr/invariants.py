@@ -57,7 +57,9 @@ class KappaForm(Value):
         """The dense Gram: basis_i ^ basis_j at (i, j), as its coefficient vector over
         the degree-4 monomials in lexicographic order, or its one integer when n = 4."""
         m, width = len(self.basis), comb(self.n, 4)
-        vectors = [[tuple(row.get(j * width + k, 0) for k in range(width)) for j in range(m)] for row in self._rows]
+        zeros = (0,) * width
+        vectors = [[tuple(map(row.get, range(j * width, j * width + width), zeros)) for j in range(m)]
+                   for row in self._rows]
         return tuple(tuple(v[0] if self.n == 4 else v for v in row) for row in vectors)
 
 

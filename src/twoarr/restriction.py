@@ -5,9 +5,9 @@ arrangement by index and never writes one, so neither the label lookup,
 the restriction nor the serializer is compiled on its path.
 """
 
-import json
 from fractions import Fraction
 
+from ._jsontext import dumps
 from .arrangement import Arrangement, DegenerateRestriction, LinearForm, SubspacePair, UnknownLabel, codim
 from .linalg import reduced_echelon
 
@@ -80,4 +80,4 @@ def arrangement_to_document(arr: Arrangement) -> dict:
 
 
 def serialize_arrangement(arr: Arrangement) -> str:
-    return json.dumps(arrangement_to_document(arr), indent=2) + "\n"
+    return dumps(arrangement_to_document(arr)) + "\n"

@@ -42,17 +42,19 @@ def test_validate_ok(fx, capsys):
     assert "no violations" in out
 
 
+ODD_RANK = {
+    "dim": 4,
+    "subspaces": [
+        {"name": "H1", "forms": [["1", "0", "0", "0"], ["0", "1", "0", "0"]]},
+        {"name": "H2", "forms": [["0", "0", "1", "0"], ["0", "0", "0", "1"]]},
+        {"name": "H3", "forms": [["1", "0", "0", "0"], ["0", "0", "1", "0"]]},
+    ],
+}
+
+
 def test_validate_failure_exit_2(tmp_path, capsys):
-    bad = {
-        "dim": 4,
-        "subspaces": [
-            {"name": "H1", "forms": [["1", "0", "0", "0"], ["0", "1", "0", "0"]]},
-            {"name": "H2", "forms": [["0", "0", "1", "0"], ["0", "0", "0", "1"]]},
-            {"name": "H3", "forms": [["1", "0", "0", "0"], ["0", "0", "1", "0"]]},
-        ],
-    }
     path = tmp_path / "bad.arr"
-    path.write_text(json.dumps(bad))
+    path.write_text(json.dumps(ODD_RANK))
     code, out, _ = run(capsys, "validate", str(path))
     assert code == 2
     assert "odd-rank" in out
@@ -226,8 +228,12 @@ def test_betti_empty_order_is_a_bad_order(fx, capsys):
 ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "PYTHONDONTWRITEBYTECODE": "1"}
 
 
+# the environment of a script run: this source tree, compiled afresh as in the benchmark
+SCRIPT_ENV = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), "PYTHONDONTWRITEBYTECODE": "1"}
+
+
 def run_under_ascii_locale(*argv):
-    env = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), **ASCII_LOCALE}
+    env = {**SCRIPT_ENV, **ASCII_LOCALE}
     return subprocess.run([sys.executable, "-m", "twoarr.cli", *argv], env=env, capture_output=True, timeout=60)
 
 
@@ -235,10 +241,9 @@ def run_into_closed_pipe(*argv):
     """(exit code, stderr) of a CLI process whose stdout is a pipe with no reader left."""
     read, write = os.pipe()
     os.close(read)
-    env = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "twoarr.cli", *argv], stdout=write, stderr=subprocess.PIPE, env=env, timeout=60
+            [sys.executable, "-m", "twoarr.cli", *argv], stdout=write, stderr=subprocess.PIPE, env=SCRIPT_ENV, timeout=60
         )
     finally:
         os.close(write)
@@ -262,14 +267,51 @@ def test_closed_stdout_exits_1_with_nothing_on_stderr(argv, fx, tmp_path):
     assert run_into_closed_pipe(*argv) == (1, b"")
 
 
+def run_script(*argv):
+    """(exit code, stdout, stderr) of `python -m twoarr.cli *argv`, which ends by `os._exit`."""
+    proc = subprocess.run([sys.executable, "-m", "twoarr.cli", *argv], env=SCRIPT_ENV, capture_output=True, timeout=60)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+@pytest.mark.parametrize(
+    "argv, code, err_line",
+    [
+        (["validate", "example22-B"], 0, None),
+        (["kappa", "odd-rank"], 2, "violation: odd-rank subset={1,3} (subset {1, 3} has rank 3 (odd))"),
+        (["validate", "garbage"], 3, "parse error: invalid JSON: Expecting property name enclosed in double quotes"),
+        (["compare", "example22-B", "example22-Bprime"], 10, None),
+    ],
+    ids=["0", "2-validation", "3-parse", "10-compare"],
+)
+def test_script_exit_codes_and_output_match_main(argv, code, err_line, fx, tmp_path, capsys):
+    (tmp_path / "odd-rank.arr").write_text(json.dumps(ODD_RANK))
+    (tmp_path / "garbage.arr").write_text("{]")
+    files = {name: str(tmp_path / f"{name}.arr") for name in ("odd-rank", "garbage")}
+    argv = [argv[0]] + [files.get(a) or fx(a) for a in argv[1:]]
+    expected = run(capsys, *argv)
+    assert expected[0] == code
+    assert run_script(*argv) == expected
+    if err_line is not None:
+        assert any(line.startswith(err_line) for line in expected[2].splitlines())
+
+
+def test_script_writes_all_of_a_long_json_document_through_a_pipe(tmp_path, capsys):
+    """kappa's JSON on seven generic lines is more than a pipe buffer holds; the flush
+    before `os._exit` writes all of it."""
+    path = tmp_path / "lines7.arr"
+    path.write_text(serialize_arrangement(generic_lines(7, 3)))
+    expected = run(capsys, "kappa", str(path), "--format", "json")
+    assert len(expected[1].encode()) == 107_805
+    assert run_script("kappa", str(path), "--format", "json") == expected
+
+
 def test_kappa_on_thirty_lines_runs_in_one_gib(tmp_path):
     """kappa's rank reads the products as sparse rows. The dense Gram of 30 lines,
     406 x 406 vectors over C(30, 4) = 27 405 monomials, would not fit in the cap."""
     path = tmp_path / "lines30-conj.arr"
     path.write_text(serialize_arrangement(generic_lines(30, 3, conjugate_last=True)))
     capped = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); from twoarr.cli import run; run()"
-    env = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, "-c", capped, "kappa", str(path)], env=env, capture_output=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", capped, "kappa", str(path)], env=SCRIPT_ENV, capture_output=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert b"basis size: 406\n" in proc.stdout
 
@@ -592,8 +634,14 @@ def test_only_a_fallback_run_builds_the_parser_with_every_verb(fx, capsys, monke
     assert names == built
 
 
+def raise_exit(code):
+    """Stands in for `os._exit` in `cli.run`, which would end pytest itself."""
+    raise SystemExit(code)
+
+
 def test_run_reads_sys_argv(fx, capsys, monkeypatch):
     monkeypatch.setattr(gc, "freeze", lambda: None)  # a real freeze would keep pytest's garbage
+    monkeypatch.setattr(cli.os, "_exit", raise_exit)
     monkeypatch.setattr(sys, "argv", ["twoarr", "circuits", fx("example22-B")])
     with pytest.raises(SystemExit) as exit_:
         cli.run()
@@ -601,7 +649,7 @@ def test_run_reads_sys_argv(fx, capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines() == ["{1,2,3}", "{1,2,4}", "{1,3,4}", "{2,3,4}"]
 
 
-def test_run_freezes_the_collector_before_and_after_main(fx, capsys, monkeypatch):
+def test_run_freezes_the_collector_before_main(fx, capsys, monkeypatch):
     events = []
     real_main = cli.main
 
@@ -613,10 +661,11 @@ def test_run_freezes_the_collector_before_and_after_main(fx, capsys, monkeypatch
 
     monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
     monkeypatch.setattr(cli, "main", spy_main)
+    monkeypatch.setattr(cli.os, "_exit", raise_exit)
     monkeypatch.setattr(sys, "argv", ["twoarr", "compare", fx("example22-B"), fx("example22-Bprime")])
     with pytest.raises(SystemExit) as exit_:
         cli.run()
-    assert events == ["freeze", "main starts", "main returns", "freeze"]
+    assert events == ["freeze", "main starts", "main returns"]
     assert exit_.value.code == 10
     assert capsys.readouterr().out.splitlines()[-1] == "verdict: DISTINGUISHED"
 

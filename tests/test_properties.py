@@ -7,7 +7,9 @@ and 9) and the reflection arrangement of G(4, 4, 3) (n = 12, complex
 coefficients), whose lattices are not those of uniform matroids. A drawn case
 replaces each subspace's form pair by an invertible rational 2x2
 recombination of it, which drops the complex block, and then reorders the
-subspaces. The
+subspaces. Graphic arrangements and the reflection arrangements B_3 and
+G(4, 4, 3) are also checked with z_j and its conjugate swapped, which sends
+them down the solved route. The
 Björner–Ziegler identity runs on drawn generic lines and planes. Two CLI
 properties close the file: `compare` marks DIFFER on exactly the rows its
 JSON `differing` names, on drawn pairs of generic lines; and `betti --order`
@@ -191,6 +193,19 @@ def test_graphic_arrangements_match_the_chromatic_polynomial(graph):
     assert [r + b for r, b in zip(ranks, betti)] == [comb(arr.n, p) for p in range(arr.n + 1)]
     swapped = conjugated(arr)
     assert not swapped.is_holomorphic_input
+    assert compare(arr, swapped).differing == ()
+
+
+@pytest.mark.parametrize("kind", ["B", "G(4,4)"])
+def test_conjugate_swap_of_a_reflection_arrangement_solves_every_sign_to_plus_one(kind):
+    """In C^3, B_3 and G(4, 4, 3) swapped to conjugate-linear input take the solved
+    route; each sigma_j solves to +1, as the z-linear route takes it."""
+    arr = reflection(kind, 3)
+    swapped = conjugated(arr)
+    assert arr.is_holomorphic_input and not swapped.is_holomorphic_input
+    solved = full_presentation(swapped)
+    assert {s for rel in solved.relations for s in rel.signs} == {1}
+    assert solved.relations == full_presentation(arr).relations
     assert compare(arr, swapped).differing == ()
 
 
