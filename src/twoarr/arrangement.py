@@ -175,14 +175,6 @@ class Arrangement(Value):
         """The circuits, found once by `_scan_circuits`; `matroid.circuits` hands out copies."""
         return tuple(_scan_circuits(self))
 
-    @property
-    def is_holomorphic_input(self) -> bool:
-        """True when every subspace came from a z-linear complex block."""
-        return all(
-            s.complex_spec is not None and s.complex_spec.is_holomorphic
-            for s in self.subspaces
-        )
-
 
 class Violation(Value):
     kind: str  # pair-rank | not-essential | pairwise-rank | odd-rank

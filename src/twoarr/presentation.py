@@ -20,17 +20,17 @@ relation is
     sum_j (-1)^j sigma_j e_{A \ a_j}
 
 with the deleted-member monomials written in increasing index order.
-The input picks the route. On z-linear input a complex coefficient lambda
-acts on the (Re, Im) pair with determinant |lambda|^2 > 0, so every
-sigma_j is +1 and nothing is solved; the mode only checks the input and
-labels the result.
+The circuit picks the route. A complex coefficient lambda acts on a
+z-linear member's (Re, Im) pair with determinant |lambda|^2 > 0, so a
+circuit of z-linear members takes every sigma_j = +1 and is not solved;
+other circuits are solved. The mode only checks input and labels output.
 
-The solves are integer: `full_presentation` reads each sigma_j from the
-integer rows of `linalg.reduced_echelon`, pivots positive, and only
-`circuit_dependencies` turns those rows into `Fraction` quads. The ideal's
-rank profile is read off the one pass that builds its graded slices, each
-grown from the echelon basis of the one below (`exterior.ideal_slices`);
-kappa's degree-2 basis comes from the same pass.
+The solves are integer: `_solve` eliminates the circuit's rows of the
+arrangement's integer forms, whose positive scales keep every sigma_j
+(`_signs`), and only `circuit_dependencies` divides them out into
+`Fraction` quads. The ideal's rank profile is read off the one pass that
+builds its graded slices, each grown from the echelon basis of the one
+below (`exterior.ideal_slices`); kappa's degree-2 basis comes from it too.
 """
 
 from fractions import Fraction
@@ -39,7 +39,7 @@ from typing import Iterable
 from ._value import Value
 from .arrangement import Arrangement
 from .exterior import ExtElement, ideal_ranks
-from .linalg import SparseRow, integer_row, reduced_echelon
+from .linalg import SparseRow, reduced_echelon
 
 MODE_REAL = "real-2-arrangement"
 MODE_COMPLEX = "complex"
@@ -93,34 +93,35 @@ def circuit_dependencies(arr: Arrangement, circuit: Iterable[int]) -> Dependency
     """Solve the two normalized dependencies of a circuit exactly.
 
     Both right-hand sides are solved in one integer system: coordinate i
-    gives the equation row (l_{a_1}[i], l'_{a_1}[i], ..., l'_{a_k}[i] |
-    l_{a_0}[i], l'_{a_0}[i]), scaled to integers, which leaves the solutions
-    unchanged. In its reduced echelon form the pivots are the 2k unknowns'
-    columns, and row j reads row[j] * (x_j, y_j) = (row[2k], row[2k + 1]).
+    gives the row (L_{a_1}[i], L'_{a_1}[i], ..., L'_{a_k}[i] | L_{a_0}[i],
+    L'_{a_0}[i]) of the integer forms L = s l, s > 0. Its reduced echelon
+    row j reads row[j] * (X_j, Y_j) = (row[2k], row[2k + 1]), and
+    x_j = X_j s_j / s_{a_0}, y_j = Y_j s_j / s'_{a_0}.
     """
     c = _checked_circuit(arr, circuit)
     echelon = _solve(arr, c)
-    unknowns = len(echelon)
-    x = [Fraction(row.get(unknowns, 0), row[j]) for j, row in enumerate(echelon)]
-    y = [Fraction(row.get(unknowns + 1, 0), row[j]) for j, row in enumerate(echelon)]
+    u = len(echelon)
+    s = []  # each form's scale: an integer entry over its rational one (1 for a loop's zero form)
+    for a in c[1:] + c[:1]:
+        p = arr.pair(a)
+        for form, ints in zip((p.first, p.second), arr._integer_forms[a - 1]):
+            s.append(next((Fraction(i, q) for i, q in zip(ints, form.coeffs) if q), 1))
+    x = [Fraction(row.get(u, 0) * s[j], row[j] * s[u]) for j, row in enumerate(echelon)]
+    y = [Fraction(row.get(u + 1, 0) * s[j], row[j] * s[u + 1]) for j, row in enumerate(echelon)]
     quads = [(Fraction(-1), Fraction(0), Fraction(0), Fraction(-1))]
-    for j in range(0, unknowns, 2):
+    for j in range(0, u, 2):
         quads.append((x[j], x[j + 1], y[j], y[j + 1]))
     return DependencyPair(c, tuple(quads))
 
 
 def _solve(arr: Arrangement, c: tuple[int, ...]) -> list[SparseRow]:
-    """The reduced echelon rows of `circuit_dependencies`' system.
+    """The reduced echelon rows of `circuit_dependencies`' system, on the integer forms.
 
     `c` is known to be a circuit, in increasing order.
     """
-    forms = []
-    for a in c[1:] + c[:1]:
-        p = arr.pair(a)
-        forms += [p.first.coeffs, p.second.coeffs]
+    forms = [f for a in c[1:] + c[:1] for f in arr._integer_forms[a - 1]]
     unknowns = len(forms) - 2
-    rows = (dict(enumerate(integer_row([f[i] for f in forms]))) for i in range(arr.dim))
-    echelon = reduced_echelon(rows)
+    echelon = reduced_echelon(dict(enumerate(row)) for row in zip(*forms))
     if [min(row) for row in echelon] != list(range(unknowns)):
         raise ValueError(f"circuit {c} has no unique dependency")
     return echelon
@@ -130,8 +131,8 @@ def _signs(c: tuple[int, ...], echelon: list[SparseRow]) -> tuple[int, ...]:
     """Each sigma_j, read from the integer echelon rows of `_solve`.
 
     Rows j, j + 1 have positive pivots P, P' and right-hand sides (X, Y),
-    (X', Y'), so alpha delta - beta gamma = (X Y' - X' Y) / (P P') has the
-    sign of X Y' - X' Y.
+    (X', Y'), so alpha delta - beta gamma, which is (X Y' - X' Y) / (P P')
+    times the forms' positive scales, has the sign of X Y' - X' Y.
     """
     u = len(echelon)
     signs = [1]  # (alpha_0, beta_0, gamma_0, delta_0) = (-1, 0, 0, -1)
@@ -155,20 +156,20 @@ def _relation(c: tuple[int, ...], signs: tuple[int, ...]) -> CircuitRelation:
 
 
 def full_presentation(arr: Arrangement, mode: str = MODE_REAL) -> Presentation:
-    """One relation per circuit, its signs found by the route the input picks.
+    """One relation per circuit, its signs found by the route the circuit picks.
 
-    z-linear input takes every sigma_j = +1 and solves nothing; other input is
-    solved. The mode only checks the input (`ModeMismatch`) and labels the result.
+    Circuits of z-linear members take every sigma_j = +1 and are not solved.
+    The mode only checks the input (`ModeMismatch`) and labels the result.
     """
     if mode not in _MODE_ALIASES:
         raise ValueError(f"unknown mode {mode!r}")
     mode = _MODE_ALIASES[mode]
-    holomorphic = arr.is_holomorphic_input
-    if mode == MODE_COMPLEX and not holomorphic:
+    z_linear = [s.complex_spec is not None and s.complex_spec.is_holomorphic for s in arr.subspaces]
+    if mode == MODE_COMPLEX and not all(z_linear):
         raise ModeMismatch("complex mode needs all subspaces given by z-linear equations")
     # the circuit search found these, so they skip _checked_circuit's re-check
     relations = tuple(
-        _relation(c, (1,) * len(c) if holomorphic else _signs(c, _solve(arr, c)))
+        _relation(c, (1,) * len(c) if all(z_linear[a - 1] for a in c) else _signs(c, _solve(arr, c)))
         for c in arr._circuits
     )
     return Presentation(arr.n, relations, mode)

@@ -26,6 +26,7 @@ from twoarr.arrangement import (
 from twoarr.restriction import arrangement_to_document, restrict, serialize_arrangement
 from twoarr.fixtures import FIXTURES, load_fixture
 from twoarr.matroid import closure
+from twoarr.presentation import MODE_COMPLEX, ModeMismatch, full_presentation
 from conftest import braid_a4, form, generic_hyperplanes, generic_lines, pair, reflection
 from dense_reference import kernel_basis as dense_kernel_basis
 from dense_reference import rank as dense_rank
@@ -92,14 +93,15 @@ def test_parse_fixture_b(arr_b):
     assert arr_b.labels == ("H1", "H2", "H3", "H4")
     assert arr_b.subspaces[2].first == form(-1, 0, 1, 0)
     assert arr_b.subspaces[2].second == form(0, -1, 0, 1)
-    assert arr_b.is_holomorphic_input
+    assert full_presentation(arr_b, MODE_COMPLEX).mode == MODE_COMPLEX
 
 
 def test_parse_fixture_bprime_h4(arr_bprime):
     h4 = arr_bprime.subspaces[3]
     assert h4.first == form(-2, 0, 1, 0)
     assert h4.second == form(0, 2, 0, 1)
-    assert not arr_bprime.is_holomorphic_input
+    with pytest.raises(ModeMismatch):
+        full_presentation(arr_bprime, MODE_COMPLEX)
 
 
 def test_parse_single_subspace():

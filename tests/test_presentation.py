@@ -5,7 +5,7 @@ from math import comb, prod
 import pytest
 
 from twoarr import presentation
-from twoarr.arrangement import Arrangement, LinearForm, SubspacePair
+from twoarr.arrangement import Arrangement, ComplexFormSpec, LinearForm, SubspacePair, from_complex_form, validate
 from twoarr.exterior import ideal_ranks, ideal_slices, monomials
 from twoarr.invariants import _kappa_of
 from twoarr.matroid import circuits, nbc_sets
@@ -21,7 +21,7 @@ from twoarr.presentation import (
     normalize_signs,
     Presentation,
 )
-from conftest import braid_a4, generic_hyperplanes, generic_lines, pair
+from conftest import braid_a4, generic_hyperplanes, generic_lines, pair, reflection
 from dense_reference import rref
 from exterior_reference import coeff_vector, from_terms
 from test_exterior import direct_ranks, reference_span
@@ -76,6 +76,12 @@ def test_dependencies_reject_non_circuit(arr_b):
             circuit_dependencies(arr_b, not_one)
 
 
+def test_a_zero_member_is_a_circuit_with_no_unknowns(arr_b):
+    arr = Arrangement(4, arr_b.subspaces + (pair("H5", (0, 0, 0, 0), (0, 0, 0, 0)),))
+    assert circuit_dependencies(arr, (5,)).quads == ((F(-1), F(0), F(0), F(-1)),)
+    assert circuit_relation(arr, (5,)).element == elem(((), 1))
+
+
 def test_circuits_may_come_as_any_iterable(arr_b):
     c = (1, 2, 3)
     assert c in circuits(arr_b)
@@ -112,7 +118,11 @@ def reconstruct_zero(arr, dep):
 
 
 def test_dependency_exactness_on_fixtures(arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
-    for arr in (arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
+    """On the fixtures, and on copies whose forms are scaled by distinct positive
+    non-integers, which the integer forms scale back differently."""
+    fixtures = (arr_b, arr_bprime, arr_bhat, arr_bhat_complex)
+    scaled = [recombined(arr, [(F(1) / (3 + k), F(0), F(0), F("2/5")) for k in range(arr.n)]) for arr in fixtures]
+    for arr in fixtures + tuple(scaled):
         for c in circuits(arr):
             dep = circuit_dependencies(arr, c)
             assert reconstruct_zero(arr, dep)
@@ -159,14 +169,16 @@ def test_complex_mode_rejects_conjugate_input(arr_bprime):
 
 @pytest.mark.parametrize("mode", [MODE_REAL, MODE_COMPLEX])
 def test_the_input_not_the_mode_picks_the_route(monkeypatch, mode, arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
-    """z-linear input runs no solve in either mode; other input solves every circuit."""
+    """Exactly the circuits holding a member not given by a z-linear block are solved,
+    in circuit order; nothing is solved on z-linear input or before a ModeMismatch."""
     calls = []
     solve = presentation._solve
     monkeypatch.setattr(presentation, "_solve", lambda arr, c: calls.append(c) or solve(arr, c))
     for arr in (arr_b, arr_bhat_complex, braid_a4(), generic_lines(7, 3)):
         full_presentation(arr, mode)
     assert calls == []
-    for arr in (arr_bprime, arr_bhat, generic_lines(7, 3, True)):
+    # the last member is the one conjugate-linear member of each
+    for arr, solved in ((arr_bprime, 3), (arr_bhat, 4), (generic_lines(7, 3, True), 15)):
         calls.clear()
         if mode == MODE_COMPLEX:
             with pytest.raises(ModeMismatch):
@@ -174,24 +186,60 @@ def test_the_input_not_the_mode_picks_the_route(monkeypatch, mode, arr_b, arr_bp
             assert calls == []
         else:
             full_presentation(arr, mode)
-            assert calls == circuits(arr)
+            assert calls == [c for c in circuits(arr) if arr.n in c]
+            assert len(calls) == solved
+
+
+def swapped(arr, members):
+    """`arr` with z_j and its conjugate swapped in the given members only; z-linear
+    members become conjugate-linear ones, the other members stay as they are."""
+    pairs = list(arr.subspaces)
+    for a in members:
+        p = pairs[a - 1]
+        spec = ComplexFormSpec(p.complex_spec.zbar, p.complex_spec.z)
+        pairs[a - 1] = SubspacePair(p.name, *from_complex_form(spec), spec)
+    return Arrangement(arr.dim, tuple(pairs))
 
 
 def z_linear_cases():
     from twoarr.fixtures import load_fixture
 
-    cases = [pytest.param(load_fixture(name), id=name) for name in ("example22-B", "thm32-Bhat-complex")]
-    cases.append(pytest.param(braid_a4(), id="braid-a4"))
-    cases += [pytest.param(generic_lines(n, n), id=f"lines{n}") for n in range(3, 8)]
-    cases += [pytest.param(generic_hyperplanes(n, 3, n), id=f"planes{n}") for n in range(4, 8)]
+    cases = [pytest.param(load_fixture(name), True, id=name) for name in ("example22-B", "thm32-Bhat-complex")]
+    cases.append(pytest.param(braid_a4(), True, id="braid-a4"))
+    cases += [pytest.param(generic_lines(n, n), True, id=f"lines{n}") for n in range(3, 8)]
+    cases += [pytest.param(generic_hyperplanes(n, 3, n), True, id=f"planes{n}") for n in range(4, 8)]
     return cases
 
 
-@pytest.mark.parametrize("arr", z_linear_cases())
-def test_z_linear_relations_are_the_solved_ones(arr):
-    """The solver certifies the all-plus route it skips on z-linear input."""
-    assert arr.is_holomorphic_input
-    assert full_presentation(arr).relations == tuple(circuit_relation(arr, c) for c in circuits(arr))
+def mixed_cases():
+    """Seeded subsets of members of z-linear inputs swapped to conjugate-linear ones;
+    a draw that fails validation (a swap can duplicate a member) is skipped."""
+    rng = random.Random(89)
+    bases = [(f"lines{n}", generic_lines(n, n)) for n in range(5, 10)]
+    bases += [("planes7", generic_hyperplanes(7, 3, 7)), ("braid-a4", braid_a4()), ("B3", reflection("B", 3))]
+    cases = []
+    for name, arr in bases:
+        drawn = set()
+        while len(drawn) < 4:
+            drawn.add(tuple(sorted(rng.sample(range(1, arr.n + 1), rng.randint(1, arr.n - 1)))))
+        for members in sorted(drawn):
+            mixed = swapped(arr, members)
+            if validate(mixed).ok:
+                cases.append(pytest.param(mixed, False, id=f"{name}-swap{'.'.join(map(str, members))}"))
+    return cases
+
+
+@pytest.mark.parametrize("arr, z_linear", z_linear_cases() + mixed_cases())
+def test_z_linear_relations_are_the_solved_ones(arr, z_linear):
+    """The solver certifies the all-plus signs it skips on each circuit of z-linear
+    members, on z-linear input and on input with some members conjugate-linear."""
+    expected = tuple(circuit_relation(arr, c) for c in circuits(arr))
+    assert full_presentation(arr).relations == expected
+    if z_linear:
+        assert full_presentation(arr, MODE_COMPLEX).relations == expected
+    else:
+        with pytest.raises(ModeMismatch):
+            full_presentation(arr, MODE_COMPLEX)
 
 
 def test_full_presentation_no_circuits(independent_pair):
@@ -228,7 +276,7 @@ def profile_cases():
     cases = []
     for name in ("example22-B", "example22-Bprime", "thm32-Bhat", "thm32-Bhat-complex"):
         arr = load_fixture(name)
-        modes = (MODE_REAL, MODE_COMPLEX) if arr.is_holomorphic_input else (MODE_REAL,)
+        modes = (MODE_REAL, MODE_COMPLEX) if name in ("example22-B", "thm32-Bhat-complex") else (MODE_REAL,)
         cases += [pytest.param(arr, mode, id=f"{name}-{mode}") for mode in modes]
     cases.append(pytest.param(braid_a4(), MODE_REAL, id="braid-a4"))
     for conj in (False, True):
@@ -351,8 +399,8 @@ def test_positive_scaling_never_changes_signs(arr_bprime, arr_bhat):
         for _ in range(50):
             scales = []
             for _ in range(arr.n):
-                s1 = F(rng.randint(1, 5))
-                s2 = F(rng.randint(1, 5))
+                s1 = F(rng.randint(1, 5)) / rng.randint(1, 4)
+                s2 = F(rng.randint(1, 5)) / rng.randint(1, 4)
                 scales.append((s1, F(0), F(0), s2))
             scaled = recombined(arr, scales)
             for c, signs in base.items():

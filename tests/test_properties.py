@@ -35,14 +35,11 @@ from hypothesis import strategies as st
 
 from conftest import generic_hyperplanes, generic_lines, graphic, reflection
 from test_matroid import GRAPHS, chromatic
-from test_presentation import recombined
+from test_presentation import recombined, swapped
 from twoarr import matroid
 from twoarr.arrangement import (
     Arrangement,
-    ComplexFormSpec,
-    SubspacePair,
     ValidationError,
-    from_complex_form,
     parse_arrangement,
 )
 from twoarr.restriction import restrict, serialize_arrangement
@@ -51,7 +48,7 @@ from twoarr.fixtures import FIXTURES, load_fixture
 from twoarr.exterior import ideal_ranks
 from twoarr.invariants import compare, kappa, kappa_rank, triple_coefficients
 from twoarr.matroid import betti_vector, circuits, nbc_sets
-from twoarr.presentation import full_presentation, ideal_rank_profile
+from twoarr.presentation import MODE_COMPLEX, ModeMismatch, full_presentation, ideal_rank_profile
 
 INPUTS = {
     **{name: load_fixture(name) for name in FIXTURES},
@@ -171,11 +168,7 @@ MAX_EXTRA_EDGES = 6
 def conjugated(arr):
     """`arr` with z_j and its conjugate swapped in every member: a real change of
     coordinates, so the same lattice and dependencies, but no longer z-linear input."""
-    pairs = []
-    for s in arr.subspaces:
-        spec = ComplexFormSpec(s.complex_spec.zbar, s.complex_spec.z)
-        pairs.append(SubspacePair(s.name, *from_complex_form(spec), spec))
-    return Arrangement(arr.dim, tuple(pairs))
+    return swapped(arr, range(1, arr.n + 1))
 
 
 @settings(PROPERTY, max_examples=10)
@@ -191,9 +184,10 @@ def test_graphic_arrangements_match_the_chromatic_polynomial(graph):
     betti += (0,) * (arr.n + 1 - len(betti))
     ranks = ideal_ranks(full_presentation(arr).elements(), arr.n)
     assert [r + b for r, b in zip(ranks, betti)] == [comb(arr.n, p) for p in range(arr.n + 1)]
-    swapped = conjugated(arr)
-    assert not swapped.is_holomorphic_input
-    assert compare(arr, swapped).differing == ()
+    other = conjugated(arr)
+    with pytest.raises(ModeMismatch):
+        full_presentation(other, MODE_COMPLEX)
+    assert compare(arr, other).differing == ()
 
 
 @pytest.mark.parametrize("kind", ["B", "G(4,4)"])
@@ -201,12 +195,13 @@ def test_conjugate_swap_of_a_reflection_arrangement_solves_every_sign_to_plus_on
     """In C^3, B_3 and G(4, 4, 3) swapped to conjugate-linear input take the solved
     route; each sigma_j solves to +1, as the z-linear route takes it."""
     arr = reflection(kind, 3)
-    swapped = conjugated(arr)
-    assert arr.is_holomorphic_input and not swapped.is_holomorphic_input
-    solved = full_presentation(swapped)
+    other = conjugated(arr)
+    with pytest.raises(ModeMismatch):
+        full_presentation(other, MODE_COMPLEX)
+    solved = full_presentation(other)
     assert {s for rel in solved.relations for s in rel.signs} == {1}
-    assert solved.relations == full_presentation(arr).relations
-    assert compare(arr, swapped).differing == ()
+    assert solved.relations == full_presentation(arr, MODE_COMPLEX).relations
+    assert compare(arr, other).differing == ()
 
 
 def cli_run(*argv):
