@@ -95,13 +95,9 @@ class ComplexFormSpec(Value):
     zbar: tuple[tuple[Fraction, Fraction], ...]
 
     @property
-    def is_zero(self) -> bool:
-        return all(a == 0 and b == 0 for a, b in self.z + self.zbar)
-
-    @property
-    def is_holomorphic(self) -> bool:
-        """True when no conjugate variable appears."""
-        return all(a == 0 and b == 0 for a, b in self.zbar)
+    def support(self) -> tuple[int, int]:
+        """Bitmasks of the coordinates j with a nonzero z_j and a nonzero conj(z_j) coefficient."""
+        return tuple(sum(1 << j for j, c in enumerate(side) if any(c)) for side in (self.z, self.zbar))
 
 
 def from_complex_form(spec: ComplexFormSpec) -> tuple[LinearForm, LinearForm]:
@@ -113,7 +109,7 @@ def from_complex_form(spec: ComplexFormSpec) -> tuple[LinearForm, LinearForm]:
         Re f = sum (a_j + c_j) x_j + (-b_j + d_j) y_j
         Im f = sum (b_j + d_j) x_j + ( a_j - c_j) y_j
     """
-    if spec.is_zero:
+    if spec.support == (0, 0):
         raise ZeroForm("complex form has no nonzero coefficient")
     re_part: list[Fraction] = []
     im_part: list[Fraction] = []

@@ -20,10 +20,11 @@ relation is
     sum_j (-1)^j sigma_j e_{A \ a_j}
 
 with the deleted-member monomials written in increasing index order.
-The circuit picks the route. A complex coefficient lambda acts on a
-z-linear member's (Re, Im) pair with determinant |lambda|^2 > 0, so a
-circuit of z-linear members takes every sigma_j = +1 and is not solved;
-other circuits are solved. The mode only checks input and labels output.
+The circuit picks the route. If its members share one complex structure
+(each coordinate used as z_j or as conj(z_j), not both), l_{a_0} + i l'_{a_0}
+is a complex combination of the other members' l + i l', and a coefficient
+lambda_j acts on (l, l') with determinant |lambda_j|^2 > 0: every sigma_j is
++1, unsolved. Other circuits are solved; the mode only checks and labels.
 
 The solves are integer: `_solve` eliminates the circuit's rows of the
 arrangement's integer forms, whose positive scales keep every sigma_j
@@ -51,7 +52,7 @@ class NotACircuit(ValueError):
 
 
 class ModeMismatch(ValueError):
-    """Complex mode requested for input that is not purely z-linear."""
+    """Complex mode requested for a member with no complex block, or one using some conj(z_j)."""
 
 
 class DependencyPair(Value):
@@ -158,21 +159,22 @@ def _relation(c: tuple[int, ...], signs: tuple[int, ...]) -> CircuitRelation:
 def full_presentation(arr: Arrangement, mode: str = MODE_REAL) -> Presentation:
     """One relation per circuit, its signs found by the route the circuit picks.
 
-    Circuits of z-linear members take every sigma_j = +1 and are not solved.
+    A circuit whose members all have complex blocks, none using z_j where it
+    or another uses conj(z_j), takes every sigma_j = +1 and is not solved.
     The mode only checks the input (`ModeMismatch`) and labels the result.
     """
     if mode not in _MODE_ALIASES:
         raise ValueError(f"unknown mode {mode!r}")
     mode = _MODE_ALIASES[mode]
-    z_linear = [s.complex_spec is not None and s.complex_spec.is_holomorphic for s in arr.subspaces]
-    if mode == MODE_COMPLEX and not all(z_linear):
+    support = [s.complex_spec and s.complex_spec.support for s in arr.subspaces]
+    if mode == MODE_COMPLEX and not all(m and not m[1] for m in support):
         raise ModeMismatch("complex mode needs all subspaces given by z-linear equations")
-    # the circuit search found these, so they skip _checked_circuit's re-check
-    relations = tuple(
-        _relation(c, (1,) * len(c) if all(z_linear[a - 1] for a in c) else _signs(c, _solve(arr, c)))
-        for c in arr._circuits
-    )
-    return Presentation(arr.n, relations, mode)
+    relations = []
+    for c in arr._circuits:  # found by the circuit search, so not re-checked by _checked_circuit
+        ms = [support[a - 1] for a in c]
+        one_structure = all(ms) and not any(z & zbar for z, _ in ms for _, zbar in ms)
+        relations.append(_relation(c, (1,) * len(c) if one_structure else _signs(c, _solve(arr, c))))
+    return Presentation(arr.n, tuple(relations), mode)
 
 
 def normalize_signs(pres: Presentation) -> Presentation:

@@ -7,7 +7,7 @@ import pytest
 from twoarr import presentation
 from twoarr.arrangement import Arrangement, ComplexFormSpec, LinearForm, SubspacePair, from_complex_form, validate
 from twoarr.exterior import ideal_ranks, ideal_slices, monomials
-from twoarr.invariants import _kappa_of
+from twoarr.invariants import _kappa_of, pairwise_linking
 from twoarr.matroid import circuits, nbc_sets
 from twoarr.presentation import (
     CircuitRelation,
@@ -36,7 +36,7 @@ def F(x):
 
 
 def circuit_relation(arr, circuit):
-    """The signed relation a circuit imposes, its signs solved as for input that is not z-linear."""
+    """The signed relation a circuit imposes, its signs solved whatever structure its members share."""
     c = presentation._checked_circuit(arr, circuit)
     return presentation._relation(c, presentation._signs(c, presentation._solve(arr, c)))
 
@@ -169,16 +169,23 @@ def test_complex_mode_rejects_conjugate_input(arr_bprime):
 
 @pytest.mark.parametrize("mode", [MODE_REAL, MODE_COMPLEX])
 def test_the_input_not_the_mode_picks_the_route(monkeypatch, mode, arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
-    """Exactly the circuits holding a member not given by a z-linear block are solved,
-    in circuit order; nothing is solved on z-linear input or before a ModeMismatch."""
+    """The route depends on the structure a circuit's members share: a circuit is
+    solved exactly when one member uses some z_j and the same or another uses
+    conj(z_j), and the solves come in circuit order. Nothing is solved on z-linear
+    input, on fully conjugate-linear input or before a ModeMismatch."""
     calls = []
     solve = presentation._solve
     monkeypatch.setattr(presentation, "_solve", lambda arr, c: calls.append(c) or solve(arr, c))
     for arr in (arr_b, arr_bhat_complex, braid_a4(), generic_lines(7, 3)):
         full_presentation(arr, mode)
     assert calls == []
+    lines7, b3, a4 = generic_lines(7, 3), reflection("B", 3), braid_a4()
+    # (input, its conjugate-linear members, solves)
+    cases = [(swapped(arr, range(1, arr.n + 1)), range(1, arr.n + 1), 0) for arr in (lines7, b3, a4)]
     # the last member is the one conjugate-linear member of each
-    for arr, solved in ((arr_bprime, 3), (arr_bhat, 4), (generic_lines(7, 3, True), 15)):
+    cases += [(arr_bprime, [4], 3), (arr_bhat, [5], 4), (generic_lines(7, 3, True), [7], 15)]
+    cases += [(swapped(lines7, (1, 2, 3)), (1, 2, 3), 30), (swapped(b3, (2, 5, 7, 9)), (2, 5, 7, 9), 51)]
+    for arr, conj, solved in cases:
         calls.clear()
         if mode == MODE_COMPLEX:
             with pytest.raises(ModeMismatch):
@@ -186,7 +193,8 @@ def test_the_input_not_the_mode_picks_the_route(monkeypatch, mode, arr_b, arr_bp
             assert calls == []
         else:
             full_presentation(arr, mode)
-            assert calls == [c for c in circuits(arr) if arr.n in c]
+            # the circuits with both a z-linear and a conjugate-linear member
+            assert calls == [c for c in circuits(arr) if 0 < len(set(c) & set(conj)) < len(c)]
             assert len(calls) == solved
 
 
@@ -213,7 +221,8 @@ def z_linear_cases():
 
 def mixed_cases():
     """Seeded subsets of members of z-linear inputs swapped to conjugate-linear ones;
-    a draw that fails validation (a swap can duplicate a member) is skipped."""
+    a draw that fails validation (a swap can duplicate a member) is skipped. Some
+    inputs also come with every member swapped, which the all-plus route takes."""
     rng = random.Random(89)
     bases = [(f"lines{n}", generic_lines(n, n)) for n in range(5, 10)]
     bases += [("planes7", generic_hyperplanes(7, 3, 7)), ("braid-a4", braid_a4()), ("B3", reflection("B", 3))]
@@ -226,13 +235,18 @@ def mixed_cases():
             mixed = swapped(arr, members)
             if validate(mixed).ok:
                 cases.append(pytest.param(mixed, False, id=f"{name}-swap{'.'.join(map(str, members))}"))
+    swap_all = {"lines5", "lines6", "lines7", "planes7", "braid-a4"}
+    for name, arr in bases:
+        if name in swap_all:
+            cases.append(pytest.param(swapped(arr, range(1, arr.n + 1)), False, id=f"{name}-swapall"))
     return cases
 
 
 @pytest.mark.parametrize("arr, z_linear", z_linear_cases() + mixed_cases())
 def test_z_linear_relations_are_the_solved_ones(arr, z_linear):
-    """The solver certifies the all-plus signs it skips on each circuit of z-linear
-    members, on z-linear input and on input with some members conjugate-linear."""
+    """The solver certifies the all-plus signs it skips on each circuit whose members
+    share one complex structure: on z-linear input, on input with some members
+    conjugate-linear and on input with every member conjugate-linear."""
     expected = tuple(circuit_relation(arr, c) for c in circuits(arr))
     assert full_presentation(arr).relations == expected
     if z_linear:
@@ -327,6 +341,35 @@ def test_integer_signs_match_the_fraction_quads(arr_b, arr_bprime, arr_bhat, arr
             expected = quad_signs(circuit_dependencies(arr, c))
             assert 0 not in expected
             assert rel.signs == circuit_relation(arr, c).signs == expected, c
+
+
+def random_real_r4(rng, count):
+    """`count` seeded arrangements in R^4 given by integer `forms`; draws that fail validation are skipped."""
+    arrs = []
+    while len(arrs) < count:
+        n = rng.randint(4, 8)
+        rows = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(2 * n)]
+        arr = Arrangement(4, tuple(pair(f"H{k + 1}", rows[2 * k], rows[2 * k + 1]) for k in range(n)))
+        if validate(arr).ok:
+            arrs.append(arr)
+    return arrs
+
+
+def test_r4_signs_are_products_of_linking_signs(arr_b, arr_bprime):
+    """In R^4, moving one 2-row block past another keeps a determinant's sign, so by
+    Cramer's rule each circuit a_0 < a_1 < a_2 has sigma_1 = lk(a_0, a_2) lk(a_1, a_2)
+    and sigma_2 = lk(a_0, a_1) lk(a_1, a_2). The solver and the Plücker pairings
+    of `pairwise_linking` share no code."""
+    arrs = [arr_b, arr_bprime, generic_lines(7, 3, True), generic_lines(12, 5, True)]
+    arrs += random_real_r4(random.Random(97), 6)
+    minus = 0
+    for arr in arrs:
+        lk = pairwise_linking(arr)
+        for rel in full_presentation(arr).relations:
+            a0, a1, a2 = (a - 1 for a in rel.circuit)
+            assert rel.signs == (1, lk[a0][a2] * lk[a1][a2], lk[a0][a1] * lk[a1][a2]), rel.circuit
+            minus += -1 in rel.signs
+    assert minus > 0
 
 
 # --- property suites -----------------------------------------------------------

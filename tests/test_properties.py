@@ -8,8 +8,9 @@ coefficients), whose lattices are not those of uniform matroids. A drawn case
 replaces each subspace's form pair by an invertible rational 2x2
 recombination of it, which drops the complex block, and then reorders the
 subspaces. Graphic arrangements and the reflection arrangements B_3 and
-G(4, 4, 3) are also checked with z_j and its conjugate swapped, which sends
-them down the solved route. The
+G(4, 4, 3) are also checked with z_j and its conjugate swapped: every member
+is then conjugate-linear, one complex structure again, so their relations
+take the all-plus route, and the solver checks each of them. The
 Björner–Ziegler identity runs on drawn generic lines and planes. Two CLI
 properties close the file: `compare` marks DIFFER on exactly the rows its
 JSON `differing` names, on drawn pairs of generic lines; and `betti --order`
@@ -35,7 +36,7 @@ from hypothesis import strategies as st
 
 from conftest import generic_hyperplanes, generic_lines, graphic, reflection
 from test_matroid import GRAPHS, chromatic
-from test_presentation import recombined, swapped
+from test_presentation import circuit_relation, recombined, swapped
 from twoarr import matroid
 from twoarr.arrangement import (
     Arrangement,
@@ -175,7 +176,8 @@ def conjugated(arr):
 @given(graph=connected_graphs())
 def test_graphic_arrangements_match_the_chromatic_polynomial(graph):
     """Betti numbers are the absolute coefficients of chi_G(t) / t (Orlik-Terao, ch. 2),
-    rank I^p + b_p = C(n, p), and the solved route agrees with the z-linear one."""
+    rank I^p + b_p = C(n, p), and the conjugate swap keeps the relations, which the
+    solver gives on every circuit."""
     d, edges = graph
     arr = graphic(d, edges)
     chi = chromatic(frozenset(range(d + 1)), frozenset(frozenset(e) for e in edges))
@@ -187,20 +189,24 @@ def test_graphic_arrangements_match_the_chromatic_polynomial(graph):
     other = conjugated(arr)
     with pytest.raises(ModeMismatch):
         full_presentation(other, MODE_COMPLEX)
+    relations = full_presentation(other).relations
+    assert relations == tuple(circuit_relation(other, c) for c in circuits(other))
+    assert relations == full_presentation(arr).relations
     assert compare(arr, other).differing == ()
 
 
 @pytest.mark.parametrize("kind", ["B", "G(4,4)"])
-def test_conjugate_swap_of_a_reflection_arrangement_solves_every_sign_to_plus_one(kind):
-    """In C^3, B_3 and G(4, 4, 3) swapped to conjugate-linear input take the solved
-    route; each sigma_j solves to +1, as the z-linear route takes it."""
+def test_conjugate_swap_of_a_reflection_arrangement_keeps_the_solved_all_plus_relations(kind):
+    """In C^3, B_3 and G(4, 4, 3) swapped to conjugate-linear input take the all-plus
+    route, and solving each circuit gives the same relations, every sigma_j +1."""
     arr = reflection(kind, 3)
     other = conjugated(arr)
     with pytest.raises(ModeMismatch):
         full_presentation(other, MODE_COMPLEX)
-    solved = full_presentation(other)
-    assert {s for rel in solved.relations for s in rel.signs} == {1}
-    assert solved.relations == full_presentation(arr, MODE_COMPLEX).relations
+    relations = full_presentation(other).relations
+    assert {s for rel in relations for s in rel.signs} == {1}
+    assert relations == tuple(circuit_relation(other, c) for c in circuits(other))
+    assert relations == full_presentation(arr, MODE_COMPLEX).relations
     assert compare(arr, other).differing == ()
 
 
