@@ -105,7 +105,7 @@ def pairwise_linking(arr: Arrangement) -> tuple[tuple[int, ...], ...]:
     their Plücker coordinates over the column pairs in lexicographic order.
     """
     if arr.dim != 4:
-        raise DimensionNot4(f"dim is {arr.dim}")
+        raise DimensionNot4(f"linking signs need an arrangement in R^4, got R^{arr.dim}")
     pairs = list(itertools.combinations(range(4), 2))
     # positive row scales keep the determinant sign
     minors = [[f[i] * g[j] - f[j] * g[i] for i, j in pairs] for f, g in arr._integer_forms]

@@ -190,8 +190,9 @@ def test_linking_json(fx, capsys):
 
 
 def test_linking_dimension_guard(fx, capsys):
-    code, _, err = run(capsys, "linking", fx("thm32-Bhat"))
+    code, out, err = run(capsys, "linking", fx("thm32-Bhat"))
     assert code == 3
+    assert (out, err) == ("", "error: linking signs need an arrangement in R^4, got R^6\n")
 
 
 def test_out_of_memory_exits_4_with_one_line(fx, capsys, monkeypatch):
@@ -640,7 +641,6 @@ def raise_exit(code):
 
 
 def test_run_reads_sys_argv(fx, capsys, monkeypatch):
-    monkeypatch.setattr(gc, "freeze", lambda: None)  # a real freeze would keep pytest's garbage
     monkeypatch.setattr(cli.os, "_exit", raise_exit)
     monkeypatch.setattr(sys, "argv", ["twoarr", "circuits", fx("example22-B")])
     with pytest.raises(SystemExit) as exit_:
@@ -649,23 +649,20 @@ def test_run_reads_sys_argv(fx, capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines() == ["{1,2,3}", "{1,2,4}", "{1,3,4}", "{2,3,4}"]
 
 
-def test_run_freezes_the_collector_before_main(fx, capsys, monkeypatch):
-    events = []
+def test_run_exits_with_the_code_of_its_one_main_call(fx, capsys, monkeypatch):
+    calls = []
     real_main = cli.main
 
     def spy_main():
-        events.append("main starts")
-        code = real_main()
-        events.append("main returns")
-        return code
+        calls.append(sys.argv[1])
+        return real_main()
 
-    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
     monkeypatch.setattr(cli, "main", spy_main)
     monkeypatch.setattr(cli.os, "_exit", raise_exit)
     monkeypatch.setattr(sys, "argv", ["twoarr", "compare", fx("example22-B"), fx("example22-Bprime")])
     with pytest.raises(SystemExit) as exit_:
         cli.run()
-    assert events == ["freeze", "main starts", "main returns"]
+    assert calls == ["compare"]
     assert exit_.value.code == 10
     assert capsys.readouterr().out.splitlines()[-1] == "verdict: DISTINGUISHED"
 

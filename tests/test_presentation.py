@@ -22,7 +22,7 @@ from twoarr.presentation import (
     Presentation,
 )
 from conftest import braid_a4, generic_hyperplanes, generic_lines, pair, reflection
-from dense_reference import rref
+from dense_reference import det, rref
 from exterior_reference import coeff_vector, from_terms
 from test_exterior import direct_ranks, reference_span
 
@@ -343,13 +343,15 @@ def test_integer_signs_match_the_fraction_quads(arr_b, arr_bprime, arr_bhat, arr
             assert rel.signs == circuit_relation(arr, c).signs == expected, c
 
 
-def random_real_r4(rng, count):
-    """`count` seeded arrangements in R^4 given by integer `forms`; draws that fail validation are skipped."""
+def random_real(rng, count, dim=4, sizes=(4, 8), bound=3):
+    """`count` seeded arrangements in R^dim given by integer `forms`, each of n members
+    for n drawn from `sizes` and coefficients in [-bound, bound]; draws that fail
+    validation are skipped."""
     arrs = []
     while len(arrs) < count:
-        n = rng.randint(4, 8)
-        rows = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(2 * n)]
-        arr = Arrangement(4, tuple(pair(f"H{k + 1}", rows[2 * k], rows[2 * k + 1]) for k in range(n)))
+        n = rng.randint(*sizes)
+        rows = [[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(2 * n)]
+        arr = Arrangement(dim, tuple(pair(f"H{k + 1}", rows[2 * k], rows[2 * k + 1]) for k in range(n)))
         if validate(arr).ok:
             arrs.append(arr)
     return arrs
@@ -361,7 +363,7 @@ def test_r4_signs_are_products_of_linking_signs(arr_b, arr_bprime):
     and sigma_2 = lk(a_0, a_1) lk(a_1, a_2). The solver and the Plücker pairings
     of `pairwise_linking` share no code."""
     arrs = [arr_b, arr_bprime, generic_lines(7, 3, True), generic_lines(12, 5, True)]
-    arrs += random_real_r4(random.Random(97), 6)
+    arrs += random_real(random.Random(97), 6)
     minus = 0
     for arr in arrs:
         lk = pairwise_linking(arr)
@@ -370,6 +372,31 @@ def test_r4_signs_are_products_of_linking_signs(arr_b, arr_bprime):
             assert rel.signs == (1, lk[a0][a2] * lk[a1][a2], lk[a0][a1] * lk[a1][a2]), rel.circuit
             minus += -1 in rel.signs
     assert minus > 0
+
+
+def test_signs_are_cramer_quotients_of_block_determinants():
+    """Let a_1..a_k of a circuit a_0 < ... < a_k stack their forms to a square M, and
+    let M_j be M with a_0's two forms in a_j's rows. a_0's forms are B_1 a_1 + ... +
+    B_k a_k for 2x2 blocks B_j, so by Cramer's rule det M_j = det B_j det M, and
+    sigma_j = sign det M_j * sign det M. Checked on random real arrangements in R^6
+    and R^8 against cofactor determinants, which share no code with the solver."""
+    rng = random.Random(5)
+    arrs = random_real(rng, 3, 6, (7, 7), 5) + random_real(rng, 3, 6, (9, 9), 5)
+    arrs += random_real(rng, 3, 8, (7, 7), 5)
+    checked = minus = 0
+    for arr in arrs:
+        blocks = [[tuple(map(int, f.coeffs)) for f in (s.first, s.second)] for s in arr.subspaces]
+        for rel in full_presentation(arr).relations:
+            a0, *rest = (a - 1 for a in rel.circuit)
+            if 2 * len(rest) != arr.dim:
+                continue
+            det_m = det([f for a in rest for f in blocks[a]])
+            for j, aj in enumerate(rest, 1):
+                m_j = [f for a in rest for f in blocks[a0 if a == aj else a]]
+                assert rel.signs[j] * det(m_j) * det_m > 0, (rel.circuit, j)  # equal signs, none zero
+                checked += 1
+                minus += rel.signs[j] == -1
+    assert checked > 1000 and minus > 0
 
 
 # --- property suites -----------------------------------------------------------
