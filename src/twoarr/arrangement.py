@@ -136,10 +136,6 @@ class Arrangement(Value):
     def n(self) -> int:
         return len(self.subspaces)
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.subspaces)
-
     def pair(self, index: int) -> SubspacePair:
         """Subspace by 1-based index."""
         if not 1 <= index <= self.n:
@@ -161,10 +157,6 @@ class Arrangement(Value):
     def _walk(self) -> tuple[dict[int, int], dict[int, int]]:
         """The closed sets' codims and covers (`linalg.closed_sets`); bit a-1 stands for subspace a."""
         return closed_sets(self._integer_forms)
-
-    @property
-    def _closed_sets(self) -> dict[int, int]:
-        return self._walk[0]
 
     @cached_property
     def _circuits(self) -> tuple[tuple[int, ...], ...]:
@@ -214,7 +206,7 @@ def codim(arr: Arrangement, subset: Iterable[int]) -> int:
     span what those of its closure span, so the answer is read off the
     closed set `_closure` reaches, and no subset is ranked on its own.
     """
-    return arr._closed_sets[_closure(arr, _mask(arr, subset))]
+    return arr._walk[0][_closure(arr, _mask(arr, subset))]
 
 
 def validate(arr: Arrangement) -> ValidationReport:
@@ -250,7 +242,7 @@ def validate(arr: Arrangement) -> ValidationReport:
                 out.append(
                     Violation("pairwise-rank", (a, b), f"subset {{{a},{b}}} has rank {r}, expected 4")
                 )
-    odd = [(_members(mask), r) for mask, r in arr._closed_sets.items() if r % 2]
+    odd = [(_members(mask), r) for mask, r in arr._walk[0].items() if r % 2]
     for f, r in sorted(odd, key=lambda fr: (len(fr[0]), fr[0])):
         out.append(Violation("odd-rank", f, f"subset {set(f)} has rank {r} (odd)"))
     return ValidationReport(tuple(out))

@@ -30,8 +30,6 @@ def monomials(n: int, p: int) -> tuple[Monomial, ...]:
 
 
 def _mon_str(mon: Monomial) -> str:
-    if not mon:
-        return "1"
     if mon[-1] <= 9:
         return "e" + "".join(str(i) for i in mon)
     return "e(" + ",".join(str(i) for i in mon) + ")"

@@ -41,6 +41,10 @@ def cspec(z, zbar=None):
     )
 
 
+def names(arr):
+    return tuple(s.name for s in arr.subspaces)
+
+
 def doc(dim, *subspaces):
     return {"dim": dim, "subspaces": list(subspaces)}
 
@@ -90,7 +94,7 @@ def test_parse_complex_block_of_wrong_length(key):
 
 def test_parse_fixture_b(arr_b):
     assert arr_b.dim == 4
-    assert arr_b.labels == ("H1", "H2", "H3", "H4")
+    assert names(arr_b) == ("H1", "H2", "H3", "H4")
     assert arr_b.subspaces[2].first == form(-1, 0, 1, 0)
     assert arr_b.subspaces[2].second == form(0, -1, 0, 1)
     assert full_presentation(arr_b, MODE_COMPLEX).mode == MODE_COMPLEX
@@ -306,7 +310,7 @@ def test_codim_unknown_label_after_cached_subset(arr_b):
 def test_restrict_bhat_at_h3(arr_bhat):
     r = restrict(arr_bhat, "H3")
     assert r.dim == 4
-    assert r.labels == ("H1", "H2", "H4", "H5")
+    assert names(r) == ("H1", "H2", "H4", "H5")
     h5 = r.subspaces[3]
     assert h5.first == form(1, 0, -2, 0)
     assert h5.second == form(0, 1, 0, 2)
@@ -323,24 +327,24 @@ def test_restrict_complex_analog_at_h3(arr_bhat_complex):
 
 def test_restrict_two_subspaces(independent_pair):
     r = restrict(independent_pair, "H1")
-    assert r.dim == 2 and r.labels == ("H2",)
+    assert r.dim == 2 and names(r) == ("H2",)
     assert r.subspaces[0].first == form(1, 0)
     assert r.subspaces[0].second == form(0, 1)
     assert validate(r).ok
 
 
 def test_restrict_accepts_index(arr_bhat):
-    assert restrict(arr_bhat, 3).labels == ("H1", "H2", "H4", "H5")
+    assert names(restrict(arr_bhat, 3)) == ("H1", "H2", "H4", "H5")
 
 
 def test_restrict_has_own_closed_sets(arr_bhat):
-    for label in arr_bhat.labels:
+    for label in names(arr_bhat):
         r = restrict(arr_bhat, label)
         reparsed = parse_arrangement(serialize_arrangement(r))
         for s in all_subsets(r.n):
             assert codim(r, s) == codim(reparsed, s)
-        assert r._closed_sets is not arr_bhat._closed_sets
-        assert r._closed_sets == reparsed._closed_sets
+        assert r._walk[0] is not arr_bhat._walk[0]
+        assert r._walk[0] == reparsed._walk[0]
 
 
 def test_restrict_leaving_no_subspace_raises(single_subspace, independent_pair):
@@ -500,7 +504,7 @@ def test_restrict_preserves_validity_when_triples_transversal(
     arr_bhat, arr_bhat_complex, independent_pair
 ):
     for arr in (arr_bhat, arr_bhat_complex):
-        for label in arr.labels:
+        for label in names(arr):
             assert validate(restrict(arr, label)).ok
-    for label in independent_pair.labels:
+    for label in names(independent_pair):
         assert validate(restrict(independent_pair, label)).ok

@@ -17,7 +17,7 @@ from twoarr.cli import UsageError, build_parser, main
 from twoarr.arrangement import parse_arrangement
 from twoarr.restriction import serialize_arrangement
 from twoarr.fixtures import fixture_text, load_fixture
-from conftest import generic_lines
+from conftest import braid, generic_hyperplanes, generic_lines
 
 
 @pytest.fixture
@@ -93,6 +93,25 @@ def test_non_ascii_zero_denominator_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "zero.arr"
     path.write_text(json.dumps(document))
     assert run(capsys, "validate", str(path)) == (3, "", "parse error: zero denominator in '1/\u0660'\n")
+
+
+ZERO_PAIR = [["0", "0"], ["0", "0"]]
+FORM = ["1", "0", "0", "0"]
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"complex": {"z": ZERO_PAIR, "zbar": ZERO_PAIR}}, "complex form has no nonzero coefficient"),
+        ({"forms": [FORM]}, "'forms' must list exactly two forms"),
+        ({"forms": [FORM] * 3}, "'forms' must list exactly two forms"),
+    ],
+    ids=["zero-complex-form", "one-form", "three-forms"],
+)
+def test_subspace_record_rejections_exit_3(tmp_path, capsys, record, message):
+    path = tmp_path / "bad.arr"
+    path.write_text(json.dumps({"dim": 4, "subspaces": [{"name": "H1", **record}]}))
+    assert run(capsys, "validate", str(path)) == (3, "", f"parse error: subspace #1: {message}\n")
 
 
 def test_missing_file_exit_3(capsys):
@@ -429,6 +448,26 @@ def test_compare_exit_codes(fx, capsys):
     code, out, _ = run(capsys, "compare", fx("example22-B"), fx("example22-B"))
     assert code == 0
     assert "verdict: OTHERWISE_UNRESOLVED" in out
+
+
+def write_arrangement(tmp_path, name, arr):
+    path = tmp_path / f"{name}.arr"
+    path.write_text(serialize_arrangement(arr))
+    return str(path)
+
+
+def test_permutation_search_that_finds_no_relabeling_exits_10(tmp_path, capsys):
+    a3 = write_arrangement(tmp_path, "a3", braid(3))
+    planes = write_arrangement(tmp_path, "planes", generic_hyperplanes(6, 3, 3))
+    code, out, err = run(capsys, "compare", a3, planes, "--permutation-search")
+    assert (code, err) == (10, "")
+    assert "matroids (up to relabeling): DIFFER" in out.splitlines()
+
+
+def test_permutation_search_refuses_more_than_eight_subspaces(tmp_path, capsys):
+    lines9 = write_arrangement(tmp_path, "lines9", generic_lines(9, 3))
+    expected = (3, "", "error: permutation search is limited to n <= 8\n")
+    assert run(capsys, "compare", lines9, lines9, "--permutation-search") == expected
 
 
 def test_compare_json(fx, capsys):

@@ -78,7 +78,7 @@ def cases() -> dict[str, list[str]]:
             out[f"compare-{first}-{second}-permutations-{fmt}"] = argv + ["--permutation-search"]
     for name in ("example22-B", "example22-Bprime", "lines7", "lines7-conj"):
         out[f"linking-{name}"] = ["linking", f"{{{name}}}"]
-    for verb in ("lattice", "betti"):
+    for verb in ("lattice", "betti", "present"):
         out[f"{verb}-a4"] = [verb, "{a4}"]
     for name in ("lines7", "lines7-conj"):
         out[f"present-{name}"] = ["present", f"{{{name}}}"]

@@ -38,8 +38,8 @@ def build(case):
     """A fresh arrangement per case, shared by the tests below."""
     if case.startswith("fixture-"):
         return load_fixture(case[len("fixture-"):])
-    if case == "braid-A4":
-        return braid_a4()
+    if case.startswith("braid-A"):
+        return braid(int(case[len("braid-A"):]))
     if case == "planes-7":
         return generic_hyperplanes(7, 3, 3)
     n, _, conj = case[len("lines-"):].partition("-")
@@ -59,8 +59,8 @@ def test_closed_sets_match_bruteforce_closure(case):
         mask | sum(1 << b for b in range(arr.n) if codims[mask | 1 << b] == c)
         for mask, c in codims.items()
     }  # closure(S): S plus every element that leaves codim(S) as it is
-    assert set(arr._closed_sets) == brute
-    assert all(codims[mask] == c for mask, c in arr._closed_sets.items())
+    assert set(arr._walk[0]) == brute
+    assert all(codims[mask] == c for mask, c in arr._walk[0].items())
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -114,7 +114,7 @@ def test_validate_matches_reference_on_inadmissible_arrangements():
         report = validate(arr)
         assert report == ref.validate(arr)
         kinds |= {v.kind for v in report.violations}
-        assert {_members(m) for m in arr._closed_sets} == set(ref.closed_sets(arr))
+        assert {_members(m) for m in arr._walk[0]} == set(ref.closed_sets(arr))
         for s in all_subsets(arr.n):
             assert closure(arr, s) == ref.closure(arr, s)
         try:
@@ -226,6 +226,20 @@ def test_walk_runs_no_forward_echelon(monkeypatch):
 
     monkeypatch.setattr(linalg, "sparse_echelon", no_forward)
     assert [linalg.closed_sets(arr._integer_forms) for arr in arrs] == walks
+
+
+@pytest.mark.parametrize("case", CASES + [f"braid-A{d}" for d in (2, 3, 5)])
+def test_walk_inserts_each_closed_set_after_the_sets_it_covers(case):
+    """Weisner's rule in `whitney_numbers` and the first odd set `_admissible_walk`
+    reports both read the walk's insertion order: cl(()) first, cl(F + b) after F."""
+    arr = build(case)
+    closed, covers = arr._walk
+    position = {f: k for k, f in enumerate(closed)}
+    assert next(iter(closed)) == covers[0]
+    for f in closed:
+        for b in range(arr.n):
+            if not f >> b & 1:
+                assert position[covers[f | 1 << b]] > position[f]
 
 
 def test_whitney_numbers_with_a_loop_in_the_bottom_and_fast_on_a6():

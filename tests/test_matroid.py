@@ -21,7 +21,7 @@ from twoarr.matroid import (
     whitney_numbers,
 )
 from twoarr.presentation import full_presentation, ideal_rank_profile
-from conftest import braid, braid_a4, graphic, pair, reflection
+from conftest import braid, braid_a4, generic_hyperplanes, graphic, pair, reflection
 
 U24_NBC = [(), (1,), (2,), (3,), (4,), (1, 2), (1, 3), (1, 4)]
 
@@ -225,6 +225,12 @@ def test_reflection_arrangement_known_answers(kind, d):
 def test_same_labeled_matroid(arr_b, arr_bprime):
     assert same_labeled_matroid(arr_b, arr_bprime)
     assert same_labeled_matroid(arr_b, arr_b)
+
+
+def test_no_relabeling_matches_different_circuit_counts():
+    a3, planes = braid(3), generic_hyperplanes(6, 3, 3)
+    assert (a3.n, len(circuits(a3)), planes.n, len(circuits(planes))) == (6, 7, 6, 15)
+    assert not same_labeled_matroid(a3, planes, up_to_relabeling=True)
 
 
 def test_same_labeled_matroid_size_mismatch(arr_b, arr_bhat):

@@ -162,6 +162,11 @@ def test_full_presentation_complex_mode(arr_b):
     ]
 
 
+def test_unknown_mode_is_a_value_error(arr_b):
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        full_presentation(arr_b, "bogus")
+
+
 def test_complex_mode_rejects_conjugate_input(arr_bprime):
     with pytest.raises(ModeMismatch):
         full_presentation(arr_bprime, "complex")

@@ -103,7 +103,7 @@ def _relabelled_mask(mask, new_of):
 def test_invariants_survive_form_rechoice_and_relabelling(name, data):
     base = INPUTS[name]
     new_of, arr = data.draw(changed(base))
-    assert arr._closed_sets == {_relabelled_mask(m, new_of): c for m, c in base._closed_sets.items()}
+    assert arr._walk[0] == {_relabelled_mask(m, new_of): c for m, c in base._walk[0].items()}
     assert circuits(arr) == sorted(tuple(sorted(new_of[e] for e in c)) for c in circuits(base))
     assert invariants(arr) == base_invariants(name)
 

@@ -21,7 +21,7 @@ from twoarr.arrangement import (
     parse_arrangement,
     validate,
 )
-from twoarr.fixtures import fixture_text, load_fixture
+from twoarr.fixtures import FIXTURES, fixture_text, load_fixture
 from twoarr.invariants import compare, kappa
 from twoarr.matroid import Flat, flats, nbc_sets
 from twoarr.presentation import circuit_dependencies, full_presentation
@@ -89,6 +89,13 @@ def test_unknown_attribute_raises():
     assert not hasattr(twoarr, "Value")
     assert twoarr.linalg is sys.modules["twoarr.linalg"]
     assert {"Arrangement", "compare", "__version__"} <= set(dir(twoarr))
+
+
+def test_unknown_fixture_names_the_bundled_files():
+    with pytest.raises(KeyError) as info:
+        load_fixture("nope")
+    assert info.value.args == (f"no bundled fixture 'nope.arr'; have {FIXTURES}",)
+    assert len(FIXTURES) == 4
 
 
 def test_moved_names_still_resolve_from_their_old_modules():
