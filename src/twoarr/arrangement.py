@@ -287,25 +287,31 @@ def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
         raise ParseError(f"unknown field(s) {sorted(unknown)} in {where}")
 
 
+def _grid(rows, count: int, width: int, where: str, bad_rows: str, bad_row: str) -> tuple[tuple[Fraction, ...], ...]:
+    """`count` lists of `width` rationals, each list checked before it is parsed; every error names `where`."""
+    if not isinstance(rows, list) or len(rows) != count:
+        raise ParseError(f"{where}: {bad_rows}")
+    grid = []
+    for row in rows:
+        if not isinstance(row, list) or len(row) != width:
+            raise ParseError(f"{where}: {bad_row}")
+        try:
+            grid.append(tuple(map(parse_rational, row)))
+        except ParseError as e:
+            raise ParseError(f"{where}: {e}") from e
+    return tuple(grid)
+
+
 def _parse_complex_block(obj: dict, d: int, where: str) -> ComplexFormSpec:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: complex block must be an object")
     _require_keys(obj, {"z", "zbar"}, where)
     if "z" not in obj or "zbar" not in obj:
         raise ParseError(f"{where}: complex block needs both 'z' and 'zbar'")
-
-    def coeffs(key: str) -> tuple[tuple[Fraction, Fraction], ...]:
-        entries = obj[key]
-        if not isinstance(entries, list) or len(entries) != d:
-            raise ParseError(f"{where}: '{key}' must list {d} coefficient pairs")
-        out = []
-        for pair in entries:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ParseError(f"{where}: '{key}' entries must be [re, im] pairs")
-            out.append((parse_rational(pair[0]), parse_rational(pair[1])))
-        return tuple(out)
-
-    return ComplexFormSpec(coeffs("z"), coeffs("zbar"))
+    return ComplexFormSpec(*(
+        _grid(obj[k], d, 2, where, f"'{k}' must list {d} coefficient pairs", f"'{k}' entries must be [re, im] pairs")
+        for k in ("z", "zbar")
+    ))
 
 
 def arrangement_from_document(doc: dict) -> Arrangement:
@@ -331,15 +337,9 @@ def arrangement_from_document(doc: dict) -> Arrangement:
         if ("forms" in rec) == ("complex" in rec):
             raise ParseError(f"{where}: needs exactly one of 'forms' or 'complex'")
         if "forms" in rec:
-            forms = rec["forms"]
-            if not isinstance(forms, list) or len(forms) != 2:
-                raise ParseError(f"{where}: 'forms' must list exactly two forms")
-            coeff_rows = []
-            for form in forms:
-                if not isinstance(form, list) or len(form) != dim:
-                    raise ParseError(f"{where}: each form needs {dim} coefficients")
-                coeff_rows.append(tuple(parse_rational(c) for c in form))
-            pairs.append(SubspacePair(name, LinearForm(coeff_rows[0]), LinearForm(coeff_rows[1])))
+            forms = _grid(rec["forms"], 2, dim, where, "'forms' must list exactly two forms",
+                          f"each form needs {dim} coefficients")
+            pairs.append(SubspacePair(name, *map(LinearForm, forms)))
         else:
             spec = _parse_complex_block(rec["complex"], dim // 2, where)
             try:

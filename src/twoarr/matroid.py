@@ -1,17 +1,17 @@
 """Combinatorics of an arrangement: rank function, flats, circuits, NBC sets.
 
 The ground set is 1..n by subspace position. The matroid rank of a subset
-is half the real codimension of its intersection; operations here assume
-the arrangement has already passed validation.
+is half the real codimension of its intersection. Nothing here needs a
+validated arrangement: an odd codimension raises `NotAdmissible` in
+`matroid_rank` and at the lattice readers' one gate, `_admissible_walk`.
 
 Every rank question, `matroid_rank` included, is a fold of cover lookups
 in the arrangement's one walk (`arrangement._closure`); the flats are the
 walk's closed sets, and the circuits and NBC sets are searches over
-closures. The lattice readers take the walk from one parity gate,
-`arrangement._admissible_walk`. The circuit search sits in `arrangement`
-beside the `_circuits` cache it fills, so the presentation reads circuits
-without loading this module. A caller's subset has its indices checked
-(`arrangement._mask`); subsets built here are bitmasks from the start.
+closures. The circuit search sits in `arrangement` beside the `_circuits`
+cache it fills, so the presentation reads circuits without loading this
+module. A caller's subset has its indices checked (`arrangement._mask`);
+subsets built here are bitmasks from the start.
 """
 
 import itertools

@@ -61,21 +61,18 @@ def restrict(arr: Arrangement, at: str | int) -> Arrangement:
     return Arrangement(arr.dim - 2, tuple(pairs))
 
 
+def _strings(grid) -> list[list[str]]:
+    return [[str(c) for c in row] for row in grid]
+
+
 def arrangement_to_document(arr: Arrangement) -> dict:
     subspaces = []
     for p in arr.subspaces:
-        rec: dict = {"name": p.name}
-        if p.complex_spec is not None:
-            rec["complex"] = {
-                "z": [[str(a), str(b)] for a, b in p.complex_spec.z],
-                "zbar": [[str(a), str(b)] for a, b in p.complex_spec.zbar],
-            }
+        spec = p.complex_spec
+        if spec is None:
+            subspaces.append({"name": p.name, "forms": _strings((p.first.coeffs, p.second.coeffs))})
         else:
-            rec["forms"] = [
-                [str(c) for c in p.first.coeffs],
-                [str(c) for c in p.second.coeffs],
-            ]
-        subspaces.append(rec)
+            subspaces.append({"name": p.name, "complex": {"z": _strings(spec.z), "zbar": _strings(spec.zbar)}})
     return {"dim": arr.dim, "subspaces": subspaces}
 
 

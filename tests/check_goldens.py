@@ -2,8 +2,9 @@
 
 `test_goldens.py` needs pytest only for its decorators, so this script puts
 a stub `pytest` module in its place, imports it, and compares `run_case`'s
-output for every case with its golden file. It prints each case that
-differs, and each golden file without a case, and exits 1 if there is any:
+output for every case with its golden file; the `-text` and `-json` cases
+of a restriction share one golden. It prints each case that differs, and
+each golden file without a case, and exits 1 if there is any:
 
     PYTHONPATH=src python3.13 tests/check_goldens.py
 
@@ -36,15 +37,17 @@ def main() -> int:
         bad = [
             case
             for case, argv in test_goldens.CASES.items()
-            if test_goldens.run_case(argv, paths) != (test_goldens.GOLDENS / f"{case}.txt").read_text()
+            if test_goldens.run_case(argv, paths) != test_goldens.golden(case).read_text()
         ]
-    orphans = sorted({p.stem for p in test_goldens.GOLDENS.glob("*.txt")} - set(test_goldens.CASES))
+    goldens = {test_goldens.golden(case).stem for case in test_goldens.CASES}
+    orphans = sorted({p.stem for p in test_goldens.GOLDENS.glob("*.txt")} - goldens)
     for case in bad:
         print(f"differs: {case}")
     for case in orphans:
         print(f"no case: {case}")
     version = ".".join(map(str, sys.version_info[:3]))
-    print(f"Python {version}: {len(test_goldens.CASES) - len(bad)} of {len(test_goldens.CASES)} goldens match")
+    matched = len(goldens - {test_goldens.golden(case).stem for case in bad})
+    print(f"Python {version}: {matched} of {len(goldens)} goldens match, over {len(test_goldens.CASES)} cases")
     return 1 if bad or orphans else 0
 
 

@@ -14,6 +14,7 @@ from twoarr.arrangement import (
     validate,
 )
 from twoarr.fixtures import load_fixture
+from exterior_reference import from_terms
 
 
 def form(*coeffs) -> LinearForm:
@@ -22,6 +23,17 @@ def form(*coeffs) -> LinearForm:
 
 def pair(name, first, second) -> SubspacePair:
     return SubspacePair(name, form(*first), form(*second))
+
+
+def elem(*terms):
+    """The reference exterior element sum c * e_mon over the (mon, c) terms."""
+    return from_terms({mon: c for mon, c in terms})
+
+
+def all_subsets(n):
+    """Every subset of 1..n as a sorted tuple, by size and then lexicographically."""
+    for size in range(n + 1):
+        yield from itertools.combinations(range(1, n + 1), size)
 
 
 @pytest.fixture

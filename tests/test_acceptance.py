@@ -34,7 +34,8 @@ from twoarr.presentation import (
     ideal_rank_profile,
 )
 from dense_reference import rank as dense_rank
-from exterior_reference import coeff_vector, from_terms
+from conftest import elem
+from exterior_reference import coeff_vector
 from test_presentation import (
     flip_generators,
     random_gl2,
@@ -42,10 +43,6 @@ from test_presentation import (
     reconstruct_zero,
     span_signature,
 )
-
-
-def elem(*terms):
-    return from_terms({mon: c for mon, c in terms})
 
 
 def report(criterion, text):

@@ -1,4 +1,3 @@
-import itertools
 import json
 import random
 import re
@@ -27,7 +26,7 @@ from twoarr.restriction import arrangement_to_document, restrict, serialize_arra
 from twoarr.fixtures import FIXTURES, load_fixture
 from twoarr.matroid import closure
 from twoarr.presentation import MODE_COMPLEX, ModeMismatch, full_presentation
-from conftest import braid_a4, form, generic_hyperplanes, generic_lines, pair, reflection
+from conftest import all_subsets, braid_a4, form, generic_hyperplanes, generic_lines, pair, reflection
 from dense_reference import kernel_basis as dense_kernel_basis
 from dense_reference import rank as dense_rank
 
@@ -275,10 +274,6 @@ def test_codim_triple(arr_bprime):
 def test_codim_unknown_label(arr_b):
     with pytest.raises(UnknownLabel):
         codim(arr_b, (9,))
-
-
-def all_subsets(n):
-    return [s for k in range(n + 1) for s in itertools.combinations(range(1, n + 1), k)]
 
 
 @pytest.mark.parametrize("name", FIXTURES)

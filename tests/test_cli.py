@@ -92,7 +92,7 @@ def test_non_ascii_zero_denominator_is_a_parse_error(tmp_path, capsys):
     document["subspaces"][0]["complex"]["z"][0][0] = "1/\u0660"
     path = tmp_path / "zero.arr"
     path.write_text(json.dumps(document))
-    assert run(capsys, "validate", str(path)) == (3, "", "parse error: zero denominator in '1/\u0660'\n")
+    assert run(capsys, "validate", str(path)) == (3, "", "parse error: subspace #1: zero denominator in '1/\u0660'\n")
 
 
 ZERO_PAIR = [["0", "0"], ["0", "0"]]
@@ -105,8 +105,11 @@ FORM = ["1", "0", "0", "0"]
         ({"complex": {"z": ZERO_PAIR, "zbar": ZERO_PAIR}}, "complex form has no nonzero coefficient"),
         ({"forms": [FORM]}, "'forms' must list exactly two forms"),
         ({"forms": [FORM] * 3}, "'forms' must list exactly two forms"),
+        # wrong in two ways: each list is checked before it is parsed, so the first form's rational is reported
+        ({"forms": [["x", "0", "0", "0"], ["0"]]}, "malformed rational 'x'"),
+        ({"complex": {"z": [["x", "0"], ["0"]], "zbar": ZERO_PAIR}}, "malformed rational 'x'"),
     ],
-    ids=["zero-complex-form", "one-form", "three-forms"],
+    ids=["zero-complex-form", "one-form", "three-forms", "bad-rational-before-short-form", "bad-rational-before-short-pair"],
 )
 def test_subspace_record_rejections_exit_3(tmp_path, capsys, record, message):
     path = tmp_path / "bad.arr"

@@ -17,7 +17,7 @@ from twoarr.exterior import (
 )
 from twoarr.linalg import bitmask, reduced_echelon, sparse_echelon
 from twoarr.presentation import full_presentation
-from conftest import braid_a4, generic_lines
+from conftest import braid_a4, elem, generic_lines
 from dense_reference import rref
 from exterior_reference import add, coeff_vector, from_terms, monomial, normalize, scale, wedge, zero
 
@@ -29,10 +29,6 @@ except ImportError:  # the large-slice reference and the sympy rank check need i
     sympy = None
 
 E = monomial
-
-
-def elem(*terms):
-    return from_terms({mon: c for mon, c in terms})
 
 
 def test_normalize_sorted():

@@ -4,6 +4,8 @@ Each case runs `cli.main` in process with `COLUMNS` pinned (argparse wraps
 help to the terminal width) and compares its stdout, then its stderr under a
 `--- stderr` line when there is any, then a last line `exit N` with the exit
 code (the `SystemExit` code for `--help`), with `tests/goldens/<case>.txt`.
+A restriction is an arrangement file whatever the format, so its `-text`
+and `-json` cases both read one golden, `restrict-<fixture>-<index>.txt`.
 One case per verb, a usage error and a validation failure also run as
 `python -m twoarr.cli` processes, through `cli.run`, in the benchmark's child
 environment. Running this file as a script rewrites every golden from the
@@ -11,6 +13,8 @@ current code:
 
     PYTHONPATH=src python tests/test_goldens.py
 
+The `-json` case of a restriction rewrites the golden its `-text` case
+wrote, so a difference between the two spellings fails the `-text` case.
 A golden is refreshed only together with a CHANGES.md entry saying why.
 
 The goldens are written by CPython 3.11. Every case also matches on 3.10,
@@ -106,6 +110,13 @@ def usage_cases() -> dict[str, list[str]]:
 CASES = cases()
 
 
+def golden(case: str) -> Path:
+    """The golden file of a case: both formats of a restriction read `restrict-<fixture>-<index>.txt`."""
+    if case.startswith("restrict-"):
+        case = case.rsplit("-", 1)[0]  # drop the format
+    return GOLDENS / f"{case}.txt"
+
+
 def input_paths(directory: Path) -> dict[str, str]:
     import conftest
 
@@ -171,13 +182,13 @@ def paths(tmp_path_factory) -> dict[str, str]:
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_output_matches_golden(case, paths):
-    expected = (GOLDENS / f"{case}.txt").read_text()
+    expected = golden(case).read_text()
     assert run_case(CASES[case], paths) == expected
 
 
 @pytest.mark.parametrize("case", PROCESS_CASES)
 def test_process_output_matches_golden(case, paths):
-    expected = (GOLDENS / f"{case}.txt").read_text()
+    expected = golden(case).read_text()
     assert run_process_case(CASES[case], paths) == expected
 
 
@@ -192,7 +203,7 @@ def test_process_validation_failure_matches_main(paths, tmp_path):
 
 
 def test_every_golden_file_has_a_case():
-    assert sorted(p.stem for p in GOLDENS.glob("*.txt")) == sorted(CASES)
+    assert sorted(p.stem for p in GOLDENS.glob("*.txt")) == sorted({golden(case).stem for case in CASES})
 
 
 if __name__ == "__main__":
@@ -201,5 +212,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         inputs = input_paths(Path(tmp))
         for case, argv in CASES.items():
-            (GOLDENS / f"{case}.txt").write_text(run_case(argv, inputs))
-    print(f"wrote {len(CASES)} goldens to {GOLDENS}")
+            golden(case).write_text(run_case(argv, inputs))
+    print(f"wrote {len({golden(case) for case in CASES})} goldens to {GOLDENS}")

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import lattice_reference as ref
-from conftest import braid, braid_a4, generic_hyperplanes, generic_lines, pair
+from conftest import all_subsets, braid, braid_a4, generic_hyperplanes, generic_lines, pair
 from twoarr import arrangement, cli, linalg, matroid, restriction
 from twoarr.arrangement import (
     Arrangement,
@@ -44,11 +44,6 @@ def build(case):
         return generic_hyperplanes(7, 3, 3)
     n, _, conj = case[len("lines-"):].partition("-")
     return generic_lines(int(n), 3, conjugate_last=bool(conj))
-
-
-def all_subsets(n):
-    for size in range(n + 1):
-        yield from itertools.combinations(range(1, n + 1), size)
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -21,7 +21,7 @@ from twoarr.matroid import (
     whitney_numbers,
 )
 from twoarr.presentation import full_presentation, ideal_rank_profile
-from conftest import braid, braid_a4, generic_hyperplanes, graphic, pair, reflection
+from conftest import all_subsets, braid, braid_a4, generic_hyperplanes, graphic, pair, reflection
 
 U24_NBC = [(), (1,), (2,), (3,), (4,), (1, 2), (1, 3), (1, 4)]
 
@@ -257,11 +257,6 @@ def test_same_matroid_up_to_relabeling():
 
 
 # --- properties ------------------------------------------------------------
-
-
-def all_subsets(n):
-    for size in range(n + 1):
-        yield from itertools.combinations(range(1, n + 1), size)
 
 
 def test_rank_monotone_and_submodular(arr_bprime, arr_bhat):

@@ -21,14 +21,10 @@ from twoarr.presentation import (
     normalize_signs,
     Presentation,
 )
-from conftest import braid_a4, generic_hyperplanes, generic_lines, pair, reflection
+from conftest import braid_a4, elem, generic_hyperplanes, generic_lines, pair, reflection
 from dense_reference import det, rref
 from exterior_reference import coeff_vector, from_terms
 from test_exterior import direct_ranks, reference_span
-
-
-def elem(*terms):
-    return from_terms({mon: c for mon, c in terms})
 
 
 def F(x):
