@@ -23,11 +23,11 @@ coefficients; `complex` blocks list d coefficient pairs [re, im] for the
 z_j and the conjugate zbar_j variables. Unknown fields are rejected.
 
 Every verb parses, so this module holds only what parsing and the rank
-questions need: the parser, `validate`, the one walk every rank question
-reads (`codim`, `_closure`) and the circuit search that fills an
-arrangement's `_circuits` cache, so `present` and `kappa` load no matroid
-module. `restrict` and the document writer live in `restriction`, which
-only the `restrict` verb loads.
+questions need: the parser (`_subspace` reads each record), `validate`,
+the one walk every rank question reads (`codim`, `_closure`) and the
+circuit search that fills an arrangement's `_circuits` cache, so `present`
+and `kappa` load no matroid module. `restrict` and the document writer
+live in `restriction`, which only the `restrict` verb loads.
 """
 
 import json
@@ -282,9 +282,8 @@ def _scan_circuits(arr: Arrangement) -> list[tuple[int, ...]]:
 
 
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ParseError(f"unknown field(s) {sorted(unknown)} in {where}")
+    if unknown := set(obj) - allowed:
+        raise ParseError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
 def _grid(rows, count: int, width: int, where: str, bad_rows: str, bad_row: str) -> tuple[tuple[Fraction, ...], ...]:
@@ -302,16 +301,33 @@ def _grid(rows, count: int, width: int, where: str, bad_rows: str, bad_row: str)
     return tuple(grid)
 
 
-def _parse_complex_block(obj: dict, d: int, where: str) -> ComplexFormSpec:
-    if not isinstance(obj, dict):
+def _subspace(rec, dim: int, where: str) -> SubspacePair:
+    """One subspace record in R^dim, checked field by field before its grids; every error names `where`."""
+    if not isinstance(rec, dict):
+        raise ParseError(f"{where}: must be an object")
+    _require_keys(rec, {"name", "forms", "complex"}, where)
+    if not isinstance(rec.get("name"), str) or not rec["name"]:
+        raise ParseError(f"{where}: missing or empty 'name'")
+    if ("forms" in rec) == ("complex" in rec):
+        raise ParseError(f"{where}: needs exactly one of 'forms' or 'complex'")
+    if "forms" in rec:
+        forms = _grid(rec["forms"], 2, dim, where, "'forms' must list exactly two forms",
+                      f"each form needs {dim} coefficients")
+        return SubspacePair(rec["name"], *map(LinearForm, forms))
+    block, d = rec["complex"], dim // 2
+    if not isinstance(block, dict):
         raise ParseError(f"{where}: complex block must be an object")
-    _require_keys(obj, {"z", "zbar"}, where)
-    if "z" not in obj or "zbar" not in obj:
+    _require_keys(block, {"z", "zbar"}, where)
+    if "z" not in block or "zbar" not in block:
         raise ParseError(f"{where}: complex block needs both 'z' and 'zbar'")
-    return ComplexFormSpec(*(
-        _grid(obj[k], d, 2, where, f"'{k}' must list {d} coefficient pairs", f"'{k}' entries must be [re, im] pairs")
+    spec = ComplexFormSpec(*(
+        _grid(block[k], d, 2, where, f"'{k}' must list {d} coefficient pairs", f"'{k}' entries must be [re, im] pairs")
         for k in ("z", "zbar")
     ))
+    try:
+        return SubspacePair(rec["name"], *from_complex_form(spec), spec)
+    except ZeroForm as e:
+        raise ParseError(f"{where}: {e}") from e
 
 
 def arrangement_from_document(doc: dict) -> Arrangement:
@@ -325,32 +341,12 @@ def arrangement_from_document(doc: dict) -> Arrangement:
         raise ParseError(f"'dim' must be a positive even integer, got {dim!r}")
     if not isinstance(doc["subspaces"], list) or not doc["subspaces"]:
         raise ParseError("'subspaces' must be a non-empty list")
-    pairs: list[SubspacePair] = []
-    for k, rec in enumerate(doc["subspaces"]):
-        where = f"subspace #{k + 1}"
-        if not isinstance(rec, dict):
-            raise ParseError(f"{where}: must be an object")
-        _require_keys(rec, {"name", "forms", "complex"}, where)
-        if "name" not in rec or not isinstance(rec["name"], str) or not rec["name"]:
-            raise ParseError(f"{where}: missing or empty 'name'")
-        name = rec["name"]
-        if ("forms" in rec) == ("complex" in rec):
-            raise ParseError(f"{where}: needs exactly one of 'forms' or 'complex'")
-        if "forms" in rec:
-            forms = _grid(rec["forms"], 2, dim, where, "'forms' must list exactly two forms",
-                          f"each form needs {dim} coefficients")
-            pairs.append(SubspacePair(name, *map(LinearForm, forms)))
-        else:
-            spec = _parse_complex_block(rec["complex"], dim // 2, where)
-            try:
-                first, second = from_complex_form(spec)
-            except ZeroForm as e:
-                raise ParseError(f"{where}: {e}") from e
-            pairs.append(SubspacePair(name, first, second, spec))
-    names = [p.name for p in pairs]
-    if len(set(names)) != len(names):
-        raise ParseError("duplicate subspace names")
-    arr = Arrangement(dim, tuple(pairs))
+    pairs: dict[str, SubspacePair] = {}
+    for k, rec in enumerate(doc["subspaces"], 1):
+        pair = _subspace(rec, dim, f"subspace #{k}")
+        if pairs.setdefault(pair.name, pair) is not pair:
+            raise ParseError(f"subspace #{k}: duplicate name {pair.name!r}")
+    arr = Arrangement(dim, tuple(pairs.values()))
     report = validate(arr)
     if not report.ok:
         raise ValidationError(report)

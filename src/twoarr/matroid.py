@@ -126,12 +126,12 @@ def whitney_numbers(arr: Arrangement) -> tuple[int, ...]:
     """Unsigned Whitney numbers: rank-level sums of |mu| over the lattice.
 
     Weisner (Stanley, EC1 3.9): mu(F) = -sum mu(G) over closed G, a not in G
-    with cl(G + a) = F, a least in F outside cl(()); walk order lists G first.
+    with cl(G + a) = F, a least in F outside cl(()); rank order visits G first.
     """
     closed, covers = _admissible_walk(arr)
     below = {covers[0]: -1}  # -mu(F), summed from the G under F
     out: dict[int, int] = {}
-    for mask, c in closed.items():
+    for mask, c in sorted(closed.items(), key=lambda item: item[1]):
         mu = -below.pop(mask)
         out[c // 2] = out.get(c // 2, 0) + abs(mu)
         for a in range(arr.n):

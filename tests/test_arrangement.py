@@ -170,12 +170,12 @@ def test_parse_odd_dim():
 def test_parse_unknown_field():
     rec = forms_rec("H1", (1, 0), (0, 1))
     rec["extra"] = 1
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^subspace #1: unknown field\(s\) \['extra'\]$"):
         arrangement_from_document(doc(2, rec))
 
 
 def test_parse_duplicate_names():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^subspace #2: duplicate name 'H1'$"):
         arrangement_from_document(
             doc(4, forms_rec("H1", (1, 0, 0, 0), (0, 1, 0, 0)), forms_rec("H1", (0, 0, 1, 0), (0, 0, 0, 1)))
         )

@@ -97,24 +97,69 @@ def test_non_ascii_zero_denominator_is_a_parse_error(tmp_path, capsys):
 
 ZERO_PAIR = [["0", "0"], ["0", "0"]]
 FORM = ["1", "0", "0", "0"]
+H1 = {"name": "H1"}
+PAIR = {"forms": [FORM, ["0", "1", "0", "0"]]}
 
 
 @pytest.mark.parametrize(
     "record, message",
     [
-        ({"complex": {"z": ZERO_PAIR, "zbar": ZERO_PAIR}}, "complex form has no nonzero coefficient"),
-        ({"forms": [FORM]}, "'forms' must list exactly two forms"),
-        ({"forms": [FORM] * 3}, "'forms' must list exactly two forms"),
+        ({**H1, "complex": {"z": ZERO_PAIR, "zbar": ZERO_PAIR}}, "complex form has no nonzero coefficient"),
+        ({**H1, "forms": [FORM]}, "'forms' must list exactly two forms"),
+        ({**H1, "forms": [FORM] * 3}, "'forms' must list exactly two forms"),
         # wrong in two ways: each list is checked before it is parsed, so the first form's rational is reported
-        ({"forms": [["x", "0", "0", "0"], ["0"]]}, "malformed rational 'x'"),
-        ({"complex": {"z": [["x", "0"], ["0"]], "zbar": ZERO_PAIR}}, "malformed rational 'x'"),
+        ({**H1, "forms": [["x", "0", "0", "0"], ["0"]]}, "malformed rational 'x'"),
+        ({**H1, "complex": {"z": [["x", "0"], ["0"]], "zbar": ZERO_PAIR}}, "malformed rational 'x'"),
+        (["H1", PAIR["forms"]], "must be an object"),
+        (PAIR, "missing or empty 'name'"),
+        ({"name": "", **PAIR}, "missing or empty 'name'"),
+        (H1, "needs exactly one of 'forms' or 'complex'"),
+        ({**H1, **PAIR, "complex": {"z": ZERO_PAIR, "zbar": ZERO_PAIR}}, "needs exactly one of 'forms' or 'complex'"),
+        ({**H1, "complex": [ZERO_PAIR, ZERO_PAIR]}, "complex block must be an object"),
+        ({**H1, "complex": {"zbar": ZERO_PAIR}}, "complex block needs both 'z' and 'zbar'"),
+        ({**H1, "complex": {"z": ZERO_PAIR}}, "complex block needs both 'z' and 'zbar'"),
+        ({**H1, "complex": {"z": [["1"], ["0", "0"]], "zbar": ZERO_PAIR}}, "'z' entries must be [re, im] pairs"),
+        ({**H1, "forms": [FORM, ["0", "1", "0"]]}, "each form needs 4 coefficients"),
+        ({**H1, **PAIR, "extra": 1}, "unknown field(s) ['extra']"),
+        ({**H1, "complex": {"z": ZERO_PAIR, "zbar": ZERO_PAIR, "w": 1}}, "unknown field(s) ['w']"),
     ],
-    ids=["zero-complex-form", "one-form", "three-forms", "bad-rational-before-short-form", "bad-rational-before-short-pair"],
+    ids=[
+        "zero-complex-form", "one-form", "three-forms", "bad-rational-before-short-form",
+        "bad-rational-before-short-pair", "not-an-object", "no-name", "empty-name", "neither-forms-nor-complex",
+        "both-forms-and-complex", "complex-not-an-object", "complex-without-z", "complex-without-zbar",
+        "complex-pair-of-one", "short-form", "unknown-record-field", "unknown-complex-field",
+    ],
 )
 def test_subspace_record_rejections_exit_3(tmp_path, capsys, record, message):
     path = tmp_path / "bad.arr"
-    path.write_text(json.dumps({"dim": 4, "subspaces": [{"name": "H1", **record}]}))
+    path.write_text(json.dumps({"dim": 4, "subspaces": [record]}))
     assert run(capsys, "validate", str(path)) == (3, "", f"parse error: subspace #1: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ([{**H1, **PAIR}], "top level must be an object"),
+        ({"subspaces": [{**H1, **PAIR}]}, "document needs 'dim' and 'subspaces'"),
+        ({"dim": 4}, "document needs 'dim' and 'subspaces'"),
+        ({"dim": 3, "subspaces": [{**H1, **PAIR}]}, "'dim' must be a positive even integer, got 3"),
+        ({"dim": "4", "subspaces": [{**H1, **PAIR}]}, "'dim' must be a positive even integer, got '4'"),
+        ({"dim": 4, "subspaces": []}, "'subspaces' must be a non-empty list"),
+        ({"dim": 4, "subspaces": [{**H1, **PAIR}], "extra": 1}, "document: unknown field(s) ['extra']"),
+        ({"dim": 4, "subspaces": [{**H1, **PAIR}, {"name": "H3", **PAIR}, {"name": "H3", **PAIR}]},
+         "subspace #3: duplicate name 'H3'"),
+        # names are checked record by record, so a repeat is reported before a later record's own error
+        ({"dim": 4, "subspaces": [{**H1, **PAIR}, {**H1, **PAIR}, H1]}, "subspace #2: duplicate name 'H1'"),
+    ],
+    ids=[
+        "top-level-list", "no-dim", "no-subspaces", "odd-dim", "string-dim", "no-records", "unknown-document-field",
+        "duplicate-name", "duplicate-name-before-later-record",
+    ],
+)
+def test_document_rejections_exit_3(tmp_path, capsys, document, message):
+    path = tmp_path / "bad.arr"
+    path.write_text(json.dumps(document))
+    assert run(capsys, "validate", str(path)) == (3, "", f"parse error: {message}\n")
 
 
 def test_missing_file_exit_3(capsys):

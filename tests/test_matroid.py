@@ -158,6 +158,31 @@ def test_braid_a5_known_answers():
     assert nbc_sets(arr).counts == whitney_numbers(arr) == (1, 15, 85, 225, 274, 120)
 
 
+WALK_ORDER_INPUTS = {
+    "A_4": lambda: braid(4),
+    "A_5": lambda: braid(5),
+    "B_3": lambda: reflection("B", 3),
+    "B_4": lambda: reflection("B", 4),
+    "U(3,7)": lambda: generic_hyperplanes(7, 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(WALK_ORDER_INPUTS))
+def test_whitney_numbers_read_ranks_not_walk_order(name):
+    """Weisner's sum visits the closed sets by rank: the same closed sets listed in another order
+    give the same Whitney numbers, which equal the NBC counts."""
+    arr = WALK_ORDER_INPUTS[name]()
+    want = whitney_numbers(arr)
+    assert want == betti_vector(arr)
+    closed, covers = arr._walk
+    for seed in range(3):
+        items = list(closed.items())
+        random.Random(seed).shuffle(items)
+        arr.__dict__["_walk"] = (dict(items), covers)  # the cached walk, reordered
+        assert list(arr._walk[0]) != list(closed)
+        assert whitney_numbers(arr) == want
+
+
 # connected graphs on the vertices 0..d: name -> (d, edges)
 GRAPHS = {
     "path P_5": (4, [(0, 1), (1, 2), (2, 3), (3, 4)]),
