@@ -1,12 +1,13 @@
 """Immutable value classes without the cost of `dataclasses` at import.
 
-A subclass lists its fields as class annotations, in order; a field whose
-annotation carries a value has that value as its default. Instances behave
-like those of a frozen dataclass: positional and keyword construction, `==`
-only between instances of the same class, a hash of the tuple of fields,
-`Name(field=...)` as repr, and `AttributeError` on assignment or deletion.
-Instances keep a `__dict__`, so `functools.cached_property` can store
-caches beside the fields; those caches take no part in `==`, hash or repr.
+A subclass lists its fields as its own class annotations, in order (none is
+inherited); a field whose annotation carries a value has it as default.
+Instances behave like those of a frozen dataclass: positional and keyword
+construction, `==` only between instances of the same class, a hash of the
+tuple of fields, `Name(field=...)` as repr, and `AttributeError` on
+assignment or deletion. Instances keep a `__dict__`, so
+`functools.cached_property` can store caches beside the fields; those caches
+take no part in `==`, hash or repr.
 """
 
 
@@ -16,9 +17,8 @@ class Value:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        own = tuple(name for name in cls.__annotations__ if name not in cls._fields)
-        cls._fields = cls._fields + own
-        cls._defaults = {**cls._defaults, **{n: cls.__dict__[n] for n in own if n in cls.__dict__}}
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields

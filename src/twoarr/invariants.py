@@ -123,9 +123,7 @@ def triple_coefficients(arr: Arrangement) -> dict[tuple[int, int, int], int]:
 
 
 def _triples(lk: Sequence[Sequence[int]]) -> dict[tuple[int, int, int], int]:
-    """`triple_coefficients` read off a `pairwise_linking` table."""
-    if len(lk) < 3:
-        raise ValueError("need at least three subspaces")
+    """`triple_coefficients` read off a `pairwise_linking` table; none below three members."""
     return {
         (a, b, c): lk[a - 1][b - 1] * lk[a - 1][c - 1] * lk[b - 1][c - 1]
         for a, b, c in itertools.combinations(range(1, len(lk) + 1), 3)
@@ -174,7 +172,7 @@ def compare(
         "kappa-rank": tuple(kappa_ranks),
         "triple-multiset": None,
     }
-    if a1.dim == 4 and a2.dim == 4 and a1.n >= 3 and a2.n >= 3:
+    if a1.dim == 4 and a2.dim == 4:
         rows["triple-multiset"] = tuple(
             tuple(sorted(triple_coefficients(a).values())) for a in (a1, a2)
         )

@@ -1,36 +1,28 @@
 """Combinatorics of an arrangement: rank function, flats, circuits, NBC sets.
 
 The ground set is 1..n by subspace position. The matroid rank of a subset
-is half the real codimension of its intersection. Nothing here needs a
-validated arrangement: an odd codimension raises `NotAdmissible` in
-`matroid_rank` and at the lattice readers' one gate, `_admissible_walk`.
+is half the real codimension of its intersection, `codim(arr, s) // 2`.
+Nothing here needs a validated arrangement: an odd codimension raises
+`NotAdmissible` at the lattice readers' one gate, `_admissible_walk`.
 
-Every rank question, `matroid_rank` included, is a fold of cover lookups
-in the arrangement's one walk (`arrangement._closure`); the flats are the
-walk's closed sets, and the circuits and NBC sets are searches over
-closures. The circuit search sits in `arrangement` beside the `_circuits`
-cache it fills, so the presentation reads circuits without loading this
-module. A caller's subset has its indices checked (`arrangement._mask`);
-subsets built here are bitmasks from the start.
+Every rank question is a fold of cover lookups in the arrangement's one
+walk (`arrangement._closure`); the flats are the walk's closed sets, and
+the circuits and NBC sets are searches over closures. The circuit search
+sits in `arrangement` beside the `_circuits` cache it fills, so the
+presentation reads circuits without loading this module. A caller's
+subset has its indices checked (`arrangement._mask`); subsets built here
+are bitmasks from the start.
 """
 
 import itertools
 from typing import Iterable, Sequence
 
 from ._value import Value
-from .arrangement import Arrangement, NotAdmissible, _admissible_walk, _closure, _mask, _members, codim
+from .arrangement import Arrangement, NotAdmissible, _admissible_walk, _closure, _mask, _members
 
 
 class SizeMismatch(ValueError):
     """Two arrangements with different ground set sizes were compared."""
-
-
-def matroid_rank(arr: Arrangement, subset: Iterable[int]) -> int:
-    subset = tuple(subset)
-    c = codim(arr, subset)
-    if c % 2 != 0:
-        raise NotAdmissible(f"subset {set(subset)} has odd codimension {c}")
-    return c // 2
 
 
 def closure(arr: Arrangement, subset: Iterable[int]) -> tuple[int, ...]:

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+from twoarr.arrangement import codim
 from twoarr.restriction import restrict
 from twoarr.exterior import ideal_ranks, monomials
 from twoarr.invariants import (
@@ -23,7 +24,6 @@ from twoarr.matroid import (
     circuits,
     closure,
     flats,
-    matroid_rank,
     nbc_sets,
     same_labeled_matroid,
     whitney_numbers,
@@ -209,9 +209,9 @@ def test_criterion_08e_matroid_oracle_bruteforce(arr_b, arr_bprime, arr_bhat):
         brute_circuits = [
             s
             for s in subsets
-            if matroid_rank(arr, s) < len(s)
+            if codim(arr, s) // 2 < len(s)
             and all(
-                matroid_rank(arr, tuple(e for e in s if e != x)) == len(s) - 1
+                codim(arr, tuple(e for e in s if e != x)) // 2 == len(s) - 1
                 for x in s
             )
         ]

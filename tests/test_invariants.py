@@ -338,13 +338,23 @@ def test_linking_verb_computes_the_table_once(monkeypatch, capsys, tmp_path, arr
     assert {tuple(t["triple"]): t["sign"] for t in doc["triples"]} == expected
 
 
-def test_linking_verb_needs_three_subspaces(capsys, tmp_path, independent_pair):
+def test_two_members_have_a_linking_table_and_no_triples(capsys, tmp_path, independent_pair):
+    """Two members give the Hopf link: one pairwise sign, and no triples for `linking` or `compare`."""
     from twoarr.restriction import serialize_arrangement
 
     path = tmp_path / "pair.arr"
     path.write_text(serialize_arrangement(independent_pair))
-    assert cli.main(["linking", str(path)]) == 3
-    assert capsys.readouterr().err == "error: need at least three subspaces\n"
+    assert triple_coefficients(independent_pair) == {}
+    assert cli.main(["linking", str(path)]) == 0
+    assert capsys.readouterr() == ("pairwise:\n  . +\n  + .\ntriples:\n", "")
+    assert cli.main(["linking", str(path), "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert (json.loads(out), err) == ({"linking": {"pairwise": [[0, 1], [1, 0]], "triples": []}}, "")
+    assert cli.main(["compare", str(path), str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[4] == "triple multisets: () vs ()" and err == ""
+    assert cli.main(["compare", str(path), str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["triples"] == [[], []]
 
 
 def test_kappa_gram_matches_wedge_products(arr_b, arr_bprime):

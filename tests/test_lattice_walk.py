@@ -190,7 +190,7 @@ def test_one_walk_per_arrangement(monkeypatch, capsys):
 
 
 def test_rank_questions_after_parse_eliminate_nothing(monkeypatch):
-    """After the walk, `codim` on every subset, `matroid_rank` and `validate` read the closed sets."""
+    """After the walk, `codim` on every subset and `validate` read the closed sets."""
     arrs = [
         parse_arrangement(serialize_arrangement(braid_a4())),
         parse_arrangement(serialize_arrangement(restrict(load_fixture("thm32-Bhat"), "H3"))),
@@ -207,7 +207,6 @@ def test_rank_questions_after_parse_eliminate_nothing(monkeypatch):
     for arr in arrs:
         for s in all_subsets(arr.n):
             assert codim(arr, s) == ref.codim(arr, s)
-            assert matroid.matroid_rank(arr, s) == ref.codim(arr, s) // 2
         assert validate(arr).ok
 
 
@@ -288,7 +287,6 @@ def test_rank_questions_look_up_closures_and_never_scan_the_closed_sets():
         vars(arr)["_walk"] = (spy, covers)
         for s in all_subsets(arr.n):
             assert codim(arr, s) == ref.codim(arr, s)
-            assert matroid.matroid_rank(arr, s) == ref.codim(arr, s) // 2
             assert closure(arr, s) == ref.closure(arr, s)
         assert spy.passes == 0
         expected = ref.circuits(arr)

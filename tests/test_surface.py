@@ -1,5 +1,6 @@
 """The public surface: lazy package names and the immutable value classes."""
 
+import ast
 import copy
 import hashlib
 import pickle
@@ -108,6 +109,24 @@ def test_moved_names_still_resolve_from_their_old_modules():
     assert matroid.NotAdmissible is arrangement.NotAdmissible
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         arrangement.no_such_name
+
+
+def test_not_admissible_is_raised_at_one_site():
+    """The odd-codimension rule is stated once: `_admissible_walk` alone raises `NotAdmissible`."""
+    from twoarr import matroid
+
+    sites = []
+    for path in sorted(Path(twoarr.__file__).resolve().parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        funcs = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+            exc = exc.func if isinstance(exc, ast.Call) else exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "NotAdmissible":
+                enclosing = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                sites.append((path.name, enclosing))
+    assert sites == [("arrangement.py", ["_admissible_walk"])]
+    assert not hasattr(matroid, "matroid_rank")
 
 
 def test_reprs_match_the_dataclass_reprs(arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
