@@ -3,14 +3,13 @@
 Monomials are strictly increasing index tuples; an `ExtElement`, the value
 relations and kappa bases come in, is an integer combination of them.
 `_masked` turns elements into bitmask terms, and one product (`_product`)
-multiplies two term lists into a sparse row over a column map. Ranks of
-graded spans are taken over the rationals by sparse integer elimination
-(`linalg.sparse_echelon`) on its rows. One pass, `ideal_slices`, builds
-every graded slice of an ideal, each grown from the forward echelon basis
-of the slice below: `ideal_ranks` reads its lengths, and kappa reduces its
-degree-2 slice by `linalg.reduced_echelon`. `gram_rows` lays the
-products of that basis side by side in one sparse row per element, which
-kappa's rank reads as they are.
+multiplies two term lists into a sparse row over a column map. One pass,
+`ideal_slices`, builds every graded slice of an ideal as its reduced
+echelon basis over the rationals (`linalg.reduced_echelon`), each grown
+from the basis of the slice below: `ideal_ranks` reads their lengths, and
+kappa reads the degree-2 basis as it is. `gram_rows` lays the products of
+that basis side by side in one sparse row per element, which kappa's rank
+reads as they are.
 """
 
 import itertools
@@ -18,7 +17,7 @@ from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._value import Value
-from .linalg import SparseRow, bitmask, sparse_echelon
+from .linalg import SparseRow, bitmask, reduced_echelon
 
 Monomial = tuple[int, ...]
 Terms = list[tuple[int, int]]  # (bitmask, coefficient) pairs
@@ -118,17 +117,18 @@ def _columns(n: int, p: int) -> dict[int, int]:
 
 
 def ideal_slices(generators: Sequence[ExtElement], n: int) -> Iterator[list[SparseRow]]:
-    """Forward echelon basis of each graded slice of the ideal, from degree 0 up.
+    """Reduced echelon basis of each graded slice of the ideal, from degree 0 up.
 
     The rows are over the degree-p monomials in lexicographic order
-    (`monomials(n, p)`), each primitive with a positive pivot. Each slice
-    grows from the one below: its rows are b ^ e_j for each echelon row b
-    of I^(p-1) and each j, then the generators of degree p: rank(I^(p-1)) * n
-    rows plus those generators at most, rather than one per generator and
-    monomial of complementary degree. Each is built only when the
-    elimination reads it. The pass stops after the first slice that is all
-    of E^p, since E^p ^ E^1 = E^(p+1): every slice it does not yield is
-    full. Raises ValueError for a generator that is not homogeneous.
+    (`monomials(n, p)`), each primitive, positive at its pivot and zero in
+    every other pivot column. Each slice grows from the one below: its rows
+    are b ^ e_j for each basis row b of I^(p-1) and each j, then the
+    generators of degree p: rank(I^(p-1)) * n rows plus those generators at
+    most, rather than one per generator and monomial of complementary
+    degree. Each is built only when the elimination reads it. The pass
+    stops after the first slice that is all of E^p, since E^p ^ E^1 =
+    E^(p+1): every slice it does not yield is full. Raises ValueError for a
+    generator that is not homogeneous.
     """
     generators = _masked(generators)
     units = [[(1 << i, 1)] for i in range(n)]  # e_1 .. e_n
@@ -139,7 +139,7 @@ def ideal_slices(generators: Sequence[ExtElement], n: int) -> Iterator[list[Spar
             (_product(b, e, column) for b in below for e in units),
             (_product(g, [(0, 1)], column) for q, g in generators if q == p),
         )
-        echelon = sparse_echelon(filter(None, rows), columns=len(column))
+        echelon = reduced_echelon(filter(None, rows))
         yield echelon
         if len(echelon) == len(column):
             return

@@ -2,12 +2,13 @@
 
 The kappa pairing multiplies two degree-2 relation-ideal elements into
 degree 4; its rank is invariant under graded algebra isomorphism. For
-arrangements in R^4 the degree-4 slice is one-dimensional, so kappa is an
-honest symmetric bilinear form. Its basis is the degree-2 slice of the
-graded pass that also gives the ideal's ranks (`exterior.ideal_slices`),
-in `reduced_echelon` form. Its rank is that of `sparse_echelon` on the
-products of the basis, one sparse row per element (`exterior.gram_rows`,
-which multiplies on bitmasks); no dense Gram vector is built for it.
+n = 4 members the degree-4 slice is one-dimensional, since C(4, 4) = 1, so
+kappa is an honest symmetric bilinear form. Its basis is the degree-2
+slice, in reduced echelon form, of the graded pass that also gives the
+ideal's ranks (`exterior.ideal_slices`). Its rank is that of
+`sparse_echelon` on the products of the basis, one sparse row per element
+(`exterior.gram_rows`, which multiplies on bitmasks); no dense Gram vector
+is built for it.
 Pairwise linking signs of the great circles cut out on the unit 3-sphere
 are signs of the Plücker pairing: the determinant of two members' stacked
 forms, expanded along their 2x2 minors, so no elimination runs. Triple
@@ -26,7 +27,7 @@ from typing import Iterable, Sequence
 
 from ._value import Value
 from .arrangement import Arrangement
-from .linalg import SparseRow, reduced_echelon, sparse_echelon
+from .linalg import SparseRow, sparse_echelon
 
 VERDICT_DISTINGUISHED = "DISTINGUISHED"
 VERDICT_UNRESOLVED = "OTHERWISE_UNRESOLVED"
@@ -64,7 +65,7 @@ class KappaForm(Value):
 
 
 def kappa(arr: Arrangement) -> KappaForm:
-    """Kappa form of an arrangement, over the echelon basis of the degree-2 slice."""
+    """Kappa form of an arrangement, over the reduced echelon basis of the degree-2 slice."""
     from .exterior import ideal_slices
     from .presentation import full_presentation
 
@@ -84,10 +85,7 @@ def _kappa_of(n: int, slices: Iterable[list[SparseRow]]) -> KappaForm:
     cols = monomials(n, 2)
     slices = list(itertools.islice(slices, 3))
     rows = slices[2] if len(slices) == 3 else [{j: 1} for j in range(len(cols))]
-    basis = tuple(
-        ExtElement(tuple((cols[j], row[j]) for j in sorted(row)))
-        for row in reduced_echelon(rows)
-    )
+    basis = tuple(ExtElement(tuple((cols[j], row[j]) for j in sorted(row))) for row in rows)
     return KappaForm(n, basis)
 
 

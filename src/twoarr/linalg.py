@@ -7,13 +7,13 @@ elimination works on sparse rows, `{column: int}` dicts, with one row
 operation (`_cancel`), one normalisation (`_primitive`) and one forward
 step (`_keep`), which the two echelon routines share:
 
-- `sparse_echelon` is forward elimination alone, which stops once every
-  column has a pivot. It gives the rank and an echelon basis: all that the
-  ideal slices' rank profile and kappa's rank need.
+- `sparse_echelon` is forward elimination alone. It gives the rank and an
+  echelon basis: all that kappa's rank needs.
 - `reduced_echelon` extends an echelon basis, if any, by the rows fixed by
   the span and the basis's pivots: primitive, positive at the pivot, zero
-  in every other pivot column. The walk, the circuit solves, kappa's
-  degree-2 basis and `restrict`'s kernel read it.
+  in every other pivot column. The walk, the circuit solves, the ideal
+  slices (kappa's degree-2 basis among them) and `restrict`'s kernel read
+  it.
 - `closed_sets` walks the lattice of spans of groups of rows, an
   arrangement's closed sets, whose covers answer every rank question.
 
@@ -115,19 +115,15 @@ def _keep(r: SparseRow, kept: dict[int, SparseRow]) -> None:
         r = _cancel(r, b, c)
 
 
-def sparse_echelon(rows: Iterable[SparseRow], columns: int | None = None) -> list[SparseRow]:
+def sparse_echelon(rows: Iterable[SparseRow]) -> list[SparseRow]:
     """Echelon basis of the row span of sparse integer rows, in pivot-column order.
 
-    Each row takes the forward step (`_keep`). When the rows' keys lie in
-    range(columns), no row can add a pivot once all `columns` have one, so
-    the rest of `rows` is not read. The number of rows returned is the rank
-    over the rationals.
+    Each row takes the forward step (`_keep`). The number of rows returned
+    is the rank over the rationals.
     """
     kept: dict[int, SparseRow] = {}
     for row in rows:
         _keep({c: x for c, x in row.items() if x}, kept)
-        if len(kept) == columns:
-            break
     return [kept[c] for c in sorted(kept)]
 
 

@@ -30,8 +30,8 @@ The solves are integer: `_solve` eliminates the circuit's rows of the
 arrangement's integer forms, whose positive scales keep every sigma_j
 (`_signs`), and only `circuit_dependencies` divides them out into
 `Fraction` quads. The ideal's rank profile is read off the one pass that
-builds its graded slices, each grown from the echelon basis of the one
-below (`exterior.ideal_slices`); kappa's degree-2 basis comes from it too.
+builds its graded slices, each grown from the reduced echelon basis of the
+one below (`exterior.ideal_slices`); kappa's degree-2 basis is one of them.
 """
 
 from fractions import Fraction

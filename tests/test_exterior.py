@@ -330,7 +330,7 @@ def direct_ranks(generators, n):
             if q <= p
             for m in monomials(n, p - q)
         )
-        ranks.append(len(sparse_echelon(rows, columns=len(column))))
+        ranks.append(len(sparse_echelon(rows)))
     return tuple(ranks)
 
 
@@ -345,6 +345,9 @@ def test_grown_slices_match_direct_ranks_on_random_generators():
         gens += [zero()] * rng.randint(0, 2)
         rng.shuffle(gens)
         assert ideal_ranks(gens, n) == direct_ranks(gens, n), gens
+        # each slice is already reduced: kappa reads the degree-2 basis as it is
+        for echelon in ideal_slices(gens, n):
+            assert reduced_echelon(echelon) == echelon, gens
 
 
 def test_grown_slices_reject_mixed_degrees():
@@ -357,13 +360,13 @@ def test_grown_slices_feed_the_kernel_few_rows(monkeypatch):
     """Degree p eliminates at most rank(I^(p-1)) * n + #R_p rows."""
     fed = []
 
-    def counting(rows, columns=None):
+    def counting(rows):
         seen = []
-        out = sparse_echelon((seen.append(r) or r for r in rows), columns)
+        out = reduced_echelon(seen.append(r) or r for r in rows)
         fed.append(len(seen))
         return out
 
-    monkeypatch.setattr(exterior, "sparse_echelon", counting)
+    monkeypatch.setattr(exterior, "reduced_echelon", counting)
     for arr in (generic_lines(10, seed=3), generic_lines(9, seed=3, conjugate_last=True), braid_a4()):
         gens = full_presentation(arr).elements()
         n = arr.n

@@ -284,23 +284,6 @@ def test_sparse_echelon_forward_rows_span_the_input():
         assert dense_rank(m + forward) == dense_rank(m)
 
 
-def test_sparse_echelon_full_rank_stop_changes_nothing():
-    stopped = 0
-    for m, cols in rational_matrices():
-        rows = [dict(enumerate(integer_row(row))) for row in m]
-        unbounded = sparse_echelon(rows)
-        assert sparse_echelon(rows, cols) == unbounded
-        # one more column that no row uses: never full, so never stopped
-        assert sparse_echelon(rows, cols + 1) == unbounded
-        read = []
-        sparse_echelon((read.append(r) or r for r in rows), columns=cols)
-        # no row is read after the one that gives every column a pivot
-        full = (i + 1 for i in range(len(m)) if len(sparse_echelon(rows[: i + 1])) == cols)
-        assert len(read) == next(full, len(m))
-        stopped += len(read) < len(m)
-    assert stopped > 0
-
-
 def test_one_elimination_kernel():
     """Both echelon routines take the one forward step; no dense elimination or second rank routine is left."""
     assert not any(hasattr(linalg, name) for name in ("det_sign", "NotSquare", "integer_rank", "dot"))
