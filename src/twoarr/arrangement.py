@@ -28,15 +28,21 @@ the one walk every rank question reads (`codim`, `_closure`) and the
 circuit search that fills an arrangement's `_circuits` cache, so `present`
 and `kappa` load no matroid module. `restrict` and the document writer
 live in `restriction`, which only the `restrict` verb loads.
+
+It is also the one edge between the rationals and the integer kernel
+(`linalg`): `integer_form` gives a form's positive scale and its integer
+row. `_integer_forms` caches the rows; `presentation.circuit_dependencies`
+divides the scales back out.
 """
 
 import json
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
 from ._value import Value
-from .linalg import Vector, bitmask, closed_sets, integer_row
+from .linalg import bitmask, closed_sets
 
 
 class ParseError(ValueError):
@@ -82,10 +88,16 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"rational of {len(text)} characters: {e}") from e
 
 
+def integer_form(coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+    """The positive lcm s of the denominators (1 for a zero form) and s times the form: int entries, same span."""
+    s = math.lcm(*(x.denominator for x in coeffs))
+    return s, [x.numerator * (s // x.denominator) for x in coeffs]
+
+
 class LinearForm(Value):
     """A real linear form given by its coefficient vector."""
 
-    coeffs: Vector
+    coeffs: tuple[Fraction, ...]
 
 
 class ComplexFormSpec(Value):
@@ -147,11 +159,8 @@ class Arrangement(Value):
 
     @cached_property
     def _integer_forms(self) -> tuple[tuple[list[int], list[int]], ...]:
-        """Each subspace's two forms scaled to integer rows, in index order."""
-        return tuple(
-            (integer_row(s.first.coeffs), integer_row(s.second.coeffs))
-            for s in self.subspaces
-        )
+        """Each subspace's two forms scaled to integer rows (`integer_form`), in index order."""
+        return tuple((integer_form(s.first.coeffs)[1], integer_form(s.second.coeffs)[1]) for s in self.subspaces)
 
     @cached_property
     def _walk(self) -> tuple[dict[int, int], dict[int, int]]:
@@ -364,14 +373,14 @@ def parse_arrangement(text: str) -> Arrangement:
 
 
 def __getattr__(name: str):
-    """`restrict` and the document writer, which moved to `restriction` (PEP 562).
+    """`restrict`, which moved to `restriction` (PEP 562); only the `restrict` verb loads that module.
 
-    Only the `restrict` verb loads that module. The names stay resolvable here
-    because bench/tracer.py wraps `twoarr.arrangement.restrict` by name; the
-    tracer's rewrite (ROADMAP item 7) deletes this shim.
+    The name stays resolvable here because bench/tracer.py wraps
+    `twoarr.arrangement.restrict` by name; the tracer's rewrite (ROADMAP
+    item 7) deletes this shim.
     """
-    if name in ("restrict", "arrangement_to_document", "serialize_arrangement"):
-        from . import restriction
+    if name == "restrict":
+        from .restriction import restrict
 
-        return getattr(restriction, name)
+        return restrict
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Nothing is ever rounded. The hot work runs on Python ints, fraction-free,
-after scaling each rational row by the positive lcm of its denominators
-(`integer_row`), which leaves rank and row span as they were. Every
-elimination works on sparse rows, `{column: int}` dicts, with one row
-operation (`_cancel`), one normalisation (`_primitive`) and one forward
-step (`_keep`), which the two echelon routines share:
+Nothing is ever rounded. Every routine takes integer rows and works on
+Python ints, fraction-free. The rational forms become integer rows where
+they are parsed (`arrangement.integer_form`), which leaves rank and row
+span as they were. Every elimination works on sparse rows, `{column: int}`
+dicts, with one row operation (`_cancel`), one normalisation
+(`_primitive`) and one forward step (`_keep`), which the two echelon
+routines share:
 
 - `sparse_echelon` is forward elimination alone. It gives the rank and an
   echelon basis: all that kappa's rank needs.
@@ -16,22 +17,12 @@ step (`_keep`), which the two echelon routines share:
   it.
 - `closed_sets` walks the lattice of spans of groups of rows, an
   arrangement's closed sets, whose covers answer every rank question.
-
-`Fraction` appears only at the edge, in `integer_row`.
 """
 
 import math
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-Vector = tuple[Fraction, ...]
 SparseRow = dict[int, int]
-
-
-def integer_row(row: Sequence[Fraction]) -> list[int]:
-    """The row times the positive lcm of its denominators: same span, int entries."""
-    scale = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row]
 
 
 def bitmask(indices: Iterable[int]) -> int:

@@ -28,17 +28,19 @@ lambda_j acts on (l, l') with determinant |lambda_j|^2 > 0: every sigma_j is
 
 The solves are integer: `_solve` eliminates the circuit's rows of the
 arrangement's integer forms, whose positive scales keep every sigma_j
-(`_signs`), and only `circuit_dependencies` divides them out into
-`Fraction` quads. The ideal's rank profile is read off the one pass that
-builds its graded slices, each grown from the reduced echelon basis of the
-one below (`exterior.ideal_slices`); kappa's degree-2 basis is one of them.
+(`_signs`). Only `circuit_dependencies` divides those scales back out
+into `Fraction` quads, reading them from the one function that computes
+them (`arrangement.integer_form`). The ideal's rank profile is read off
+the one pass that builds its graded slices, each grown from the reduced
+echelon basis of the one below (`exterior.ideal_slices`); kappa's
+degree-2 basis is one of them.
 """
 
 from fractions import Fraction
 from typing import Iterable
 
 from ._value import Value
-from .arrangement import Arrangement
+from .arrangement import Arrangement, integer_form
 from .exterior import ExtElement, ideal_ranks
 from .linalg import SparseRow, reduced_echelon
 
@@ -95,18 +97,15 @@ def circuit_dependencies(arr: Arrangement, circuit: Iterable[int]) -> Dependency
 
     Both right-hand sides are solved in one integer system: coordinate i
     gives the row (L_{a_1}[i], L'_{a_1}[i], ..., L'_{a_k}[i] | L_{a_0}[i],
-    L'_{a_0}[i]) of the integer forms L = s l, s > 0. Its reduced echelon
-    row j reads row[j] * (X_j, Y_j) = (row[2k], row[2k + 1]), and
-    x_j = X_j s_j / s_{a_0}, y_j = Y_j s_j / s'_{a_0}.
+    L'_{a_0}[i]) of the integer forms L = s l, s > 0 (`integer_form`). Its
+    reduced echelon row j reads row[j] * (X_j, Y_j) = (row[2k], row[2k + 1]),
+    and x_j = X_j s_j / s_{a_0}, y_j = Y_j s_j / s'_{a_0}.
     """
     c = _checked_circuit(arr, circuit)
     echelon = _solve(arr, c)
     u = len(echelon)
-    s = []  # each form's scale: an integer entry over its rational one (1 for a loop's zero form)
-    for a in c[1:] + c[:1]:
-        p = arr.pair(a)
-        for form, ints in zip((p.first, p.second), arr._integer_forms[a - 1]):
-            s.append(next((Fraction(i, q) for i, q in zip(ints, form.coeffs) if q), 1))
+    pairs = [arr.subspaces[a - 1] for a in c[1:] + c[:1]]
+    s = [integer_form(form.coeffs)[0] for p in pairs for form in (p.first, p.second)]
     x = [Fraction(row.get(u, 0) * s[j], row[j] * s[u]) for j, row in enumerate(echelon)]
     y = [Fraction(row.get(u + 1, 0) * s[j], row[j] * s[u + 1]) for j, row in enumerate(echelon)]
     quads = [(Fraction(-1), Fraction(0), Fraction(0), Fraction(-1))]

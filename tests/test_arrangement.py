@@ -18,6 +18,7 @@ from twoarr.arrangement import (
     arrangement_from_document,
     codim,
     from_complex_form,
+    integer_form,
     parse_arrangement,
     parse_rational,
     validate,
@@ -155,6 +156,13 @@ def test_rational_format_check_is_the_pattern(text):
     except ParseError as e:
         malformed = str(e).startswith("malformed rational")
     assert malformed == (RATIONAL_PATTERN.match(text) is None)
+
+
+def test_integer_form_is_the_lcm_of_the_denominators_times_the_form():
+    F = Fraction
+    assert integer_form((F(1, 2), F(-2, 3), F(0), F(5, 4))) == (12, [6, -8, 0, 15])
+    assert integer_form((F(-4), F(6), F(0), F(0))) == (1, [-4, 6, 0, 0])  # no content is divided out
+    assert integer_form((F(0),) * 4) == (1, [0, 0, 0, 0])
 
 
 def test_parse_wrong_coefficient_count():

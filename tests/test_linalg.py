@@ -8,7 +8,8 @@ from dense_reference import kernel_basis as dense_kernel_basis
 from dense_reference import rank as dense_rank
 from dense_reference import rref, vec
 from twoarr import linalg
-from twoarr.linalg import integer_row, reduced_echelon, sparse_echelon
+from twoarr.arrangement import integer_form
+from twoarr.linalg import reduced_echelon, sparse_echelon
 
 # forms of the bundled transversal arrangements, written out literally
 B_FORMS = [
@@ -22,6 +23,11 @@ BPRIME_H4 = [(-2, 0, 1, 0), (0, 2, 0, 1)]
 
 def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def integer_row(row):
+    """The row scaled to integer entries at the rational edge (`integer_form`)."""
+    return integer_form(row)[1]
 
 
 def rank(rows):

@@ -100,15 +100,16 @@ def test_unknown_fixture_names_the_bundled_files():
 
 
 def test_moved_names_still_resolve_from_their_old_modules():
-    """`restrict` and the document writer moved to `restriction`, the circuit search's
-    gate and exception from `matroid` to `arrangement`; the old names still resolve."""
+    """`restrict` moved to `restriction`, the circuit search's gate and exception from
+    `matroid` to `arrangement`; those old names still resolve. The document writer,
+    which moved with `restrict`, is read from `restriction` alone."""
     from twoarr import arrangement, matroid, restriction
 
-    for name in ("restrict", "arrangement_to_document", "serialize_arrangement"):
-        assert getattr(arrangement, name) is getattr(restriction, name)
+    assert arrangement.restrict is restriction.restrict
     assert matroid.NotAdmissible is arrangement.NotAdmissible
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-        arrangement.no_such_name
+    for name in ("arrangement_to_document", "serialize_arrangement", "no_such_name"):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(arrangement, name)
 
 
 def test_not_admissible_is_raised_at_one_site():
@@ -127,6 +128,29 @@ def test_not_admissible_is_raised_at_one_site():
                 sites.append((path.name, enclosing))
     assert sites == [("arrangement.py", ["_admissible_walk"])]
     assert not hasattr(matroid, "matroid_rank")
+
+
+def test_a_form_is_scaled_to_integers_at_one_edge():
+    """`arrangement.integer_form` alone computes a form's scale, the lcm of its
+    denominators: the integer kernel imports nothing from `fractions`, and
+    `circuit_dependencies` reads the rational forms only through that function, so it
+    builds no `Fraction` to recover a scale."""
+    from twoarr import presentation
+
+    src = Path(twoarr.__file__).resolve().parent
+    trees = {p.relative_to(src).as_posix(): ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.rglob("*.py"))}
+    funcs = [(name, f) for name, tree in trees.items() for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    lcm = [(name, f.name) for name, f in funcs if any(getattr(n, "attr", getattr(n, "id", None)) == "lcm" for n in ast.walk(f))]
+    assert lcm == [("arrangement.py", "integer_form")]
+    imports = [n for n in ast.walk(trees["linalg.py"]) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert "fractions" not in {getattr(n, "module", None) for n in imports} | {a.name for n in imports for a in n.names}
+    assert not hasattr(linalg, "integer_row") and not hasattr(linalg, "Vector")
+    (func,) = [f for name, f in funcs if (name, f.name) == ("presentation.py", "circuit_dependencies")]
+    scaled = [n.args[0] for n in ast.walk(func) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "integer_form"]
+    coeffs = [n for n in ast.walk(func) if isinstance(n, ast.Attribute) and n.attr == "coeffs"]
+    assert scaled and coeffs == scaled
+    assert presentation.integer_form is twoarr.arrangement.integer_form
+    assert not [n for n in ast.walk(func) if isinstance(n, ast.Attribute) and n.attr == "_integer_forms"]
 
 
 def test_reprs_match_the_dataclass_reprs(arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
