@@ -1,11 +1,10 @@
 """Arrangement input model.
 
 An arrangement is an ordered list of named codimension-2 subspaces of
-R^(2d); each subspace is cut out by an ordered pair of real linear forms.
-Real coordinates are ordered (x1, y1, ..., xd, yd), and with
-z_j = x_j + i*y_j a complex or conjugate-linear equation converts into the
-ordered pair (real part, imaginary part). The pair order is what fixes the
-orientation data every sign downstream depends on.
+R^(2d), each cut out by an ordered pair of real linear forms: two `Fraction`
+tuples over the coordinates (x1, y1, ..., xd, yd). With z_j = x_j + i*y_j a
+complex or conjugate-linear equation converts into the ordered pair (real
+part, imaginary part), whose order fixes the signs downstream.
 
 Arrangement files are JSON documents:
 
@@ -94,12 +93,6 @@ def integer_form(coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
     return s, [x.numerator * (s // x.denominator) for x in coeffs]
 
 
-class LinearForm(Value):
-    """A real linear form given by its coefficient vector."""
-
-    coeffs: tuple[Fraction, ...]
-
-
 class ComplexFormSpec(Value):
     """Coefficients of sum(z_coeffs[j] * z_j) + sum(zbar_coeffs[j] * conj(z_j))."""
 
@@ -112,7 +105,7 @@ class ComplexFormSpec(Value):
         return tuple(sum(1 << j for j, c in enumerate(side) if any(c)) for side in (self.z, self.zbar))
 
 
-def from_complex_form(spec: ComplexFormSpec) -> tuple[LinearForm, LinearForm]:
+def from_complex_form(spec: ComplexFormSpec) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Real and imaginary part of a complex/conjugate-linear equation.
 
     With f = sum (a_j + i b_j) z_j + (c_j + i d_j) conj(z_j) and
@@ -128,15 +121,15 @@ def from_complex_form(spec: ComplexFormSpec) -> tuple[LinearForm, LinearForm]:
     for (a, b), (c, dd) in zip(spec.z, spec.zbar):
         re_part += [a + c, -b + dd]
         im_part += [b + dd, a - c]
-    return LinearForm(tuple(re_part)), LinearForm(tuple(im_part))
+    return tuple(re_part), tuple(im_part)
 
 
 class SubspacePair(Value):
-    """A named codimension-2 subspace, cut out by an ordered form pair."""
+    """A named codimension-2 subspace, cut out by an ordered pair of coefficient tuples."""
 
     name: str
-    first: LinearForm
-    second: LinearForm
+    first: tuple[Fraction, ...]
+    second: tuple[Fraction, ...]
     complex_spec: ComplexFormSpec | None = None
 
 
@@ -160,7 +153,7 @@ class Arrangement(Value):
     @cached_property
     def _integer_forms(self) -> tuple[tuple[list[int], list[int]], ...]:
         """Each subspace's two forms scaled to integer rows (`integer_form`), in index order."""
-        return tuple((integer_form(s.first.coeffs)[1], integer_form(s.second.coeffs)[1]) for s in self.subspaces)
+        return tuple((integer_form(s.first)[1], integer_form(s.second)[1]) for s in self.subspaces)
 
     @cached_property
     def _walk(self) -> tuple[dict[int, int], dict[int, int]]:
@@ -322,7 +315,7 @@ def _subspace(rec, dim: int, where: str) -> SubspacePair:
     if "forms" in rec:
         forms = _grid(rec["forms"], 2, dim, where, "'forms' must list exactly two forms",
                       f"each form needs {dim} coefficients")
-        return SubspacePair(rec["name"], *map(LinearForm, forms))
+        return SubspacePair(rec["name"], *forms)
     block, d = rec["complex"], dim // 2
     if not isinstance(block, dict):
         raise ParseError(f"{where}: complex block must be an object")

@@ -1,15 +1,15 @@
 """Integer exterior algebra on generators e_1 .. e_n.
 
 Monomials are strictly increasing index tuples; an `ExtElement`, the value
-relations and kappa bases come in, is an integer combination of them.
-`_masked` turns elements into bitmask terms, and one product (`_product`)
-multiplies two term lists into a sparse row over a column map. One pass,
-`ideal_slices`, builds every graded slice of an ideal as its reduced
-echelon basis over the rationals (`linalg.reduced_echelon`), each grown
-from the basis of the slice below: `ideal_ranks` reads their lengths, and
-kappa reads the degree-2 basis as it is. `gram_rows` lays the products of
-that basis side by side in one sparse row per element, which kappa's rank
-reads as they are.
+a relation's element and kappa bases come in, is an integer combination of
+them with no arithmetic of its own. `_masked` turns elements into bitmask
+terms, and one product (`_product`) multiplies two term lists into a
+sparse row over a column map. One pass, `ideal_slices`, builds every
+graded slice of an ideal as its reduced echelon basis over the rationals
+(`linalg.reduced_echelon`), each grown from the basis of the slice below:
+`ideal_ranks` reads their lengths, and kappa reads the degree-2 basis as
+it is. `gram_rows` lays the products of that basis side by side in one
+sparse row per element, which kappa's rank reads as they are.
 """
 
 import itertools
@@ -50,9 +50,6 @@ class ExtElement(Value):
         if len(degs) == 1:
             return degs.pop()
         return None
-
-    def __neg__(self) -> "ExtElement":
-        return ExtElement(tuple((m, -c) for m, c in self.terms))
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -19,7 +19,8 @@ relation is
 
     sum_j (-1)^j sigma_j e_{A \ a_j}
 
-with the deleted-member monomials written in increasing index order.
+with the deleted-member monomials written in increasing index order. A
+`CircuitRelation` holds the circuit and signs, and computes this on first read.
 The circuit picks the route. If its members share one complex structure
 (each coordinate used as z_j or as conj(z_j), not both), l_{a_0} + i l'_{a_0}
 is a complex combination of the other members' l + i l', and a coefficient
@@ -37,6 +38,7 @@ degree-2 basis is one of them.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from ._value import Value
@@ -71,7 +73,13 @@ class DependencyPair(Value):
 class CircuitRelation(Value):
     circuit: tuple[int, ...]
     signs: tuple[int, ...]
-    element: ExtElement
+
+    @cached_property
+    def element(self) -> ExtElement:
+        """sum_j (-1)^j sigma_j e_{c minus c_j}, its terms in graded-lex order."""
+        c = self.circuit
+        # leaving out a later member gives a smaller monomial, so j runs downwards
+        return ExtElement(tuple((c[:j] + c[j + 1 :], (-1) ** j * self.signs[j]) for j in reversed(range(len(c)))))
 
 
 class Presentation(Value):
@@ -105,7 +113,7 @@ def circuit_dependencies(arr: Arrangement, circuit: Iterable[int]) -> Dependency
     echelon = _solve(arr, c)
     u = len(echelon)
     pairs = [arr.subspaces[a - 1] for a in c[1:] + c[:1]]
-    s = [integer_form(form.coeffs)[0] for p in pairs for form in (p.first, p.second)]
+    s = [scale for p in pairs for scale in (integer_form(p.first)[0], integer_form(p.second)[0])]
     x = [Fraction(row.get(u, 0) * s[j], row[j] * s[u]) for j, row in enumerate(echelon)]
     y = [Fraction(row.get(u + 1, 0) * s[j], row[j] * s[u + 1]) for j, row in enumerate(echelon)]
     quads = [(Fraction(-1), Fraction(0), Fraction(0), Fraction(-1))]
@@ -148,13 +156,6 @@ def _signs(c: tuple[int, ...], echelon: list[SparseRow]) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def _relation(c: tuple[int, ...], signs: tuple[int, ...]) -> CircuitRelation:
-    """The relation sum_j (-1)^j sigma_j e_{c minus c_j}, its terms in graded-lex order."""
-    # leaving out a later member gives a smaller monomial, so j runs downwards
-    terms = tuple((c[:j] + c[j + 1 :], (-1) ** j * signs[j]) for j in reversed(range(len(c))))
-    return CircuitRelation(c, signs, ExtElement(terms))
-
-
 def full_presentation(arr: Arrangement, mode: str = MODE_REAL) -> Presentation:
     """One relation per circuit, its signs found by the route the circuit picks.
 
@@ -172,23 +173,22 @@ def full_presentation(arr: Arrangement, mode: str = MODE_REAL) -> Presentation:
     for c in arr._circuits:  # found by the circuit search, so not re-checked by _checked_circuit
         ms = [support[a - 1] for a in c]
         one_structure = all(ms) and not any(z & zbar for z, _ in ms for _, zbar in ms)
-        relations.append(_relation(c, (1,) * len(c) if one_structure else _signs(c, _solve(arr, c))))
+        relations.append(CircuitRelation(c, (1,) * len(c) if one_structure else _signs(c, _solve(arr, c))))
     return Presentation(arr.n, tuple(relations), mode)
 
 
 def normalize_signs(pres: Presentation) -> Presentation:
     """Rescale each relation so its lexicographically first monomial has coefficient +1.
 
-    Relations are only defined up to overall sign; this trades the
-    sigma_0 = +1 convention for reproducible leading signs.
+    That monomial leaves out the last member a_k: for j < k, c minus a_k and
+    c minus a_j first differ at position j, where the former holds a_j <
+    a_{j+1}. Its coefficient is (-1)^k sigma_k. Relations are only defined up
+    to overall sign; this trades sigma_0 = +1 for reproducible leading signs.
     """
     out = []
     for rel in pres.relations:
-        lead = min(rel.element.terms, key=lambda t: t[0])[1] if rel.element.terms else 1
-        if lead < 0:
-            rel = CircuitRelation(
-                rel.circuit, tuple(-s for s in rel.signs), -rel.element
-            )
+        if (-1) ** (len(rel.circuit) - 1) * rel.signs[-1] < 0:
+            rel = CircuitRelation(rel.circuit, tuple(-s for s in rel.signs))
         out.append(rel)
     return Presentation(pres.n, tuple(out), pres.mode)
 

@@ -8,7 +8,7 @@ the restriction nor the serializer is compiled on its path.
 from fractions import Fraction
 
 from ._jsontext import dumps
-from .arrangement import Arrangement, DegenerateRestriction, LinearForm, SubspacePair, UnknownLabel, codim
+from .arrangement import Arrangement, DegenerateRestriction, SubspacePair, UnknownLabel, codim
 from .linalg import reduced_echelon
 
 
@@ -45,9 +45,8 @@ def restrict(arr: Arrangement, at: str | int) -> Arrangement:
     kernel = [(f, [(p, Fraction(row[f], row[p])) for p, row in pivots.items() if f in row])
               for f in range(arr.dim) if f not in pivots]
 
-    def compose(form: LinearForm) -> LinearForm:
-        c = form.coeffs
-        return LinearForm(tuple(c[f] - sum((c[p] * x for p, x in v), Fraction(0)) for f, v in kernel))
+    def compose(c: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+        return tuple(c[f] - sum((c[p] * x for p, x in v), Fraction(0)) for f, v in kernel)
 
     pairs: list[SubspacePair] = []
     for j, p in enumerate(arr.subspaces, start=1):
@@ -70,7 +69,7 @@ def arrangement_to_document(arr: Arrangement) -> dict:
     for p in arr.subspaces:
         spec = p.complex_spec
         if spec is None:
-            subspaces.append({"name": p.name, "forms": _strings((p.first.coeffs, p.second.coeffs))})
+            subspaces.append({"name": p.name, "forms": _strings((p.first, p.second))})
         else:
             subspaces.append({"name": p.name, "complex": {"z": _strings(spec.z), "zbar": _strings(spec.zbar)}})
     return {"dim": arr.dim, "subspaces": subspaces}

@@ -8,7 +8,6 @@ import pytest
 from twoarr.arrangement import (
     Arrangement,
     ComplexFormSpec,
-    LinearForm,
     SubspacePair,
     from_complex_form,
     validate,
@@ -17,8 +16,8 @@ from twoarr.fixtures import load_fixture
 from exterior_reference import from_terms
 
 
-def form(*coeffs) -> LinearForm:
-    return LinearForm(tuple(Fraction(c) for c in coeffs))
+def form(*coeffs) -> tuple[Fraction, ...]:
+    return tuple(Fraction(c) for c in coeffs)
 
 
 def pair(name, first, second) -> SubspacePair:

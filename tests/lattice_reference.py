@@ -32,7 +32,7 @@ def _basis(arr, mask):
             bases[mask] = below
         else:
             s = arr.subspaces[top]
-            reduced, pivots = rref(below + [list(s.first.coeffs), list(s.second.coeffs)])
+            reduced, pivots = rref(below + [list(s.first), list(s.second)])
             bases[mask] = reduced[: len(pivots)]
     return bases[mask]
 

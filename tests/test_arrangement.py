@@ -289,7 +289,7 @@ def test_codim_ignores_order_and_repeats(name):
     arr = load_fixture(name)
     rng = random.Random(41)
     for s in all_subsets(arr.n):
-        expected = dense_rank([f for a in s for f in (arr.pair(a).first.coeffs, arr.pair(a).second.coeffs)])
+        expected = dense_rank([f for a in s for f in (arr.pair(a).first, arr.pair(a).second)])
         # a fresh copy has not walked its closed sets, so the scrambled subset asks first
         fresh = Arrangement(arr.dim, arr.subspaces)
         scrambled = list(s) + [rng.choice(s) for _ in range(len(s))] if s else []
@@ -397,7 +397,7 @@ def dense_restriction(arr, i):
     that basis, or the message of the `DegenerateRestriction` it raises.
     """
     p = arr.subspaces[i - 1]
-    target = [p.first.coeffs, p.second.coeffs]
+    target = [p.first, p.second]
     if dense_rank(target) != 2:
         return f"subspace {p.name!r} has form rank {dense_rank(target)}, expected 2"
     basis = dense_kernel_basis(target, arr.dim)
@@ -406,9 +406,9 @@ def dense_restriction(arr, i):
         if j == i:
             continue
         first, second = (
-            form(*(sum(c * x for c, x in zip(f.coeffs, v)) for v in basis)) for f in (q.first, q.second)
+            form(*(sum(c * x for c, x in zip(f, v)) for v in basis)) for f in (q.first, q.second)
         )
-        if dense_rank([first.coeffs, second.coeffs]) != 2:
+        if dense_rank([first, second]) != 2:
             return f"subspace {q.name!r} loses codimension when restricted to {p.name!r}"
         out.append((q.name, first, second))
     return tuple(out)

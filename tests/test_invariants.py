@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from twoarr.arrangement import Arrangement, LinearForm
+from twoarr.arrangement import Arrangement
 from twoarr.restriction import restrict
 from twoarr.exterior import ideal_slices, monomials
 from twoarr.invariants import (
@@ -461,7 +461,6 @@ def test_slices_and_presentations_never_eliminate_over_fraction(
     for module in modules:
         assert not dense & set(vars(module)), module.__name__
     assert not any(hasattr(twoarr, name) for name in dense)
-    assert not hasattr(LinearForm, "restrict_to")
     lines = generic_lines(7, seed=3)
     lines_conj = generic_lines(7, seed=3, conjugate_last=True)
     for arr in (arr_b, arr_bprime, arr_bhat, arr_bhat_complex, lines, lines_conj):

@@ -5,7 +5,7 @@ from math import comb, prod
 import pytest
 
 from twoarr import presentation
-from twoarr.arrangement import Arrangement, ComplexFormSpec, LinearForm, SubspacePair, from_complex_form, validate
+from twoarr.arrangement import Arrangement, ComplexFormSpec, SubspacePair, from_complex_form, validate
 from twoarr.exterior import ideal_ranks, ideal_slices, monomials
 from twoarr.invariants import _kappa_of, pairwise_linking
 from twoarr.matroid import circuits, nbc_sets
@@ -19,7 +19,6 @@ from twoarr.presentation import (
     full_presentation,
     ideal_rank_profile,
     normalize_signs,
-    Presentation,
 )
 from conftest import braid_a4, elem, generic_hyperplanes, generic_lines, pair, reflection
 from dense_reference import det, rref
@@ -34,7 +33,7 @@ def F(x):
 def circuit_relation(arr, circuit):
     """The signed relation a circuit imposes, its signs solved whatever structure its members share."""
     c = presentation._checked_circuit(arr, circuit)
-    return presentation._relation(c, presentation._signs(c, presentation._solve(arr, c)))
+    return CircuitRelation(c, presentation._signs(c, presentation._solve(arr, c)))
 
 
 # --- dependency solving ------------------------------------------------------
@@ -70,6 +69,18 @@ def test_dependencies_reject_non_circuit(arr_b):
     for not_one in ((1, 1, 2, 3), (0, 1, 2), (1, 2, 99)):
         with pytest.raises(NotACircuit, match="is not a circuit"):
             circuit_dependencies(arr_b, not_one)
+
+
+def test_the_solves_check_their_own_invariants(arr_b):
+    """The errors behind the circuit check and the parity gate: a subset that is not a
+    circuit has no unique dependency, and a block with X Y' - X' Y = 0 (here 1 * 1 -
+    1 * 1 in the first) has no sign."""
+    for c in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match=rf"^circuit \({', '.join(map(str, c))}\) has no unique dependency$"):
+            presentation._solve(arr_b, c)
+    rows = [{0: 1, 4: 1, 5: 1}, {1: 1, 4: 1, 5: 1}, {2: 1, 4: 1}, {3: 1, 5: 1}]
+    with pytest.raises(ValueError, match=r"^degenerate coefficient block in circuit \(1, 2, 3\); "):
+        presentation._signs((1, 2, 3), rows)
 
 
 def test_a_zero_member_is_a_circuit_with_no_unknowns(arr_b):
@@ -108,8 +119,8 @@ def reconstruct_zero(arr, dep):
     for a, (al, be, ga, de) in zip(dep.circuit, dep.quads):
         p = arr.pair(a)
         for i in range(dim):
-            x_sum[i] += al * p.first.coeffs[i] + be * p.second.coeffs[i]
-            y_sum[i] += ga * p.first.coeffs[i] + de * p.second.coeffs[i]
+            x_sum[i] += al * p.first[i] + be * p.second[i]
+            y_sum[i] += ga * p.first[i] + de * p.second[i]
     return all(v == 0 for v in x_sum) and all(v == 0 for v in y_sum)
 
 
@@ -263,15 +274,31 @@ def test_full_presentation_no_circuits(independent_pair):
     assert pres.mode == MODE_REAL
 
 
-def test_normalize_signs(arr_bprime):
-    pres = normalize_signs(full_presentation(arr_bprime))
-    for rel in pres.relations:
-        lead = min(rel.element.terms, key=lambda t: t[0])
-        assert lead[1] > 0
-    # normalization preserves each relation up to overall sign
-    raw = full_presentation(arr_bprime)
-    for a, b in zip(raw.relations, pres.relations):
-        assert b.element in (a.element, -a.element)
+def test_normalize_signs(arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
+    """Each relation whose lexicographically first monomial has a negative coefficient
+    is negated, and no other: that coefficient is read here off the element's terms,
+    where `normalize_signs` reads it off the last sign."""
+    arrs = [arr_b, arr_bprime, arr_bhat, arr_bhat_complex, reflection("B", 3)]
+    arrs += [generic_lines(n, 3, True) for n in range(7, 13)]
+    arrs += [param.values[0] for param in mixed_cases()]
+    rng = random.Random(5)
+    arrs += random_real(rng, 3, 6, (7, 7), 5) + random_real(rng, 3, 6, (9, 9), 5) + random_real(rng, 3, 8, (7, 7), 5)
+    arrs += random_real(rng, 6)
+    flipped = kept = 0
+    for arr in arrs:
+        raw = full_presentation(arr)
+        pres = normalize_signs(raw)
+        assert (pres.n, pres.mode, len(pres.relations)) == (raw.n, raw.mode, len(raw.relations))
+        for old, new in zip(raw.relations, pres.relations):
+            lead = min(old.element.terms)[1]
+            sign = -1 if lead < 0 else 1
+            assert new.circuit == old.circuit
+            assert new.signs == tuple(sign * s for s in old.signs)
+            assert new.element.terms == tuple((m, sign * c) for m, c in old.element.terms)
+            assert min(new.element.terms)[1] > 0
+            flipped += sign < 0
+            kept += sign > 0
+    assert flipped > 100 and kept > 100
 
 
 # --- graded ranks of the relation ideal ---------------------------------------
@@ -316,14 +343,6 @@ def test_kappa_basis_is_the_reference_reduced_slice(arr, mode):
     rank, basis = reference_span(pres.elements(), 2, arr.n)
     assert _kappa_of(arr.n, ideal_slices(pres.elements(), arr.n)).basis == tuple(basis)
     assert len(basis) == rank
-
-
-def test_ideal_rank_rejects_inhomogeneous_relations_in_every_degree(arr_b):
-    pres = full_presentation(arr_b)
-    mixed = CircuitRelation((1, 2, 3), (1, 1, 1), elem(((1,), 1), ((2, 3), 1)))
-    bad = Presentation(pres.n, pres.relations + (mixed,), pres.mode)
-    with pytest.raises(ValueError):
-        ideal_rank_profile(bad)
 
 
 def quad_signs(dep):
@@ -386,7 +405,7 @@ def test_signs_are_cramer_quotients_of_block_determinants():
     arrs += random_real(rng, 3, 8, (7, 7), 5)
     checked = minus = 0
     for arr in arrs:
-        blocks = [[tuple(map(int, f.coeffs)) for f in (s.first, s.second)] for s in arr.subspaces]
+        blocks = [[tuple(map(int, f)) for f in (s.first, s.second)] for s in arr.subspaces]
         for rel in full_presentation(arr).relations:
             a0, *rest = (a - 1 for a in rel.circuit)
             if 2 * len(rest) != arr.dim:
@@ -407,8 +426,8 @@ def recombined(arr, mats):
     """Replace each pair of forms by an invertible 2x2 recombination."""
     pairs = []
     for p, (a, b, c, d) in zip(arr.subspaces, mats):
-        first = LinearForm(tuple(a * u + b * v for u, v in zip(p.first.coeffs, p.second.coeffs)))
-        second = LinearForm(tuple(c * u + d * v for u, v in zip(p.first.coeffs, p.second.coeffs)))
+        first = tuple(a * u + b * v for u, v in zip(p.first, p.second))
+        second = tuple(c * u + d * v for u, v in zip(p.first, p.second))
         pairs.append(SubspacePair(p.name, first, second))
     return Arrangement(arr.dim, tuple(pairs))
 
@@ -486,8 +505,8 @@ def complex_line_arrangement(lambdas):
         pairs.append(
             SubspacePair(
                 f"H{k}",
-                LinearForm((F(-a), F(b), F(1), F(0))),
-                LinearForm((F(-b), F(-a), F(0), F(1))),
+                (F(-a), F(b), F(1), F(0)),
+                (F(-b), F(-a), F(0), F(1)),
             )
         )
     return Arrangement(4, tuple(pairs))

@@ -17,7 +17,6 @@ from twoarr import exterior, linalg
 from twoarr._value import Value
 from twoarr.arrangement import (
     Arrangement,
-    LinearForm,
     SubspacePair,
     parse_arrangement,
     validate,
@@ -28,33 +27,31 @@ from twoarr.matroid import Flat, flats, nbc_sets
 from twoarr.presentation import circuit_dependencies, full_presentation
 from twoarr.restriction import restrict
 
-# repr(parse_arrangement(example22-B)) as the dataclass-based value classes gave it
+# repr(parse_arrangement(example22-B)): the dataclass-based value classes' format, each
+# form its tuple of coefficients
 EXAMPLE22_B_REPR = (
-    "Arrangement(dim=4, subspaces=(SubspacePair(name='H1', "
-    "first=LinearForm(coeffs=(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, "
-    "1))), second=LinearForm(coeffs=(Fraction(0, 1), Fraction(1, 1), Fraction(0, 1), "
-    "Fraction(0, 1))), complex_spec=ComplexFormSpec(z=((Fraction(1, 1), Fraction(0, 1)), "
-    "(Fraction(0, 1), Fraction(0, 1))), zbar=((Fraction(0, 1), Fraction(0, 1)), "
-    "(Fraction(0, 1), Fraction(0, 1))))), SubspacePair(name='H2', "
-    "first=LinearForm(coeffs=(Fraction(0, 1), Fraction(0, 1), Fraction(1, 1), Fraction(0, "
-    "1))), second=LinearForm(coeffs=(Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), "
-    "Fraction(1, 1))), complex_spec=ComplexFormSpec(z=((Fraction(0, 1), Fraction(0, 1)), "
+    "Arrangement(dim=4, subspaces=(SubspacePair(name='H1', first=(Fraction(1, 1), "
+    "Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)), second=(Fraction(0, 1), Fraction(1, "
+    "1), Fraction(0, 1), Fraction(0, 1)), complex_spec=ComplexFormSpec(z=((Fraction(1, 1), "
+    "Fraction(0, 1)), (Fraction(0, 1), Fraction(0, 1))), zbar=((Fraction(0, 1), Fraction(0, "
+    "1)), (Fraction(0, 1), Fraction(0, 1))))), SubspacePair(name='H2', first=(Fraction(0, "
+    "1), Fraction(0, 1), Fraction(1, 1), Fraction(0, 1)), second=(Fraction(0, 1), "
+    "Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)), "
+    "complex_spec=ComplexFormSpec(z=((Fraction(0, 1), Fraction(0, 1)), (Fraction(1, 1), "
+    "Fraction(0, 1))), zbar=((Fraction(0, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(0, "
+    "1))))), SubspacePair(name='H3', first=(Fraction(-1, 1), Fraction(0, 1), Fraction(1, "
+    "1), Fraction(0, 1)), second=(Fraction(0, 1), Fraction(-1, 1), Fraction(0, 1), "
+    "Fraction(1, 1)), complex_spec=ComplexFormSpec(z=((Fraction(-1, 1), Fraction(0, 1)), "
     "(Fraction(1, 1), Fraction(0, 1))), zbar=((Fraction(0, 1), Fraction(0, 1)), "
-    "(Fraction(0, 1), Fraction(0, 1))))), SubspacePair(name='H3', "
-    "first=LinearForm(coeffs=(Fraction(-1, 1), Fraction(0, 1), Fraction(1, 1), Fraction(0, "
-    "1))), second=LinearForm(coeffs=(Fraction(0, 1), Fraction(-1, 1), Fraction(0, 1), "
-    "Fraction(1, 1))), complex_spec=ComplexFormSpec(z=((Fraction(-1, 1), Fraction(0, 1)), "
-    "(Fraction(1, 1), Fraction(0, 1))), zbar=((Fraction(0, 1), Fraction(0, 1)), "
-    "(Fraction(0, 1), Fraction(0, 1))))), SubspacePair(name='H4', "
-    "first=LinearForm(coeffs=(Fraction(-2, 1), Fraction(0, 1), Fraction(1, 1), Fraction(0, "
-    "1))), second=LinearForm(coeffs=(Fraction(0, 1), Fraction(-2, 1), Fraction(0, 1), "
-    "Fraction(1, 1))), complex_spec=ComplexFormSpec(z=((Fraction(-2, 1), Fraction(0, 1)), "
-    "(Fraction(1, 1), Fraction(0, 1))), zbar=((Fraction(0, 1), Fraction(0, 1)), "
-    "(Fraction(0, 1), Fraction(0, 1)))))))"
+    "(Fraction(0, 1), Fraction(0, 1))))), SubspacePair(name='H4', first=(Fraction(-2, 1), "
+    "Fraction(0, 1), Fraction(1, 1), Fraction(0, 1)), second=(Fraction(0, 1), Fraction(-2, "
+    "1), Fraction(0, 1), Fraction(1, 1)), complex_spec=ComplexFormSpec(z=((Fraction(-2, 1), "
+    "Fraction(0, 1)), (Fraction(1, 1), Fraction(0, 1))), zbar=((Fraction(0, 1), Fraction(0, "
+    "1)), (Fraction(0, 1), Fraction(0, 1)))))))"
 )
 # sha256 of the reprs in test_reprs_match_the_dataclass_reprs, joined by newlines,
-# in the format the dataclass-based value classes gave
-REPRS_SHA256 = "e759f81e8d30565640529d0a3d57160c75bddb6b640f8a801b1f5853d6461c25"
+# in the same format
+REPRS_SHA256 = "105d6b6e00014605a6ad84396c5d6501d9c88dd84a4448a4ff73aa5cfa6fba61"
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -133,8 +130,8 @@ def test_not_admissible_is_raised_at_one_site():
 def test_a_form_is_scaled_to_integers_at_one_edge():
     """`arrangement.integer_form` alone computes a form's scale, the lcm of its
     denominators: the integer kernel imports nothing from `fractions`, and
-    `circuit_dependencies` reads the rational forms only through that function, so it
-    builds no `Fraction` to recover a scale."""
+    `circuit_dependencies` reads a member's forms only as that function's argument, so
+    it builds no `Fraction` to recover a scale."""
     from twoarr import presentation
 
     src = Path(twoarr.__file__).resolve().parent
@@ -147,10 +144,27 @@ def test_a_form_is_scaled_to_integers_at_one_edge():
     assert not hasattr(linalg, "integer_row") and not hasattr(linalg, "Vector")
     (func,) = [f for name, f in funcs if (name, f.name) == ("presentation.py", "circuit_dependencies")]
     scaled = [n.args[0] for n in ast.walk(func) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "integer_form"]
-    coeffs = [n for n in ast.walk(func) if isinstance(n, ast.Attribute) and n.attr == "coeffs"]
-    assert scaled and coeffs == scaled
+    forms = [n for n in ast.walk(func) if isinstance(n, ast.Attribute) and n.attr in ("first", "second")]
+    assert scaled and forms == scaled
     assert presentation.integer_form is twoarr.arrangement.integer_form
     assert not [n for n in ast.walk(func) if isinstance(n, ast.Attribute) and n.attr == "_integer_forms"]
+
+
+def test_the_value_layer_keeps_the_papers_data_once():
+    """A subspace holds its two coefficient tuples, with no wrapper class, and a relation
+    holds its circuit and signs: its element is computed from them, and `normalize_signs`
+    reads only the signs, with no negation of elements."""
+    from twoarr import arrangement, presentation
+
+    src = Path(twoarr.__file__).resolve().parent
+    trees = {p.relative_to(src).as_posix(): ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.rglob("*.py"))}
+    assert not hasattr(arrangement, "LinearForm")
+    attrs = {name: {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)} for name, tree in trees.items()}
+    assert [name for name, read in attrs.items() if "coeffs" in read] == []
+    assert presentation.CircuitRelation._fields == ("circuit", "signs")
+    assert not hasattr(presentation, "_relation") and not hasattr(exterior.ExtElement, "__neg__")
+    (func,) = [f for f in trees["presentation.py"].body if getattr(f, "name", None) == "normalize_signs"]
+    assert not [n for n in ast.walk(func) if isinstance(n, ast.Attribute) and n.attr == "element"]
 
 
 def test_reprs_match_the_dataclass_reprs(arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
@@ -190,7 +204,6 @@ def test_exterior_arithmetic_is_one_product_on_bitmasks():
     for name in ("from_terms", "monomial", "zero", "coeff_vector", "scale", "__add__", "wedge"):
         assert not hasattr(exterior.ExtElement, name), name
     x = exterior.ExtElement((((1, 2), 1), ((3, 4), -2)))
-    assert (-x).terms == (((1, 2), -1), ((3, 4), 2))
     assert (x.degree, str(x), x.is_zero) == (2, "+e12 -2e34", False)
 
 
@@ -208,7 +221,7 @@ def test_construction_positional_keyword_and_defaults():
     assert Point._fields == ("x", "y")
     assert Point(1, 2) == Point(x=1, y=2) == Point(1, y=2)
     assert Point(1).y == 0
-    f = LinearForm((Fraction(1), Fraction(0)))
+    f = (Fraction(1), Fraction(0))
     assert SubspacePair("H", f, f).complex_spec is None
     assert SubspacePair("H", f, f) == SubspacePair(name="H", second=f, first=f, complex_spec=None)
     for args, kwargs in [((), {}), ((1, 2, 3), {}), ((1,), {"x": 1}), ((1,), {"z": 1})]:
