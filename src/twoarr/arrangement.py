@@ -369,8 +369,8 @@ def __getattr__(name: str):
     """`restrict`, which moved to `restriction` (PEP 562); only the `restrict` verb loads that module.
 
     The name stays resolvable here because bench/tracer.py wraps
-    `twoarr.arrangement.restrict` by name; the tracer's rewrite (ROADMAP
-    item 7) deletes this shim.
+    `twoarr.arrangement.restrict` by name; cutting the benchmark's ties into
+    `src` (ROADMAP item 15) deletes this shim.
     """
     if name == "restrict":
         from .restriction import restrict

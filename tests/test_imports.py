@@ -84,11 +84,14 @@ def importtime_names(*argv: str, exit_code: int = 0) -> set[str]:
 
 @pytest.mark.parametrize("verb", list(CASES))
 def test_cli_run_as_main_is_compiled_once(verb):
-    """Under -m, cli.py runs as __main__; no verb module imports it a second time as twoarr.cli."""
-    argv, exit_code, _ = CASES[verb]
+    """Under -m, cli.py runs as __main__; no verb module imports it a second time as twoarr.cli,
+    and the verb loads only its modules, as under -c."""
+    argv, exit_code, absent = CASES[verb]
     names = importtime_names(*argv, exit_code=exit_code)
-    assert f"twoarr.verbs.{verb}" in names
     assert "twoarr.cli" not in names
+    assert not names & absent
+    assert {m for m in names if m.startswith("twoarr.verbs")} == {"twoarr.verbs", f"twoarr.verbs.{verb}"}
+    assert ("twoarr.restriction" in names) == (verb == "restrict")
 
 
 def test_importtime_of_validate_lists_no_heavy_module():

@@ -3,12 +3,13 @@ import itertools
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
-from twoarr.arrangement import Arrangement
-from twoarr.restriction import restrict
+from twoarr.arrangement import Arrangement, parse_arrangement
+from twoarr.restriction import restrict, serialize_arrangement
 from twoarr.exterior import ideal_slices, monomials
 from twoarr.invariants import (
     DimensionNot4,
@@ -189,10 +190,15 @@ def test_kappa_vanishes_for_random_complex_lines():
 
 
 def test_pairwise_all_plus_for_complexified(arr_b):
-    """Complex lines through 0 in C^2 meet S^3 in Hopf fibres, which link +1 pairwise."""
-    for arr in (arr_b, generic_lines(12, 3)):
+    """Complex lines through 0 in C^2 meet S^3 in Hopf fibres, which link +1 pairwise;
+    each table, timed from parsing, takes under 10 s."""
+    for text in map(serialize_arrangement, (arr_b, generic_lines(12, 3), generic_lines(30, 3))):
+        start = time.perf_counter()
+        arr = parse_arrangement(text)
         lk = pairwise_linking(arr)
+        elapsed = time.perf_counter() - start
         assert lk == tuple(tuple(int(a != b) for b in range(arr.n)) for a in range(arr.n))
+        assert elapsed < 10.0, f"{elapsed:.2f} s"
 
 
 def linking_sign(rows):

@@ -21,6 +21,7 @@ from twoarr.arrangement import (
     validate,
 )
 from twoarr.fixtures import load_fixture
+from twoarr.invariants import VERDICT_DISTINGUISHED, compare
 from twoarr.matroid import NotAdmissible, circuits, closure, flats, nbc_sets, whitney_numbers
 from twoarr.restriction import restrict, serialize_arrangement
 from twoarr.verbs import betti as betti_verb
@@ -302,14 +303,15 @@ def test_rank_questions_look_up_closures_and_never_scan_the_closed_sets():
 def test_braid_a6_known_answers_stay_fast():
     """A_6, the graphic arrangement of K_7, against answers from graph theory, in under 3 s.
 
-    Its circuits are the 1172 cycles of K_7, and its NBC counts are the
-    coefficients of (1 + t)(1 + 2t)...(1 + 6t).
+    Its circuits are the 1172 cycles of K_7, and its NBC and Whitney counts
+    are the coefficients of (1 + t)(1 + 2t)...(1 + 6t).
     """
     text = serialize_arrangement(braid(6))
     start = time.perf_counter()
     arr = parse_arrangement(text)
     cs = circuits(arr)
     complex_ = nbc_sets(arr)
+    whitney = whitney_numbers(arr)
     elapsed = time.perf_counter() - start
     element = {e: k for k, e in enumerate(itertools.combinations(range(7), 2), start=1)}
     cycles = {
@@ -323,11 +325,12 @@ def test_braid_a6_known_answers_stay_fast():
     coeffs = [1]
     for k in range(1, 7):
         coeffs = [a + k * b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    assert complex_.counts == tuple(coeffs) == (1, 21, 175, 735, 1624, 1764, 720)
+    assert complex_.counts == whitney == tuple(coeffs) == (1, 21, 175, 735, 1624, 1764, 720)
     assert elapsed < 3.0, f"{elapsed:.2f} s"
 
 
 def test_twenty_generic_lines_stay_fast():
+    """20 generic lines in under 2 s, and `compare` with their conj variant in under 10 s."""
     text = serialize_arrangement(generic_lines(20, 3))
     start = time.perf_counter()
     arr = parse_arrangement(text)
@@ -339,3 +342,11 @@ def test_twenty_generic_lines_stay_fast():
     assert complex_.counts == (1, 20, 19)
     assert [len(g) for g in lattice.flats_by_rank] == [1, 20, 1]
     assert elapsed < 2.0, f"{elapsed:.2f} s"
+    conj_text = serialize_arrangement(generic_lines(20, 3, True))
+    start = time.perf_counter()
+    report = compare(parse_arrangement(text), parse_arrangement(conj_text))
+    elapsed = time.perf_counter() - start
+    want = (0, 171) + tuple(math.comb(20, p) for p in range(3, 21))
+    assert report.ideal_ranks == (want, want)
+    assert report.verdict == VERDICT_DISTINGUISHED
+    assert elapsed < 10.0, f"{elapsed:.2f} s"

@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
-from twoarr.arrangement import Arrangement, codim, validate
+from twoarr.arrangement import Arrangement, codim, parse_arrangement, validate
 from twoarr import arrangement, matroid
-from twoarr.restriction import restrict
+from twoarr.restriction import restrict, serialize_arrangement
 from twoarr.fixtures import load_fixture
 from twoarr.matroid import (
     SizeMismatch,
@@ -144,11 +145,19 @@ def test_whitney_check(arr_b, single_subspace, arr_bhat):
 
 def test_braid_a5_known_answers():
     """A_5: flats are set partitions of 6 points (Stirling numbers of the second kind),
-    and both NBC and Whitney counts are the coefficients of (1 + t)(1 + 2t)...(1 + 5t)."""
-    arr = braid(5)
+    and both NBC and Whitney counts are the coefficients of (1 + t)(1 + 2t)...(1 + 5t).
+    Its ideal profile, timed from parsing, takes under 40 s: rank I^p + b_p = C(15, p) (Björner–Ziegler)."""
+    text = serialize_arrangement(braid(5))
+    start = time.perf_counter()
+    arr = parse_arrangement(text)
+    profile = ideal_rank_profile(full_presentation(arr))
+    elapsed = time.perf_counter() - start
     assert (arr.n, codim(arr, range(1, arr.n + 1)) // 2) == (15, 5)
     assert tuple(len(g) for g in flats(arr).flats_by_rank) == (1, 15, 65, 90, 31, 1)
-    assert nbc_sets(arr).counts == whitney_numbers(arr) == (1, 15, 85, 225, 274, 120)
+    betti = (1, 15, 85, 225, 274, 120)
+    assert nbc_sets(arr).counts == whitney_numbers(arr) == betti
+    assert profile == tuple(math.comb(15, p) - (betti[p] if p < len(betti) else 0) for p in range(1, 16))
+    assert elapsed < 40.0, f"{elapsed:.2f} s"
 
 
 WALK_ORDER_INPUTS = {

@@ -1,11 +1,12 @@
 import random
+import time
 from fractions import Fraction
 from math import comb, prod
 
 import pytest
 
 from twoarr import presentation
-from twoarr.arrangement import Arrangement, ComplexFormSpec, SubspacePair, from_complex_form, validate
+from twoarr.arrangement import Arrangement, ComplexFormSpec, SubspacePair, from_complex_form, parse_arrangement, validate
 from twoarr.exterior import ideal_ranks, ideal_slices, monomials
 from twoarr.invariants import _kappa_of, pairwise_linking
 from twoarr.matroid import circuits, nbc_sets
@@ -20,6 +21,7 @@ from twoarr.presentation import (
     ideal_rank_profile,
     normalize_signs,
 )
+from twoarr.restriction import serialize_arrangement
 from conftest import braid_a4, elem, generic_hyperplanes, generic_lines, pair, reflection
 from dense_reference import det, rref
 from exterior_reference import coeff_vector, from_terms
@@ -533,12 +535,24 @@ def test_rank_nbc_identity_all_degrees(arr_b, arr_bprime, arr_bhat, arr_bhat_com
 
 
 @pytest.mark.parametrize("conjugate_last", [False, True])
-@pytest.mark.parametrize("n", [8, 10, 12])
+@pytest.mark.parametrize("n", [8, 10, 12, 30])
 def test_rank_nbc_identity_generic_lines(n, conjugate_last):
+    """C(n, 3) relations and rank I^p + b_p = C(n, p), b = (1, n, n - 1), in under 10 s from parsing,
+    with the conjugate swap: swapping z_j and its conjugate in every member composes all forms
+    with one real linear map, so the relations stay the same."""
     arr = generic_lines(n, seed=n + 1, conjugate_last=conjugate_last)
+    text, swapped_text = map(serialize_arrangement, (arr, swapped(arr, range(1, n + 1))))
+    start = time.perf_counter()
+    pres = full_presentation(parse_arrangement(text))
+    profile = ideal_rank_profile(pres)
+    swapped_pres = full_presentation(parse_arrangement(swapped_text))
+    elapsed = time.perf_counter() - start
+    assert len(pres.relations) == comb(n, 3)
+    assert swapped_pres.relations == pres.relations
     counts = nbc_sets(arr).counts
-    profile = ideal_rank_profile(full_presentation(arr))
+    assert counts == (1, n, n - 1)
     assert len(profile) == n
     for p, r in enumerate(profile, start=1):
         nbc_p = counts[p] if p < len(counts) else 0
         assert r + nbc_p == comb(n, p)
+    assert elapsed < 10.0, f"{elapsed:.2f} s"
