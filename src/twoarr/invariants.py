@@ -17,7 +17,12 @@ and are read off one pairwise table.
 
 `kappa` and `compare` import the presentation and exterior-algebra
 modules when called, and `compare` the matroid module too, so the linking
-signs load none of them and kappa loads no matroid module.
+signs load none of them and kappa loads no matroid module. The names are
+also looked up at each call, so a test's `monkeypatch` of them takes
+effect after this module has loaded: `test_invariants.py` patches
+`exterior.ideal_slices` to count `compare`'s graded passes. Imported at
+module level, the name would stay bound to the original, and the spy would
+see no call.
 """
 
 import itertools

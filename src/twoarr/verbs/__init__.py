@@ -4,6 +4,15 @@
 imports only the module of the verb it parsed, so each call compiles one
 handler. No handler imports `twoarr.cli`: under `python -m twoarr.cli`
 that module runs as `__main__`, and importing it would compile it again.
+
+Each handler imports the library functions it calls inside `run`. So a
+call compiles only the modules its verb runs, and the names are looked up
+when `run` is called: a test's `monkeypatch` of a library attribute takes
+effect even after the handler has loaded. `test_cli.py` patches
+`matroid.nbc_sets` (`test_betti_enumerates_each_nbc_complex_once`),
+`invariants.kappa` and `invariants.compare` this way. Imported at module
+level, each name would stay bound to the original, and those spies would
+see no call.
 """
 
 from ..arrangement import Arrangement, ValidationReport, parse_arrangement

@@ -1,7 +1,11 @@
+import functools
 import itertools
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +16,67 @@ from twoarr.arrangement import (
     from_complex_form,
     validate,
 )
-from twoarr.fixtures import load_fixture
+from twoarr.fixtures import FIXTURES, load_fixture
+from twoarr.restriction import serialize_arrangement
 from exterior_reference import from_terms
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# A start-up hook that `site` imports from a directory on PYTHONPATH: when the child
+# ends, by `os._exit` as `cli.run` ends it or the usual way, it writes the names in
+# sys.modules to $MODULE_LISTING, and leaves stdout, stderr and the exit code alone.
+LISTING_HOOK = """\
+import atexit, os, sys
+def _listing():
+    names = " ".join(sorted(sys.modules))
+    with open(os.environ["MODULE_LISTING"], "w", encoding="utf-8") as f:
+        f.write(names)
+def _exit(code, os_exit=os._exit):
+    _listing()
+    os_exit(code)
+os._exit = _exit
+atexit.register(_listing)
+"""
+
+
+@pytest.fixture(scope="session")
+def python_child(tmp_path_factory):
+    """Runs `python *args` with the listing hook in the benchmark's child environment
+    (`bench/run.py`), updated by `env`, and gives its CompletedProcess, whose `modules`
+    are the child's sys.modules at exit. Every test that starts a child starts it here."""
+    hook = tmp_path_factory.mktemp("hook")
+    (hook / "sitecustomize.py").write_text(LISTING_HOOK)
+    count = itertools.count()
+
+    def run(*args, env=None, stdout=subprocess.PIPE, timeout=60):
+        listing = hook / f"{next(count)}.txt"
+        env = {
+            "PYTHONPATH": f"{SRC}{os.pathsep}{hook}",
+            "PYTHONDONTWRITEBYTECODE": "1",  # so every module is compiled, as on every commit measured
+            "PYTHONHASHSEED": "0",
+            "LC_ALL": "C.UTF-8",
+            "MODULE_LISTING": str(listing),
+            **(env or {}),
+        }
+        proc = subprocess.run(
+            [sys.executable, *args], env=env, cwd=SRC.parent, stdout=stdout, stderr=subprocess.PIPE, timeout=timeout
+        )
+        proc.modules = frozenset(listing.read_text().split())
+        return proc
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def cli_run(python_child):
+    """`python -m twoarr.cli *argv` as the benchmark runs it, COLUMNS pinned for argparse's
+    help: once per argv in a session, its result shared by every test that reads it."""
+    return functools.cache(lambda *argv: python_child("-m", "twoarr.cli", *argv, env={"COLUMNS": "80"}))
+
+
+@pytest.fixture(scope="session")
+def baseline(python_child) -> frozenset[str]:
+    """The modules a bare interpreter in the child environment holds by itself."""
+    return python_child("-c", "").modules
 
 
 def form(*coeffs) -> tuple[Fraction, ...]:
@@ -133,6 +196,21 @@ def braid(d):
 
 def braid_a4():
     return braid(4)
+
+
+def input_paths(directory: Path) -> dict[str, str]:
+    """The path of each fixture, and of each generated input of the goldens written to `directory`."""
+    paths = {f.removesuffix(".arr"): str(SRC / "twoarr" / "fixtures" / f) for f in FIXTURES}
+    generated = {"lines7": generic_lines(7, 3), "lines7-conj": generic_lines(7, 3, True), "a4": braid_a4()}
+    for name, arr in generated.items():
+        paths[name] = str(directory / f"{name}.arr")
+        Path(paths[name]).write_text(serialize_arrangement(arr))
+    return paths
+
+
+@pytest.fixture(scope="session")
+def inputs(tmp_path_factory) -> dict[str, str]:
+    return input_paths(tmp_path_factory.mktemp("inputs"))
 
 
 @pytest.fixture(scope="session")

@@ -4,9 +4,7 @@ import gc
 import io
 import json
 import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -293,26 +291,15 @@ def test_betti_empty_order_is_a_bad_order(fx, capsys):
     assert run(capsys, "betti", fx("example22-B"), "--order", "4,3,2,1,") == (code, out, err)
 
 
-ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "PYTHONDONTWRITEBYTECODE": "1"}
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 
 
-# the environment of a script run: this source tree, compiled afresh as in the benchmark
-SCRIPT_ENV = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), "PYTHONDONTWRITEBYTECODE": "1"}
-
-
-def run_under_ascii_locale(*argv):
-    env = {**SCRIPT_ENV, **ASCII_LOCALE}
-    return subprocess.run([sys.executable, "-m", "twoarr.cli", *argv], env=env, capture_output=True, timeout=60)
-
-
-def run_into_closed_pipe(*argv):
+def run_into_closed_pipe(python_child, *argv):
     """(exit code, stderr) of a CLI process whose stdout is a pipe with no reader left."""
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "twoarr.cli", *argv], stdout=write, stderr=subprocess.PIPE, env=SCRIPT_ENV, timeout=60
-        )
+        proc = python_child("-m", "twoarr.cli", *argv, stdout=write)
     finally:
         os.close(write)
     return proc.returncode, proc.stderr
@@ -327,17 +314,17 @@ def run_into_closed_pipe(*argv):
     ],
     ids=["validate", "compare", "circuits-lines20"],
 )
-def test_closed_stdout_exits_1_with_nothing_on_stderr(argv, fx, tmp_path):
+def test_closed_stdout_exits_1_with_nothing_on_stderr(argv, fx, tmp_path, python_child):
     lines20 = tmp_path / "lines20.arr"
     lines20.write_text(serialize_arrangement(generic_lines(20, 3)))
     files = {"lines20": str(lines20)}
     argv = [argv[0]] + [files.get(a) or fx(a) for a in argv[1:]]
-    assert run_into_closed_pipe(*argv) == (1, b"")
+    assert run_into_closed_pipe(python_child, *argv) == (1, b"")
 
 
-def run_script(*argv):
+def run_script(python_child, *argv):
     """(exit code, stdout, stderr) of `python -m twoarr.cli *argv`, which ends by `os._exit`."""
-    proc = subprocess.run([sys.executable, "-m", "twoarr.cli", *argv], env=SCRIPT_ENV, capture_output=True, timeout=60)
+    proc = python_child("-m", "twoarr.cli", *argv)
     return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
 
 
@@ -351,35 +338,35 @@ def run_script(*argv):
     ],
     ids=["0", "2-validation", "3-parse", "10-compare"],
 )
-def test_script_exit_codes_and_output_match_main(argv, code, err_line, fx, tmp_path, capsys):
+def test_script_exit_codes_and_output_match_main(argv, code, err_line, fx, tmp_path, capsys, python_child):
     (tmp_path / "odd-rank.arr").write_text(json.dumps(ODD_RANK))
     (tmp_path / "garbage.arr").write_text("{]")
     files = {name: str(tmp_path / f"{name}.arr") for name in ("odd-rank", "garbage")}
     argv = [argv[0]] + [files.get(a) or fx(a) for a in argv[1:]]
     expected = run(capsys, *argv)
     assert expected[0] == code
-    assert run_script(*argv) == expected
+    assert run_script(python_child, *argv) == expected
     if err_line is not None:
         assert any(line.startswith(err_line) for line in expected[2].splitlines())
 
 
-def test_script_writes_all_of_a_long_json_document_through_a_pipe(tmp_path, capsys):
+def test_script_writes_all_of_a_long_json_document_through_a_pipe(tmp_path, capsys, python_child):
     """kappa's JSON on seven generic lines is more than a pipe buffer holds; the flush
     before `os._exit` writes all of it."""
     path = tmp_path / "lines7.arr"
     path.write_text(serialize_arrangement(generic_lines(7, 3)))
     expected = run(capsys, "kappa", str(path), "--format", "json")
     assert len(expected[1].encode()) == 107_805
-    assert run_script("kappa", str(path), "--format", "json") == expected
+    assert run_script(python_child, "kappa", str(path), "--format", "json") == expected
 
 
-def test_kappa_on_thirty_lines_runs_in_one_gib(tmp_path):
+def test_kappa_on_thirty_lines_runs_in_one_gib(tmp_path, python_child):
     """kappa's rank reads the products as sparse rows. The dense Gram of 30 lines,
     406 x 406 vectors over C(30, 4) = 27 405 monomials, would not fit in the cap."""
     path = tmp_path / "lines30-conj.arr"
     path.write_text(serialize_arrangement(generic_lines(30, 3, conjugate_last=True)))
     capped = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); from twoarr.cli import run; run()"
-    proc = subprocess.run([sys.executable, "-c", capped, "kappa", str(path)], env=SCRIPT_ENV, capture_output=True, timeout=120)
+    proc = python_child("-c", capped, "kappa", str(path), timeout=120)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert b"basis size: 406\n" in proc.stdout
 
@@ -393,18 +380,18 @@ def hat_file(tmp_path, name):
     return str(path)
 
 
-def test_utf8_file_is_read_under_an_ascii_locale(tmp_path):
+def test_utf8_file_is_read_under_an_ascii_locale(tmp_path, python_child):
     """Arrangement files are JSON text, so UTF-8 whatever the locale (RFC 8259, section 8.1)."""
-    proc = run_under_ascii_locale("validate", hat_file(tmp_path, "example22-B"))
+    proc = python_child("-m", "twoarr.cli", "validate", hat_file(tmp_path, "example22-B"), env=ASCII_LOCALE)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout.splitlines()[-1] == b"no violations"
 
 
-def test_restrict_matches_a_utf8_label_under_an_ascii_locale(tmp_path, capsys):
+def test_restrict_matches_a_utf8_label_under_an_ascii_locale(tmp_path, capsys, python_child):
     path = hat_file(tmp_path, "thm32-Bhat")
     expected = run(capsys, "restrict", path, "--index", "1")
     assert expected[0] == 0
-    proc = run_under_ascii_locale("restrict", path, "--index", "Ĥ1".encode("utf-8"))
+    proc = python_child("-m", "twoarr.cli", "restrict", path, "--index", "Ĥ1".encode("utf-8"), env=ASCII_LOCALE)
     assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == expected
 
 

@@ -8,8 +8,9 @@ A restriction is an arrangement file whatever the format, so its `-text`
 and `-json` cases both read one golden, `restrict-<fixture>-<index>.txt`.
 One case per verb, a usage error and a validation failure also run as
 `python -m twoarr.cli` processes, through `cli.run`, in the benchmark's child
-environment. Running this file as a script rewrites every golden from the
-current code:
+environment (`conftest.cli_run`); `test_imports.py` reads the import
+footprint of the same runs. Running this file as a script rewrites every
+golden from the current code:
 
     PYTHONPATH=src python tests/test_goldens.py
 
@@ -27,27 +28,18 @@ that check on an interpreter without pytest.
 import contextlib
 import io
 import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
+from conftest import input_paths
 from twoarr.restriction import restrict, serialize_arrangement
 from twoarr.cli import main
 from twoarr.fixtures import FIXTURES, load_fixture
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
-SRC = Path(__file__).resolve().parent.parent / "src"
-FIXTURE_DIR = SRC / "twoarr" / "fixtures"
-# generated inputs, written to a scratch directory: name -> conftest generator and its arguments
-GENERATED = {
-    "lines7": ("generic_lines", (7, 3, False)),
-    "lines7-conj": ("generic_lines", (7, 3, True)),
-    "a4": ("braid_a4", ()),
-}
 VERBS = ("validate", "lattice", "circuits", "betti", "present", "kappa", "linking", "restrict", "compare")
 FORMATS = ("text", "json")
 
@@ -117,17 +109,6 @@ def golden(case: str) -> Path:
     return GOLDENS / f"{case}.txt"
 
 
-def input_paths(directory: Path) -> dict[str, str]:
-    import conftest
-
-    paths = {f.removesuffix(".arr"): str(FIXTURE_DIR / f) for f in FIXTURES}
-    for name, (generator, args) in GENERATED.items():
-        path = directory / f"{name}.arr"
-        path.write_text(serialize_arrangement(getattr(conftest, generator)(*args)))
-        paths[name] = str(path)
-    return paths
-
-
 def transcript(out: str, err: str, code) -> str:
     stderr = f"--- stderr\n{err}" if err else ""
     return out + stderr + f"exit {code}\n"
@@ -143,63 +124,47 @@ def run_case(argv: list[str], paths: dict[str, str]) -> str:
     return transcript(out.getvalue(), err.getvalue(), code)
 
 
-# the benchmark's child environment, with COLUMNS pinned as in run_case
-PROCESS_ENV = {
-    "PYTHONPATH": str(SRC),
-    "PYTHONDONTWRITEBYTECODE": "1",
-    "PYTHONHASHSEED": "0",
-    "LC_ALL": "C.UTF-8",
-    "COLUMNS": "80",
+# one case per verb, and a usage error, by the name of its footprint check in test_imports.py
+PROCESS_CASES = {
+    "validate": "validate-example22-B-text",
+    "lattice": "lattice-a4",
+    "circuits": "circuits-thm32-Bhat-json",
+    "betti": "betti-example22-Bprime-reversed",
+    "present": "present-thm32-Bhat-text",
+    "kappa": "kappa-example22-Bprime-json",
+    "linking": "linking-lines7-conj",
+    "restrict": "restrict-thm32-Bhat-3-text",
+    "compare": "compare-example22-B-example22-Bprime-text",
+    "usage": "usage-format-xml",
 }
-# one case per verb, and a usage error
-PROCESS_CASES = (
-    "validate-example22-B-text",
-    "lattice-a4",
-    "circuits-thm32-Bhat-json",
-    "betti-example22-Bprime-reversed",
-    "present-thm32-Bhat-text",
-    "kappa-example22-Bprime-json",
-    "linking-lines7-conj",
-    "restrict-thm32-Bhat-3-text",
-    "compare-example22-B-example22-Bprime-text",
-    "usage-format-xml",
-)
 
 
-def run_process_case(argv: list[str], paths: dict[str, str]) -> str:
-    """`run_case` in a `python -m twoarr.cli` process."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "twoarr.cli", *(a.format(**paths) for a in argv)],
-        env=PROCESS_ENV, capture_output=True, encoding="utf-8", timeout=60,
-    )
-    return transcript(proc.stdout, proc.stderr, proc.returncode)
-
-
-@pytest.fixture(scope="module")
-def paths(tmp_path_factory) -> dict[str, str]:
-    return input_paths(tmp_path_factory.mktemp("inputs"))
+def run_process_case(cli_run, argv: list[str], inputs: dict[str, str]) -> str:
+    """`run_case` in a `python -m twoarr.cli` process (`conftest.cli_run`)."""
+    proc = cli_run(*(a.format(**inputs) for a in argv))
+    return transcript(proc.stdout.decode(), proc.stderr.decode(), proc.returncode)
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_output_matches_golden(case, paths):
+def test_output_matches_golden(case, inputs):
     expected = golden(case).read_text()
-    assert run_case(CASES[case], paths) == expected
+    assert run_case(CASES[case], inputs) == expected
 
 
-@pytest.mark.parametrize("case", PROCESS_CASES)
-def test_process_output_matches_golden(case, paths):
+@pytest.mark.parametrize("case", list(PROCESS_CASES.values()))
+def test_process_output_matches_golden(case, cli_run, inputs):
     expected = golden(case).read_text()
-    assert run_process_case(CASES[case], paths) == expected
+    assert run_process_case(cli_run, CASES[case], inputs) == expected
 
 
-def test_process_validation_failure_matches_main(paths, tmp_path):
+def test_process_validation_failure_matches_main(cli_run, inputs, tmp_path):
     """No golden fails validation, so the in-process run is the reference here."""
     origin = tmp_path / "origin.arr"  # every member of example22-B restricts to the origin of R^2
     origin.write_text(serialize_arrangement(restrict(load_fixture("example22-B"), 1)))
     argv = ["validate", str(origin)]
-    expected = run_case(argv, paths)
+    expected = run_case(argv, inputs)
     assert expected.endswith("exit 2\n")
-    assert run_process_case(argv, paths) == expected
+    assert run_process_case(cli_run, argv, inputs) == expected
 
 
 def test_every_golden_file_has_a_case():
@@ -207,7 +172,6 @@ def test_every_golden_file_has_a_case():
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
     GOLDENS.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         inputs = input_paths(Path(tmp))
