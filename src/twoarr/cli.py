@@ -11,6 +11,7 @@ invariant was found by compare.
 # This module reads argv and prints; each verb's handler is the module
 # twoarr.verbs.<verb>, which main imports for the one verb it runs, so a call
 # compiles no other verb's code.
+import importlib
 import os
 import sys
 from types import SimpleNamespace
@@ -114,8 +115,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _plain_args(argv) or build_parser().parse_args(argv)
-        # the import statement's own machinery, which -X importtime reports, unlike importlib's
-        verb = __import__(f"{__package__}.verbs.{args.verb}", fromlist=["run"])
+        verb = importlib.import_module(f"{__package__}.verbs.{args.verb}")
         code, lines, doc = verb.run(args)
         _emit(args, lines, doc)
         return code

@@ -82,8 +82,8 @@ def _kappa_of(n: int, slices: Iterable[list[SparseRow]]) -> KappaForm:
     """Kappa form over the reduced echelon basis of a pass's degree-2 slice.
 
     Only degrees 0..2 of `slices` are read, so a lazy pass builds no more.
-    When the pass ends below degree 2, on a full slice, every degree-2
-    monomial is a basis element.
+    A loop, a zero member, has the relation 1: the pass ends on the full
+    degree-0 slice, and every degree-2 monomial is a basis element.
     """
     from .exterior import ExtElement, monomials
 

@@ -34,12 +34,6 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_validate_ok(fx, capsys):
-    code, out, _ = run(capsys, "validate", fx("example22-B"))
-    assert code == 0
-    assert "no violations" in out
-
-
 ODD_RANK = {
     "dim": 4,
     "subspaces": [
@@ -180,80 +174,6 @@ def test_compare_names_its_second_file_when_that_one_is_not_utf8(fx, tmp_path, c
     assert run(capsys, "compare", fx("example22-B"), str(bad)) == (3, "", f"error: cannot read {bad}: {NOT_UTF8}\n")
 
 
-def test_usage_error_exit_3(capsys):
-    code, _, err = run(capsys, "restrict")
-    assert code == 3
-
-
-def test_present_text(fx, capsys):
-    code, out, _ = run(capsys, "present", fx("example22-Bprime"))
-    assert code == 0
-    assert "relation {1,2,3}: +e12 -e13 +e23" in out
-    assert "ideal ranks (degrees 1..4): 0 3 4 1" in out
-    assert out.count("relation {") == 4
-
-
-def test_present_complex_mode(fx, capsys):
-    code, out, _ = run(capsys, "present", fx("example22-B"), "--mode", "complex")
-    assert code == 0
-    assert "+e12 -e14 +e24" in out
-
-
-def test_present_complex_mode_mismatch(fx, capsys):
-    code, _, err = run(capsys, "present", fx("example22-Bprime"), "--mode", "complex")
-    assert code == 3
-
-
-def test_present_normalized_signs(fx, capsys):
-    code, out, _ = run(capsys, "present", fx("example22-Bprime"), "--normalize-signs")
-    assert code == 0
-    for line in out.splitlines():
-        if line.startswith("relation {"):
-            assert ": +" in line
-
-
-def test_present_json(fx, capsys):
-    code, out, _ = run(capsys, "present", fx("example22-Bprime"), "--format", "json")
-    doc = json.loads(out)
-    assert doc["ideal_ranks"] == [0, 3, 4, 1]
-    assert doc["relations"][1] == {
-        "circuit": [1, 2, 4],
-        "signs": [1, -1, -1],
-        "element": "-e12 +e14 +e24",
-    }
-
-
-def test_kappa_text(fx, capsys):
-    code, out, _ = run(capsys, "kappa", fx("example22-B"))
-    assert code == 0 and "rank: 0" in out
-    code, out, _ = run(capsys, "kappa", fx("example22-Bprime"))
-    assert code == 0 and "rank: 2" in out and "gram:" in out
-
-
-def test_kappa_json(fx, capsys):
-    code, out, _ = run(capsys, "kappa", fx("example22-Bprime"), "--format", "json")
-    doc = json.loads(out)["kappa"]
-    assert doc["basis_size"] == 3
-    assert doc["rank"] == 2
-    assert doc["scalar"] is True
-    assert len(doc["gram"]) == 3
-
-
-def test_linking_text(fx, capsys):
-    code, out, _ = run(capsys, "linking", fx("example22-Bprime"))
-    assert code == 0
-    assert "{1,2,4}: -1" in out
-    assert "{1,2,3}: +1" in out
-
-
-def test_linking_json(fx, capsys):
-    code, out, _ = run(capsys, "linking", fx("example22-Bprime"), "--format", "json")
-    doc = json.loads(out)["linking"]
-    assert doc["pairwise"][1][3] == -1
-    triples = {tuple(t["triple"]): t["sign"] for t in doc["triples"]}
-    assert triples[(1, 3, 4)] == -1
-
-
 def test_linking_dimension_guard(fx, capsys):
     code, out, err = run(capsys, "linking", fx("thm32-Bhat"))
     assert code == 3
@@ -269,14 +189,6 @@ def test_out_of_memory_exits_4_with_one_line(fx, capsys, monkeypatch):
 
     monkeypatch.setattr(invariants, "kappa", exhausted)
     assert run(capsys, "kappa", fx("example22-Bprime"), "--format", "json") == (4, "", "error: out of memory\n")
-
-
-def test_betti_with_order(fx, capsys):
-    code, out, _ = run(capsys, "betti", fx("example22-B"), "--order", "4,3,2,1")
-    assert code == 0
-    assert "betti: 1 4 3" in out
-    code, _, _ = run(capsys, "betti", fx("example22-B"), "--order", "1,1,2,3")
-    assert code == 3
 
 
 def test_betti_bad_order_message(fx, capsys):
@@ -395,15 +307,6 @@ def test_restrict_matches_a_utf8_label_under_an_ascii_locale(tmp_path, capsys, p
     assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == expected
 
 
-def test_lattice_and_circuits(fx, capsys):
-    code, out, _ = run(capsys, "lattice", fx("example22-B"))
-    assert code == 0
-    assert "counts by rank: 1 4 1" in out
-    code, out, _ = run(capsys, "circuits", fx("example22-B"))
-    assert code == 0
-    assert out.splitlines() == ["{1,2,3}", "{1,2,4}", "{1,3,4}", "{2,3,4}"]
-
-
 def test_restrict_roundtrips_through_other_verbs(fx, tmp_path, capsys):
     code, out, _ = run(capsys, "restrict", fx("thm32-Bhat"), "--index", "H3")
     assert code == 0
@@ -476,15 +379,6 @@ def test_compare_prints_the_rows_the_report_names(fx, capsys, monkeypatch, repor
     assert code == (10 if report.differing else 0)
 
 
-def test_compare_exit_codes(fx, capsys):
-    code, out, _ = run(capsys, "compare", fx("example22-B"), fx("example22-Bprime"))
-    assert code == 10
-    assert "verdict: DISTINGUISHED" in out
-    code, out, _ = run(capsys, "compare", fx("example22-B"), fx("example22-B"))
-    assert code == 0
-    assert "verdict: OTHERWISE_UNRESOLVED" in out
-
-
 def write_arrangement(tmp_path, name, arr):
     path = tmp_path / f"{name}.arr"
     path.write_text(serialize_arrangement(arr))
@@ -503,23 +397,6 @@ def test_permutation_search_refuses_more_than_eight_subspaces(tmp_path, capsys):
     lines9 = write_arrangement(tmp_path, "lines9", generic_lines(9, 3))
     expected = (3, "", "error: permutation search is limited to n <= 8\n")
     assert run(capsys, "compare", lines9, lines9, "--permutation-search") == expected
-
-
-def test_compare_json(fx, capsys):
-    code, out, _ = run(capsys, "compare", fx("example22-B"), fx("example22-Bprime"), "--format", "json")
-    doc = json.loads(out)
-    assert code == 10
-    assert doc["verdict"] == "DISTINGUISHED"
-    assert doc["kappa_ranks"] == [0, 2]
-
-
-def test_output_is_deterministic(fx, capsys):
-    first = run(capsys, "present", fx("example22-Bprime"), "--format", "json")
-    second = run(capsys, "present", fx("example22-Bprime"), "--format", "json")
-    assert first == second
-    third = run(capsys, "linking", fx("example22-Bprime"))
-    fourth = run(capsys, "linking", fx("example22-Bprime"))
-    assert third == fourth
 
 
 @pytest.mark.parametrize("order", [None, "5,4,3,2,1"])

@@ -4,6 +4,8 @@ Each case runs `cli.main` in process with `COLUMNS` pinned (argparse wraps
 help to the terminal width) and compares its stdout, then its stderr under a
 `--- stderr` line when there is any, then a last line `exit N` with the exit
 code (the `SystemExit` code for `--help`), with `tests/goldens/<case>.txt`.
+These transcripts are the suite's one check of what a verb prints on these
+inputs; `test_cli.py` asserts only what no golden shows.
 A restriction is an arrangement file whatever the format, so its `-text`
 and `-json` cases both read one golden, `restrict-<fixture>-<index>.txt`.
 One case per verb, a usage error and a validation failure also run as
@@ -74,6 +76,7 @@ def cases() -> dict[str, list[str]]:
             out[f"compare-{first}-{second}-permutations-{fmt}"] = argv + ["--permutation-search"]
     for name in ("example22-B", "example22-Bprime", "lines7", "lines7-conj"):
         out[f"linking-{name}"] = ["linking", f"{{{name}}}"]
+        out[f"linking-{name}-json"] = ["linking", f"{{{name}}}", "--format", "json"]
     for verb in ("lattice", "betti", "present"):
         out[f"{verb}-a4"] = [verb, "{a4}"]
     for name in ("lines7", "lines7-conj"):

@@ -10,11 +10,10 @@ import pytest
 
 from twoarr.arrangement import Arrangement, parse_arrangement
 from twoarr.restriction import restrict, serialize_arrangement
-from twoarr.exterior import ideal_slices, monomials
+from twoarr.exterior import monomials
 from twoarr.invariants import (
     DimensionNot4,
     KappaForm,
-    _kappa_of,
     VERDICT_DISTINGUISHED,
     VERDICT_UNRESOLVED,
     compare,
@@ -110,9 +109,14 @@ def test_kappa_builds_no_slice_above_degree_two(monkeypatch, arr_bprime, arr_bha
 
 
 def test_kappa_basis_after_a_full_lower_slice():
-    """A pass that ends below degree 2 leaves every degree-2 monomial in the basis."""
-    form = _kappa_of(4, ideal_slices([monomial(())], 4))
-    assert form.basis == tuple(monomial(m) for m in monomials(4, 2))
+    """A zero member is a loop, whose relation is 1 in degree 0: the pass ends on that
+    full slice, and every degree-2 monomial is in the basis. Parsing rejects a loop;
+    an `Arrangement` built in code may hold one."""
+    zero = (0,) * 4
+    members = (pair("H1", (1, 0, 0, 0), (0, 1, 0, 0)), pair("H2", (0, 0, 1, 0), (0, 0, 0, 1)), pair("Z", zero, zero))
+    looped = Arrangement(4, members)
+    assert [str(e) for e in full_presentation(looped).elements()] == ["+1"]
+    assert kappa(looped).basis == tuple(monomial(m) for m in monomials(3, 2))
 
 
 def test_kappa_gram_against_shuffle_oracle(arr_b, arr_bprime):

@@ -350,3 +350,22 @@ def test_twenty_generic_lines_stay_fast():
     assert report.ideal_ranks == (want, want)
     assert report.verdict == VERDICT_DISTINGUISHED
     assert elapsed < 10.0, f"{elapsed:.2f} s"
+
+
+def test_hyp5_and_its_restriction_known_answers_stay_fast():
+    """hyp5, 16 generic hyperplanes in C^5, is the matroid U(5, 16), and its restriction
+    to L1 is U(4, 15); U(r, n) has b_p = C(n, p) below r and b_r = C(n - 1, r - 1).
+    `betti`'s NBC counts and Whitney numbers on each in under 10 s, timed from parsing."""
+    text = serialize_arrangement(generic_hyperplanes(16, 5, 3))
+    start = time.perf_counter()
+    arr = parse_arrangement(text)
+    betti, whitney = nbc_sets(arr).counts, whitney_numbers(arr)
+    elapsed = time.perf_counter() - start
+    assert betti == whitney == (1, 16, 120, 560, 1820, 1365)
+    assert elapsed < 10.0, f"{elapsed:.2f} s"
+    start = time.perf_counter()
+    restricted = parse_arrangement(serialize_arrangement(restrict(arr, "L1")))
+    betti, whitney = nbc_sets(restricted).counts, whitney_numbers(restricted)
+    elapsed = time.perf_counter() - start
+    assert betti == whitney == (1, 15, 105, 455, 364)
+    assert elapsed < 10.0, f"{elapsed:.2f} s"
