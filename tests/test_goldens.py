@@ -77,11 +77,11 @@ def cases() -> dict[str, list[str]]:
     for name in ("example22-B", "example22-Bprime", "lines7", "lines7-conj"):
         out[f"linking-{name}"] = ["linking", f"{{{name}}}"]
         out[f"linking-{name}-json"] = ["linking", f"{{{name}}}", "--format", "json"]
-    for verb in ("lattice", "betti", "present"):
-        out[f"{verb}-a4"] = [verb, "{a4}"]
-    for name in ("lines7", "lines7-conj"):
-        out[f"present-{name}"] = ["present", f"{{{name}}}"]
-        out[f"kappa-{name}"] = ["kappa", f"{{{name}}}"]
+    for name in ("a4", "lines7", "lines7-conj"):
+        for verb in ("validate", "lattice", "circuits", "betti", "present", "kappa"):
+            out[f"{verb}-{name}"] = [verb, f"{{{name}}}"]
+        out[f"present-{name}-normalized"] = ["present", f"{{{name}}}", "--normalize-signs"]
+        out[f"present-mode-complex-{name}"] = ["present", f"{{{name}}}", "--mode", "complex"]
     out["compare-lines7-lines7-conj"] = ["compare", "{lines7}", "{lines7-conj}"]
     out.update(usage_cases())
     return out
