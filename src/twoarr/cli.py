@@ -59,6 +59,11 @@ def build_parser():
         def error(self, message):  # argparse would sys.exit(2); we reserve 2
             raise UsageError(message)
 
+        def _check_value(self, action, value):  # argparse's private hook; keeps 3.10-3.13.0's quoted choices
+            if action.choices is not None and value not in action.choices:
+                choices = ", ".join(map(repr, action.choices))
+                raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
+
     parser = _Parser(prog="twoarr", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
     for name, (help_, arguments) in VERBS.items():

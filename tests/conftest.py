@@ -233,7 +233,6 @@ def arr_bhat_complex():
     return load_fixture("thm32-Bhat-complex")
 
 
-@pytest.fixture(scope="session")
 def independent_pair():
     """Two transversal subspaces in R^4: no circuits at all."""
     return Arrangement(
@@ -245,7 +244,6 @@ def independent_pair():
     )
 
 
-@pytest.fixture(scope="session")
 def single_subspace():
     """One codimension-2 subspace of R^2: the origin."""
     return Arrangement(2, (pair("H1", (1, 0), (0, 1)),))

@@ -7,7 +7,7 @@ criterion.
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from twoarr.arrangement import codim
 from twoarr.restriction import restrict
@@ -34,15 +34,10 @@ from twoarr.presentation import (
     ideal_rank_profile,
 )
 from dense_reference import rank as dense_rank
+from dense_reference import rref
 from conftest import elem
-from exterior_reference import coeff_vector
-from test_presentation import (
-    flip_generators,
-    random_gl2,
-    recombined,
-    reconstruct_zero,
-    span_signature,
-)
+from exterior_reference import coeff_vector, from_terms
+from test_presentation import random_gl2, recombined
 
 
 def report(criterion, text):
@@ -52,6 +47,34 @@ def report(criterion, text):
 def degree2_rank(elements, n):
     rows = [coeff_vector(e, monomials(n, 2)) for e in elements]
     return dense_rank(rows)
+
+
+def reconstruct_zero(arr, dep):
+    """Both normalized dependencies must vanish identically."""
+    dim = arr.dim
+    x_sum = [Fraction(0)] * dim
+    y_sum = [Fraction(0)] * dim
+    for a, (al, be, ga, de) in zip(dep.circuit, dep.quads):
+        p = arr.pair(a)
+        for i in range(dim):
+            x_sum[i] += al * p.first[i] + be * p.second[i]
+            y_sum[i] += ga * p.first[i] + de * p.second[i]
+    return all(v == 0 for v in x_sum) and all(v == 0 for v in y_sum)
+
+
+def flip_generators(element, signs):
+    return from_terms(
+        {mon: coeff * prod(signs[a] for a in mon) for mon, coeff in element.terms}
+    )
+
+
+def span_signature(elements, n, degree=2):
+    cols = monomials(n, degree)
+    rows = [coeff_vector(e, cols) for e in elements if not e.is_zero]
+    if not rows:
+        return ()
+    reduced, pivots = rref(rows)
+    return tuple(tuple(row) for row in reduced[: len(pivots)])
 
 
 def test_criterion_01_complex_mode_relations_exact(arr_b):
@@ -126,15 +149,19 @@ def test_criterion_07_triple_multisets(arr_b, arr_bprime):
 
 
 def test_criterion_08a_dependency_exactness(arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
+    """On the fixtures, and on copies whose forms are scaled by distinct positive
+    non-integers, which the integer forms scale back differently."""
+    fixtures = (arr_b, arr_bprime, arr_bhat, arr_bhat_complex)
+    scaled = [recombined(arr, [(Fraction(1, 3 + k), 0, 0, Fraction(2, 5)) for k in range(arr.n)]) for arr in fixtures]
     checked = 0
-    for arr in (arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
+    for arr in fixtures + tuple(scaled):
         for c in circuits(arr):
             dep = circuit_dependencies(arr, c)
             assert reconstruct_zero(arr, dep)
             for al, be, ga, de in dep.quads:
                 assert al * de - be * ga != 0
             checked += 1
-    assert checked >= 18  # 4 + 4 + 5 + 5 circuits
+    assert checked >= 36  # 4 + 4 + 5 + 5 circuits, on each fixture and its scaled copy
     report("8a", f"dependency exactness and nonzero blocks on {checked} circuits")
 
 

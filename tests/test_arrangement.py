@@ -2,6 +2,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,12 @@ from twoarr.arrangement import (
 )
 from twoarr.restriction import arrangement_to_document, restrict, serialize_arrangement
 from twoarr.fixtures import FIXTURES, load_fixture
-from twoarr.matroid import closure
-from twoarr.presentation import MODE_COMPLEX, ModeMismatch, full_presentation
-from conftest import all_subsets, braid_a4, form, generic_hyperplanes, generic_lines, pair, reflection
+from twoarr.invariants import kappa, kappa_rank
+from twoarr.matroid import betti_vector, closure
+from twoarr.presentation import MODE_COMPLEX, ModeMismatch, full_presentation, ideal_rank_profile
+from conftest import (
+    all_subsets, braid_a4, form, generic_hyperplanes, generic_lines, independent_pair, pair, reflection, single_subspace,
+)
 from dense_reference import kernel_basis as dense_kernel_basis
 from dense_reference import rank as dense_rank
 
@@ -193,10 +197,6 @@ def test_parse_rejects_inadmissible():
 # --- validation --------------------------------------------------------------
 
 
-def test_validate_fixture_clean(arr_bprime):
-    assert validate(arr_bprime).ok
-
-
 def test_validate_odd_rank_witness():
     arr = Arrangement(
         4,
@@ -233,18 +233,6 @@ def test_validate_degenerate_pair():
 # --- codimension -------------------------------------------------------------
 
 
-def test_codim_empty(arr_b):
-    assert codim(arr_b, ()) == 0
-
-
-def test_codim_single(arr_b):
-    assert codim(arr_b, (1,)) == 2
-
-
-def test_codim_triple(arr_bprime):
-    assert codim(arr_bprime, (1, 2, 3)) == 4
-
-
 def test_codim_unknown_label(arr_b):
     with pytest.raises(UnknownLabel):
         codim(arr_b, (9,))
@@ -276,34 +264,12 @@ def test_codim_unknown_label_after_cached_subset(arr_b):
 # --- restriction -------------------------------------------------------------
 
 
-def test_restrict_bhat_at_h3(arr_bhat):
-    r = restrict(arr_bhat, "H3")
-    assert r.dim == 4
-    assert names(r) == ("H1", "H2", "H4", "H5")
-    h5 = r.subspaces[3]
-    assert h5.first == form(1, 0, -2, 0)
-    assert h5.second == form(0, 1, 0, 2)
-    assert validate(r).ok
-
-
-def test_restrict_complex_analog_at_h3(arr_bhat_complex):
-    r = restrict(arr_bhat_complex, "H3")
-    h5 = r.subspaces[3]
-    assert h5.first == form(1, 0, -2, 0)
-    assert h5.second == form(0, 1, 0, -2)
-    assert validate(r).ok
-
-
-def test_restrict_two_subspaces(independent_pair):
-    r = restrict(independent_pair, "H1")
+def test_restrict_two_subspaces():
+    r = restrict(independent_pair(), "H1")
     assert r.dim == 2 and names(r) == ("H2",)
     assert r.subspaces[0].first == form(1, 0)
     assert r.subspaces[0].second == form(0, 1)
     assert validate(r).ok
-
-
-def test_restrict_accepts_index(arr_bhat):
-    assert names(restrict(arr_bhat, 3)) == ("H1", "H2", "H4", "H5")
 
 
 def test_restrict_has_own_closed_sets(arr_bhat):
@@ -316,11 +282,11 @@ def test_restrict_has_own_closed_sets(arr_bhat):
         assert r._walk[0] == reparsed._walk[0]
 
 
-def test_restrict_leaving_no_subspace_raises(single_subspace, independent_pair):
+def test_restrict_leaving_no_subspace_raises():
     with pytest.raises(DegenerateRestriction, match="restricting to 'H1' leaves no subspace"):
-        restrict(single_subspace, 1)
+        restrict(single_subspace(), 1)
     with pytest.raises(DegenerateRestriction, match="restricting to 'H2' leaves no subspace"):
-        restrict(restrict(independent_pair, "H1"), "H2")
+        restrict(restrict(independent_pair(), "H1"), "H2")
 
 
 def test_restrict_unknown_label(arr_b):
@@ -427,21 +393,25 @@ def test_restrict_at_a_member_of_form_rank_one_raises():
             restrict(arr, other)
 
 
-def test_restrict_transversal_r4_collapses(arr_b):
-    # in R^4 the other members meet a given one only at the origin, so the
-    # restriction has coincident members and fails pairwise transversality
-    r = restrict(arr_b, "H1")
-    kinds = {v.kind for v in validate(r).violations}
-    assert kinds == {"pairwise-rank"}
+def test_restrict_transversal_r4_collapses(arr_b, arr_bprime):
+    """In R^4 the other members meet a given one only at the origin, so the restriction
+    is three copies of the origin of R^2 and fails pairwise transversality. Unvalidated,
+    it gets its matroid's presentation: H*(R^2 minus the origin), with e1 = e2 = e3."""
+    for arr in (arr_b, arr_bprime):
+        r = restrict(arr, 1)
+        assert (r.dim, r.n) == (2, 3)
+        assert {v.kind for v in validate(r).violations} == {"pairwise-rank"}
+        pres = full_presentation(r)
+        assert [(str(rel.element), rel.signs) for rel in pres.relations] == [
+            ("-e1 +e2", (1, 1)), ("-e1 +e3", (1, 1)), ("-e2 +e3", (1, 1)),
+        ]
+        betti, profile = betti_vector(r), ideal_rank_profile(pres)
+        assert (betti, profile) == ((1, 1), (2, 3, 1))
+        assert [b + i for b, i in zip(betti + (0, 0), (0,) + profile)] == [comb(3, p) for p in range(4)]
+        assert kappa_rank(kappa(r)) == 0
 
 
 # --- serialization ------------------------------------------------------------
-
-
-def test_serialize_parse_roundtrip_fixtures(arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
-    for arr in (arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
-        text = serialize_arrangement(arr)
-        assert parse_arrangement(text) == arr
 
 
 def test_serialize_parse_roundtrip_plain_forms(arr_bhat):
@@ -469,11 +439,7 @@ def test_codim_equals_codim_of_closure(arr_b, arr_bprime, arr_bhat):
             assert codim(arr, s) == codim(arr, closure(arr, s))
 
 
-def test_restrict_preserves_validity_when_triples_transversal(
-    arr_bhat, arr_bhat_complex, independent_pair
-):
-    for arr in (arr_bhat, arr_bhat_complex):
+def test_restrict_preserves_validity_when_triples_transversal(arr_bhat, arr_bhat_complex):
+    for arr in (arr_bhat, arr_bhat_complex, independent_pair()):
         for label in names(arr):
             assert validate(restrict(arr, label)).ok
-    for label in names(independent_pair):
-        assert validate(restrict(independent_pair, label)).ok

@@ -5,7 +5,10 @@ help to the terminal width) and compares its stdout, then its stderr under a
 `--- stderr` line when there is any, then a last line `exit N` with the exit
 code (the `SystemExit` code for `--help`), with `tests/goldens/<case>.txt`.
 These transcripts are the suite's one check of what a verb prints on these
-inputs; `test_cli.py` asserts only what no golden shows.
+inputs; `test_cli.py` asserts only what no golden shows. With
+`test_acceptance.py` and the reference comparisons of `test_lattice_walk.py`
+and `test_properties.py`, they are also the check of the library values those
+verbs print on the paper's fixtures, which no unit test restates.
 A restriction is an arrangement file whatever the format, so its `-text`
 and `-json` cases both read one golden, `restrict-<fixture>-<index>.txt`.
 One case per verb, a usage error and a validation failure also run as
@@ -21,10 +24,12 @@ wrote, so a difference between the two spellings fails the `-text` case.
 A golden is refreshed only together with a CHANGES.md entry saying why.
 
 The goldens are written by CPython 3.11. Every case also matches on 3.10,
-the declared floor (`requires-python >= 3.10`), and on 3.12 and 3.13; `help`
-matches on 3.13 because the CLI spells out the top-level usage, which that
-argparse would wrap differently. `check_goldens.py` in this directory runs
-that check on an interpreter without pytest.
+the declared floor (`requires-python >= 3.10`), on 3.12 and on every 3.13
+release: `help` matches on 3.13 because the CLI spells out the top-level
+usage, which that argparse would wrap differently, and the invalid-choice
+usage errors match on 3.13.13 because the CLI words that message itself,
+where that argparse leaves the quotes off the choices. `check_goldens.py` in
+this directory runs that check on an interpreter without pytest.
 """
 
 import contextlib

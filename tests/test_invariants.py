@@ -28,7 +28,7 @@ from twoarr.linalg import sparse_echelon
 from twoarr.presentation import full_presentation, ideal_rank_profile
 from twoarr.matroid import SizeMismatch
 from test_presentation import complex_line_arrangement, recombined
-from conftest import braid_a4, generic_lines, graphic, pair
+from conftest import braid_a4, generic_lines, graphic, independent_pair, pair
 from test_matroid import GRAPHS
 from dense_reference import det as dense_det
 from exterior_reference import add, coeff_vector, monomial, scale, wedge, zero
@@ -69,33 +69,6 @@ def rank_of(rows):
 def flat_rank(gram):
     """Rank over Q of a dense Gram, each row i flattened over j."""
     return rank_of(tuple(itertools.chain.from_iterable(row)) for row in gram)
-
-
-def test_kappa_vanishes_for_complexified(arr_b):
-    form = kappa(arr_b)
-    assert len(form.basis) == 3
-    assert form.gram() == ((0, 0, 0),) * 3
-    assert kappa_rank(form) == 0
-
-
-def test_kappa_rank_two(arr_bprime):
-    form = kappa(arr_bprime)
-    assert len(form.basis) == 3
-    assert kappa_rank(form) == 2
-    gram = form.gram()
-    assert gram == tuple(zip(*gram))  # symmetric
-
-
-def test_kappa_empty_degree_two_slice(arr_bhat):
-    # all circuits have four members, so the degree-2 slice is zero
-    form = kappa(arr_bhat)
-    assert form.basis == ()
-    assert kappa_rank(form) == 0
-
-
-def test_kappa_restriction(arr_bhat, arr_bhat_complex):
-    assert kappa_rank(kappa(restrict(arr_bhat, "H3"))) == 2
-    assert kappa_rank(kappa(restrict(arr_bhat_complex, "H3"))) == 0
 
 
 def test_kappa_builds_no_slice_above_degree_two(monkeypatch, arr_bprime, arr_bhat):
@@ -272,24 +245,9 @@ def test_pairwise_linking_runs_no_elimination(monkeypatch, arr_bprime):
     assert pairwise_linking(Arrangement(4, arr_bprime.subspaces)) == expected
 
 
-def test_pairwise_bprime_values(arr_bprime):
-    lk = pairwise_linking(arr_bprime)
-    assert lk[0][1] == lk[0][2] == lk[1][2] == 1
-    assert lk[0][3] == 1
-    assert lk[1][3] == -1
-    assert lk[2][3] == -1
-    assert lk == tuple(zip(*lk))  # symmetric
-
-
 def test_pairwise_needs_dim4(arr_bhat):
     with pytest.raises(DimensionNot4):
         pairwise_linking(arr_bhat)
-
-
-def test_triples(arr_b, arr_bprime):
-    assert set(triple_coefficients(arr_b).values()) == {1}
-    coeffs = triple_coefficients(arr_bprime)
-    assert coeffs == {(1, 2, 3): 1, (1, 2, 4): -1, (1, 3, 4): -1, (2, 3, 4): 1}
 
 
 def test_triples_complex_lines_all_plus():
@@ -348,13 +306,14 @@ def test_linking_verb_computes_the_table_once(monkeypatch, capsys, tmp_path, arr
     assert {tuple(t["triple"]): t["sign"] for t in doc["triples"]} == expected
 
 
-def test_two_members_have_a_linking_table_and_no_triples(capsys, tmp_path, independent_pair):
+def test_two_members_have_a_linking_table_and_no_triples(capsys, tmp_path):
     """Two members give the Hopf link: one pairwise sign, and no triples for `linking` or `compare`."""
     from twoarr.restriction import serialize_arrangement
 
     path = tmp_path / "pair.arr"
-    path.write_text(serialize_arrangement(independent_pair))
-    assert triple_coefficients(independent_pair) == {}
+    arr = independent_pair()
+    path.write_text(serialize_arrangement(arr))
+    assert triple_coefficients(arr) == {}
     assert cli.main(["linking", str(path)]) == 0
     assert capsys.readouterr() == ("pairwise:\n  . +\n  + .\ntriples:\n", "")
     assert cli.main(["linking", str(path), "--format", "json"]) == 0
@@ -393,28 +352,7 @@ def test_kappa_json_gram_matches_wedge_products(conjugate_last, capsys, tmp_path
     assert any(x for row in doc["gram"] for vec in row for x in vec)
 
 
-def test_triple_is_product_of_pairwise(arr_bprime):
-    lk = pairwise_linking(arr_bprime)
-    for (a, b, c), s in triple_coefficients(arr_bprime).items():
-        assert s == lk[a - 1][b - 1] * lk[a - 1][c - 1] * lk[b - 1][c - 1]
-
-
 # --- comparison ----------------------------------------------------------------
-
-
-def test_compare_distinguishes(arr_b, arr_bprime):
-    report = compare(arr_b, arr_bprime)
-    assert report.matroids_equal
-    assert report.betti[0] == report.betti[1]
-    assert report.kappa_ranks == (0, 2)
-    assert report.verdict == VERDICT_DISTINGUISHED
-    assert "kappa-rank" in report.differing
-
-
-def test_compare_self(arr_b):
-    report = compare(arr_b, arr_b)
-    assert report.verdict == VERDICT_UNRESOLVED
-    assert report.differing == ()
 
 
 def test_compare_bprime_with_restriction(arr_bprime, arr_bhat):

@@ -11,7 +11,9 @@ import time
 import pytest
 
 import lattice_reference as ref
-from conftest import all_subsets, braid, braid_a4, generic_hyperplanes, generic_lines, pair
+from conftest import (
+    all_subsets, braid, braid_a4, generic_hyperplanes, generic_lines, independent_pair, pair, single_subspace,
+)
 from twoarr import arrangement, cli, linalg, matroid, restriction
 from twoarr.arrangement import (
     Arrangement,
@@ -29,7 +31,7 @@ from twoarr.verbs import betti as betti_verb
 FIXTURES = ("example22-B", "example22-Bprime", "thm32-Bhat", "thm32-Bhat-complex")
 CASES = (
     [f"fixture-{name}" for name in FIXTURES]
-    + ["braid-A4", "planes-7"]
+    + ["single-subspace", "independent-pair", "braid-A4", "planes-7"]
     + [f"lines-{n}{tag}" for n in range(7, 13) for tag in ("", "-conj")]
 )
 
@@ -39,6 +41,10 @@ def build(case):
     """A fresh arrangement per case, shared by the tests below."""
     if case.startswith("fixture-"):
         return load_fixture(case[len("fixture-"):])
+    if case == "single-subspace":  # rank 1, no circuit
+        return single_subspace()
+    if case == "independent-pair":  # no circuit
+        return independent_pair()
     if case.startswith("braid-A"):
         return braid(int(case[len("braid-A"):]))
     if case == "planes-7":
@@ -71,8 +77,8 @@ def test_lattice_consumers_match_reference(case):
     random.Random(arr.n).shuffle(order)
     assert nbc_sets(arr, order) == ref.nbc_sets(arr, expected, order)
     rng = random.Random(7)
-    for _ in range(30):
-        s = rng.sample(range(1, arr.n + 1), rng.randint(0, arr.n))
+    drawn = [rng.sample(range(1, arr.n + 1), rng.randint(0, arr.n)) for _ in range(30)]
+    for s in [(), (1,), (1, 2)][: arr.n + 1] + drawn:  # the empty set, a point and a pair, then 30 draws
         assert closure(arr, s) == ref.closure(arr, s)
 
 

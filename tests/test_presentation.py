@@ -1,13 +1,13 @@
 import random
 import time
 from fractions import Fraction
-from math import comb, prod
+from math import comb
 
 import pytest
 
 from twoarr import presentation
 from twoarr.arrangement import Arrangement, ComplexFormSpec, SubspacePair, from_complex_form, parse_arrangement, validate
-from twoarr.exterior import ideal_ranks, ideal_slices, monomials
+from twoarr.exterior import ideal_ranks, ideal_slices
 from twoarr.invariants import _kappa_of, pairwise_linking
 from twoarr.matroid import circuits, nbc_sets
 from twoarr.presentation import (
@@ -22,9 +22,8 @@ from twoarr.presentation import (
     normalize_signs,
 )
 from twoarr.restriction import serialize_arrangement
-from conftest import braid_a4, elem, generic_hyperplanes, generic_lines, pair, reflection
-from dense_reference import det, rref
-from exterior_reference import coeff_vector, from_terms
+from conftest import braid_a4, elem, generic_hyperplanes, generic_lines, independent_pair, pair, reflection
+from dense_reference import det
 from test_exterior import direct_ranks, reference_span
 
 
@@ -113,62 +112,7 @@ def test_full_presentation_does_not_recheck_its_circuits(monkeypatch, arr_bprime
         circuit_dependencies(arr_bprime, (1, 2, 3))  # the public path still checks
 
 
-def reconstruct_zero(arr, dep):
-    """Both normalized dependencies must vanish identically."""
-    dim = arr.dim
-    x_sum = [Fraction(0)] * dim
-    y_sum = [Fraction(0)] * dim
-    for a, (al, be, ga, de) in zip(dep.circuit, dep.quads):
-        p = arr.pair(a)
-        for i in range(dim):
-            x_sum[i] += al * p.first[i] + be * p.second[i]
-            y_sum[i] += ga * p.first[i] + de * p.second[i]
-    return all(v == 0 for v in x_sum) and all(v == 0 for v in y_sum)
-
-
-def test_dependency_exactness_on_fixtures(arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
-    """On the fixtures, and on copies whose forms are scaled by distinct positive
-    non-integers, which the integer forms scale back differently."""
-    fixtures = (arr_b, arr_bprime, arr_bhat, arr_bhat_complex)
-    scaled = [recombined(arr, [(F(1) / (3 + k), F(0), F(0), F("2/5")) for k in range(arr.n)]) for arr in fixtures]
-    for arr in fixtures + tuple(scaled):
-        for c in circuits(arr):
-            dep = circuit_dependencies(arr, c)
-            assert reconstruct_zero(arr, dep)
-            for al, be, ga, de in dep.quads:
-                assert al * de - be * ga != 0
-
-
 # --- relations ---------------------------------------------------------------
-
-
-def test_relation_b_123(arr_b):
-    rel = circuit_relation(arr_b, (1, 2, 3))
-    assert rel.signs == (1, 1, 1)
-    assert rel.element == elem(((1, 2), 1), ((1, 3), -1), ((2, 3), 1))
-
-
-def test_relation_bprime_124(arr_bprime):
-    rel = circuit_relation(arr_bprime, (1, 2, 4))
-    assert rel.signs == (1, -1, -1)
-    assert rel.element == elem(((1, 2), -1), ((1, 4), 1), ((2, 4), 1))
-
-
-def test_relation_leading_sign_always_plus(arr_b, arr_bprime, arr_bhat):
-    for arr in (arr_b, arr_bprime, arr_bhat):
-        for c in circuits(arr):
-            assert circuit_relation(arr, c).signs[0] == 1
-
-
-def test_full_presentation_complex_mode(arr_b):
-    pres = full_presentation(arr_b, "complex")
-    assert pres.mode == MODE_COMPLEX
-    assert [str(r.element) for r in pres.relations] == [
-        "+e12 -e13 +e23",
-        "+e12 -e14 +e24",
-        "+e13 -e14 +e34",
-        "+e23 -e24 +e34",
-    ]
 
 
 def test_unknown_mode_is_a_value_error(arr_b):
@@ -270,8 +214,8 @@ def test_z_linear_relations_are_the_solved_ones(arr, z_linear):
             full_presentation(arr, MODE_COMPLEX)
 
 
-def test_full_presentation_no_circuits(independent_pair):
-    pres = full_presentation(independent_pair)
+def test_full_presentation_no_circuits():
+    pres = full_presentation(independent_pair())
     assert pres.relations == ()
     assert pres.mode == MODE_REAL
 
@@ -304,14 +248,6 @@ def test_normalize_signs(arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
 
 
 # --- graded ranks of the relation ideal ---------------------------------------
-
-
-def test_ideal_ranks(arr_b, arr_bprime):
-    for arr in (arr_b, arr_bprime):
-        pres = full_presentation(arr)
-        ranks = ideal_ranks(pres.elements(), pres.n)
-        assert [ranks[p] for p in range(1, 5)] == [0, 3, 4, 1]
-        assert ideal_rank_profile(pres) == (0, 3, 4, 1)
 
 
 def profile_cases():
@@ -442,48 +378,6 @@ def random_gl2(rng):
             return (F(a), F(b), F(c), F(d)), det
 
 
-def flip_generators(element, signs):
-    return from_terms(
-        {mon: coeff * prod(signs[a] for a in mon) for mon, coeff in element.terms}
-    )
-
-
-def span_signature(elements, n, degree=2):
-    cols = monomials(n, degree)
-    rows = [coeff_vector(e, cols) for e in elements if not e.is_zero]
-    if not rows:
-        return ()
-    reduced, pivots = rref(rows)
-    return tuple(tuple(row) for row in reduced[: len(pivots)])
-
-
-@pytest.mark.parametrize("seed", [43, 47])
-def test_form_rechoice_equivariance(arr_b, arr_bprime, arr_bhat, seed):
-    """Recombining form pairs maps the degree-2 relation span through generator flips."""
-    rng = random.Random(seed)
-    base_arrs = [arr_b, arr_bprime, restricted_u24(arr_bhat)]
-    for _ in range(60):
-        arr = rng.choice(base_arrs)
-        mats, flips = [], {}
-        for a in range(1, arr.n + 1):
-            m, det = random_gl2(rng)
-            mats.append(m)
-            flips[a] = 1 if det > 0 else -1
-        other = recombined(arr, mats)
-        original = full_presentation(arr)
-        transformed = full_presentation(other)
-        flipped = [flip_generators(r.element, flips) for r in original.relations]
-        assert span_signature(flipped, arr.n) == span_signature(
-            [r.element for r in transformed.relations], arr.n
-        )
-
-
-def restricted_u24(arr_bhat):
-    from twoarr.restriction import restrict
-
-    return restrict(arr_bhat, "H3")
-
-
 def test_positive_scaling_never_changes_signs(arr_bprime, arr_bhat):
     rng = random.Random(53)
     for arr in (arr_bprime, arr_bhat):
@@ -522,16 +416,6 @@ def test_complex_specialization_all_plus():
         for c in circuits(arr):
             rel = circuit_relation(arr, c)
             assert all(s == 1 for s in rel.signs)
-
-
-def test_rank_nbc_identity_all_degrees(arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
-    for arr in (arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
-        pres = full_presentation(arr)
-        counts = nbc_sets(arr).counts
-        ranks = ideal_ranks(pres.elements(), pres.n)
-        for p in range(arr.n + 1):
-            nbc_p = counts[p] if p < len(counts) else 0
-            assert ranks[p] + nbc_p == comb(arr.n, p)
 
 
 @pytest.mark.parametrize("conjugate_last", [False, True])
