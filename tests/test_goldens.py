@@ -8,7 +8,7 @@ These transcripts are the suite's one check of what a verb prints on these
 inputs; `test_cli.py` asserts only what no golden shows. With
 `test_acceptance.py` and the reference comparisons of `test_lattice_walk.py`
 and `test_properties.py`, they are also the check of the library values those
-verbs print on the paper's fixtures, which no unit test restates.
+verbs print on the paper's fixtures.
 A restriction is an arrangement file whatever the format, so its `-text`
 and `-json` cases both read one golden, `restrict-<fixture>-<index>.txt`.
 One case per verb, a usage error and a validation failure also run as

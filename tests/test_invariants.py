@@ -71,6 +71,28 @@ def flat_rank(gram):
     return rank_of(tuple(itertools.chain.from_iterable(row)) for row in gram)
 
 
+def test_kappa_vanishes_for_complexified(arr_b):
+    form = kappa(arr_b)
+    assert len(form.basis) == 3
+    assert form.gram() == ((0, 0, 0),) * 3
+    assert kappa_rank(form) == 0
+
+
+def test_kappa_rank_two(arr_bprime):
+    form = kappa(arr_bprime)
+    assert len(form.basis) == 3
+    assert kappa_rank(form) == 2
+    gram = form.gram()
+    assert gram == tuple(zip(*gram))  # symmetric
+
+
+def test_kappa_empty_degree_two_slice(arr_bhat):
+    # all circuits have four members, so the degree-2 slice is zero
+    form = kappa(arr_bhat)
+    assert form.basis == ()
+    assert kappa_rank(form) == 0
+
+
 def test_kappa_builds_no_slice_above_degree_two(monkeypatch, arr_bprime, arr_bhat):
     degrees = []
     columns = exterior._columns  # called once per degree the pass builds
@@ -245,9 +267,24 @@ def test_pairwise_linking_runs_no_elimination(monkeypatch, arr_bprime):
     assert pairwise_linking(Arrangement(4, arr_bprime.subspaces)) == expected
 
 
+def test_pairwise_bprime_values(arr_bprime):
+    lk = pairwise_linking(arr_bprime)
+    assert lk[0][1] == lk[0][2] == lk[1][2] == 1
+    assert lk[0][3] == 1
+    assert lk[1][3] == -1
+    assert lk[2][3] == -1
+    assert lk == tuple(zip(*lk))  # symmetric
+
+
 def test_pairwise_needs_dim4(arr_bhat):
     with pytest.raises(DimensionNot4):
         pairwise_linking(arr_bhat)
+
+
+def test_triples(arr_b, arr_bprime):
+    assert set(triple_coefficients(arr_b).values()) == {1}
+    coeffs = triple_coefficients(arr_bprime)
+    assert coeffs == {(1, 2, 3): 1, (1, 2, 4): -1, (1, 3, 4): -1, (2, 3, 4): 1}
 
 
 def test_triples_complex_lines_all_plus():
@@ -352,7 +389,28 @@ def test_kappa_json_gram_matches_wedge_products(conjugate_last, capsys, tmp_path
     assert any(x for row in doc["gram"] for vec in row for x in vec)
 
 
+def test_triple_is_product_of_pairwise(arr_bprime):
+    lk = pairwise_linking(arr_bprime)
+    for (a, b, c), s in triple_coefficients(arr_bprime).items():
+        assert s == lk[a - 1][b - 1] * lk[a - 1][c - 1] * lk[b - 1][c - 1]
+
+
 # --- comparison ----------------------------------------------------------------
+
+
+def test_compare_distinguishes(arr_b, arr_bprime):
+    report = compare(arr_b, arr_bprime)
+    assert report.matroids_equal
+    assert report.betti[0] == report.betti[1]
+    assert report.kappa_ranks == (0, 2)
+    assert report.verdict == VERDICT_DISTINGUISHED
+    assert "kappa-rank" in report.differing
+
+
+def test_compare_self(arr_b):
+    report = compare(arr_b, arr_b)
+    assert report.verdict == VERDICT_UNRESOLVED
+    assert report.differing == ()
 
 
 def test_compare_bprime_with_restriction(arr_bprime, arr_bhat):

@@ -13,13 +13,46 @@ from twoarr.matroid import (
     SizeMismatch,
     betti_vector,
     circuits,
+    closure,
     flats,
     nbc_sets,
     same_labeled_matroid,
     whitney_numbers,
 )
 from twoarr.presentation import full_presentation, ideal_rank_profile
-from conftest import all_subsets, braid, braid_a4, generic_hyperplanes, graphic, pair, reflection
+from conftest import (
+    all_subsets, braid, braid_a4, generic_hyperplanes, graphic, independent_pair, pair, reflection, single_subspace,
+)
+
+U24_NBC = [(), (1,), (2,), (3,), (4,), (1, 2), (1, 3), (1, 4)]
+
+
+def test_closure_empty(arr_bprime):
+    assert closure(arr_bprime, ()) == ()
+
+
+def test_closure_pair_spans_everything(arr_b):
+    assert closure(arr_b, (1, 2)) == (1, 2, 3, 4)
+
+
+def test_closure_singleton(arr_bprime):
+    assert closure(arr_bprime, (1,)) == (1,)
+
+
+def test_flats_uniform_rank_two(arr_bprime):
+    lattice = flats(arr_bprime)
+    groups = [[f.elements for f in g] for g in lattice.flats_by_rank]
+    assert groups == [[()], [(1,), (2,), (3,), (4,)], [(1, 2, 3, 4)]]
+
+
+def test_flats_single():
+    lattice = flats(single_subspace())
+    assert [[f.elements for f in g] for g in lattice.flats_by_rank] == [[()], [(1,)]]
+
+
+def test_flats_bhat_counts(arr_bhat):
+    lattice = flats(arr_bhat)
+    assert [len(g) for g in lattice.flats_by_rank] == [1, 5, 10, 1]
 
 
 def test_all_flats_lists_the_ranks_in_order(arr_bhat):
@@ -30,6 +63,14 @@ def test_all_flats_lists_the_ranks_in_order(arr_bhat):
         assert listed == list(itertools.chain.from_iterable(lattice.flats_by_rank))
         assert len(listed) == count
         assert [f.rank for f in listed] == sorted(f.rank for f in listed)
+
+
+def test_circuits_uniform_rank_two(arr_bprime):
+    assert circuits(arr_bprime) == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+
+
+def test_circuits_bhat(arr_bhat):
+    assert circuits(arr_bhat) == list(itertools.combinations(range(1, 6), 4))
 
 
 def test_circuits_found_once_per_arrangement(monkeypatch):
@@ -66,9 +107,42 @@ def test_enumerations_check_no_index(monkeypatch):
         assert whitney_numbers(arr) == betti
 
 
+def test_circuits_independent():
+    assert circuits(independent_pair()) == []
+
+
+def test_nbc_example(arr_b, arr_bprime):
+    for arr in (arr_b, arr_bprime):
+        assert nbc_sets(arr).all_sets() == U24_NBC
+
+
+def test_nbc_circuit_free_full_power_set():
+    assert nbc_sets(independent_pair()).all_sets() == [(), (1,), (2,), (1, 2)]
+
+
+def test_nbc_bhat(arr_bhat):
+    complex_ = nbc_sets(arr_bhat)
+    assert complex_.counts == (1, 5, 10, 6)
+    assert all(1 in s for s in complex_.sets_by_size[3])
+
+
 def test_nbc_bad_order(arr_b):
     with pytest.raises(ValueError):
         nbc_sets(arr_b, (1, 2, 3))
+
+
+def test_betti_vectors(arr_b, arr_bhat):
+    assert betti_vector(arr_b) == (1, 4, 3)
+    assert betti_vector(single_subspace()) == (1, 1)
+    assert betti_vector(arr_bhat) == (1, 5, 10, 6)
+
+
+def test_whitney_check(arr_b, arr_bhat):
+    """|Whitney numbers| equal the NBC counts, as the `betti` verb checks."""
+    for arr in (arr_b, single_subspace(), arr_bhat):
+        assert whitney_numbers(arr) == betti_vector(arr)
+    assert whitney_numbers(arr_b) == (1, 4, 3)
+    assert whitney_numbers(arr_bhat) == (1, 5, 10, 6)
 
 
 def test_braid_a5_known_answers():
@@ -225,6 +299,29 @@ def test_rank_monotone_and_submodular(arr_bprime, arr_bhat):
                 if set(a) <= set(b):
                     assert ranks[a] <= ranks[b]
                 assert ranks[union] + ranks[inter] <= ranks[a] + ranks[b]
+
+
+def test_flats_against_bruteforce_closure(arr_b, arr_bprime, arr_bhat):
+    for arr in (arr_b, arr_bprime, arr_bhat, independent_pair()):
+        brute = {closure(arr, s) for s in all_subsets(arr.n)}
+        enumerated = {f.elements for g in flats(arr).flats_by_rank for f in g}
+        assert enumerated == brute
+        for f in itertools.chain.from_iterable(flats(arr).flats_by_rank):
+            assert f.rank == codim(arr, f.elements) // 2
+
+
+def test_circuits_are_minimal_dependent(arr_bprime, arr_bhat):
+    for arr in (arr_bprime, arr_bhat):
+        cs = circuits(arr)
+        for c in cs:
+            assert codim(arr, c) // 2 == len(c) - 1
+            for x in c:
+                rest = tuple(e for e in c if e != x)
+                assert codim(arr, rest) // 2 == len(rest)
+        # every dependent set contains a circuit
+        for s in all_subsets(arr.n):
+            if codim(arr, s) // 2 < len(s):
+                assert any(set(c) <= set(s) for c in cs)
 
 
 def test_nbc_downward_closed_with_singletons(arr_b, arr_bprime, arr_bhat):
