@@ -36,9 +36,9 @@ divides the scales back out.
 
 import json
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
 
 from ._value import Value
 from .linalg import bitmask, closed_sets

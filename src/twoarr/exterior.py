@@ -6,15 +6,17 @@ them with no arithmetic of its own. `_masked` turns elements into bitmask
 terms, and one product (`_product`) multiplies two term lists into a
 sparse row over a column map. One pass, `ideal_slices`, builds every
 graded slice of an ideal as its reduced echelon basis over the rationals
-(`linalg.reduced_echelon`), each grown from the basis of the slice below:
-`ideal_ranks` reads their lengths, and kappa reads the degree-2 basis as
-it is. `gram_rows` lays the products of that basis side by side in one
-sparse row per element, which kappa's rank reads as they are.
+(`linalg.reduced_echelon`), each grown from the basis of the slice below
+and fed its unit-lead rows first, so that on a relation ideal every step
+is a unit step over Z: `ideal_ranks` reads their lengths, and kappa reads
+the degree-2 basis as it is. `gram_rows` lays the products of that basis
+side by side in one sparse row per element, which kappa's rank reads as
+they are.
 """
 
 import itertools
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._value import Value
 from .linalg import SparseRow, bitmask, reduced_echelon
@@ -119,29 +121,48 @@ def ideal_slices(generators: Sequence[ExtElement], n: int) -> Iterator[list[Spar
     The rows are over the degree-p monomials in lexicographic order
     (`monomials(n, p)`), each primitive, positive at its pivot and zero in
     every other pivot column. Each slice grows from the one below: its rows
-    are b ^ e_j for each basis row b of I^(p-1) and each j, then the
+    are b ^ e_j for each basis row b of I^(p-1) and each j, and the
     generators of degree p: rank(I^(p-1)) * n rows plus those generators at
     most, rather than one per generator and monomial of complementary
     degree. Each is built only when the elimination reads it. The pass
     stops after the first slice that is all of E^p, since E^p ^ E^1 =
     E^(p+1): every slice it does not yield is full. Raises ValueError for a
     generator that is not homogeneous.
+
+    The rows come in broken-circuit order: first, for each monomial some
+    row leads at with coefficient ±1, one such row; then the rest. A
+    generator leads at its least monomial, and b ^ e_j, j outside b's
+    pivot, at pivot + j with b's pivot coefficient: a disjoint factor keeps
+    the order of monomials. Each relation r_C leads at C - max C with ±1,
+    so on a relation ideal these are all the pivots, and no step scales or
+    divides a row: each basis spans a saturated lattice, and E/I is free
+    over Z (Björner–Ziegler). No order changes a reduced echelon form.
     """
     generators = _masked(generators)
-    units = [[(1 << i, 1)] for i in range(n)]  # e_1 .. e_n
-    below: list[Terms] = []
+    units = [1 << i for i in range(n)]
+    below: list[tuple[int | None, Terms]] = []  # the basis of I^(p-1), each row with its pivot's bitmask if that is 1
     for p in range(n + 1):
         column = _columns(n, p)
-        rows = itertools.chain(
-            (_product(b, e, column) for b in below for e in units),
-            (_product(g, [(0, 1)], column) for q, g in generators if q == p),
-        )
+
+        def factors():  # each row's two factors, and the bitmask it leads at with ±1, if it does
+            for lead, b in below:
+                yield from ((b, u, None if lead is None or lead & u else lead | u) for u in units)
+            for q, g in generators:
+                if q == p and g:
+                    mask, c = min(g, key=lambda t: column[t[0]])
+                    yield g, 0, mask if abs(c) == 1 else None
+
+        # the first factor at each unit lead adds the lead, and in the second pass removes it
+        leads: set[int] = set()
+        unit = (f for f in factors() if f[2] is not None and not (f[2] in leads or leads.add(f[2])))
+        rest = (f for f in factors() if f[2] not in leads or leads.remove(f[2]))
+        rows = (_product(left, [(u, 1)], column) for left, u, _ in itertools.chain(unit, rest))
         echelon = reduced_echelon(filter(None, rows))
         yield echelon
         if len(echelon) == len(column):
             return
         masks = list(column)
-        below = [[(masks[j], c) for j, c in row.items()] for row in echelon]
+        below = [(masks[min(r)] if r[min(r)] == 1 else None, [(masks[j], c) for j, c in r.items()]) for r in echelon]
 
 
 def _slice_ranks(slices: Iterable[list[SparseRow]], n: int) -> tuple[int, ...]:

@@ -1,6 +1,6 @@
 """Bundled arrangement files used by the test suite and handy for the CLI."""
 
-from importlib import resources
+import os
 
 from ..arrangement import Arrangement, parse_arrangement
 
@@ -17,7 +17,8 @@ def fixture_text(name: str) -> str:
         name += ".arr"
     if name not in FIXTURES:
         raise KeyError(f"no bundled fixture {name!r}; have {FIXTURES}")
-    return resources.files(__package__).joinpath(name).read_text(encoding="utf-8")
+    with open(os.path.join(os.path.dirname(__file__), name), encoding="utf-8") as f:
+        return f.read()
 
 
 def load_fixture(name: str) -> Arrangement:

@@ -26,9 +26,9 @@ see no call.
 """
 
 import itertools
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from math import comb
-from typing import Iterable, Sequence
 
 from ._value import Value
 from .arrangement import Arrangement

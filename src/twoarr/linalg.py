@@ -20,7 +20,7 @@ routines share:
 """
 
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 SparseRow = dict[int, int]
 

@@ -15,7 +15,7 @@ are bitmasks from the start.
 """
 
 import itertools
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from ._value import Value
 from .arrangement import Arrangement, NotAdmissible, _admissible_walk, _closure, _mask, _members

@@ -37,9 +37,9 @@ echelon basis of the one below (`exterior.ideal_slices`); kappa's
 degree-2 basis is one of them.
 """
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
 
 from ._value import Value
 from .arrangement import Arrangement, integer_form

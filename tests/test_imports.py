@@ -10,8 +10,11 @@ one `python -m twoarr.cli` run of its golden process case in
 `-m`, cli.py runs as `__main__`.
 """
 
+from pathlib import Path
+
 import pytest
 
+import twoarr
 from test_goldens import CASES, PROCESS_CASES
 from twoarr.cli import _plain_args
 
@@ -61,3 +64,13 @@ def test_bare_package_import_loads_no_submodule(python_child):
     assert proc.returncode == 0, proc.stderr
     assert "twoarr" in proc.modules
     assert [m for m in proc.modules if m.startswith("twoarr.")] == []
+
+
+def test_no_module_loads_typing(python_child):
+    """Under -S no `site` start-up hook runs, and some hooks load typing themselves; the child
+    imports the listing hook by hand, then every twoarr module."""
+    src = Path(twoarr.__file__).resolve().parent
+    names = [".".join(("twoarr", *p.relative_to(src).with_suffix("").parts)).removesuffix(".__init__") for p in src.rglob("*.py")]
+    proc = python_child("-S", "-c", "\n".join(f"import {m}" for m in ["sitecustomize", *names]))
+    assert proc.returncode == 0, proc.stderr
+    assert set(names) <= proc.modules and "typing" not in proc.modules

@@ -25,6 +25,7 @@ from twoarr.arrangement import (
 from twoarr.fixtures import load_fixture
 from twoarr.invariants import VERDICT_DISTINGUISHED, compare
 from twoarr.matroid import NotAdmissible, circuits, closure, flats, nbc_sets, whitney_numbers
+from twoarr.presentation import full_presentation, ideal_rank_profile
 from twoarr.restriction import restrict, serialize_arrangement
 from twoarr.verbs import betti as betti_verb
 
@@ -361,13 +362,16 @@ def test_twenty_generic_lines_stay_fast():
 def test_hyp5_and_its_restriction_known_answers_stay_fast():
     """hyp5, 16 generic hyperplanes in C^5, is the matroid U(5, 16), and its restriction
     to L1 is U(4, 15); U(r, n) has b_p = C(n, p) below r and b_r = C(n - 1, r - 1).
-    `betti`'s NBC counts and Whitney numbers on each in under 10 s, timed from parsing."""
+    `betti`'s NBC counts and Whitney numbers on each, and on hyp5 `present`'s ideal ranks,
+    rank I^p + b_p = C(16, p), in under 10 s each, timed from parsing."""
     text = serialize_arrangement(generic_hyperplanes(16, 5, 3))
     start = time.perf_counter()
     arr = parse_arrangement(text)
     betti, whitney = nbc_sets(arr).counts, whitney_numbers(arr)
+    profile = ideal_rank_profile(full_presentation(arr))
     elapsed = time.perf_counter() - start
     assert betti == whitney == (1, 16, 120, 560, 1820, 1365)
+    assert profile == tuple(math.comb(16, p) - (betti[p] if p < len(betti) else 0) for p in range(1, 17))
     assert elapsed < 10.0, f"{elapsed:.2f} s"
     start = time.perf_counter()
     restricted = parse_arrangement(serialize_arrangement(restrict(arr, "L1")))

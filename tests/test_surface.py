@@ -167,6 +167,14 @@ def test_the_value_layer_keeps_the_papers_data_once():
     assert not [n for n in ast.walk(func) if isinstance(n, ast.Attribute) and n.attr == "element"]
 
 
+def test_no_module_imports_typing():
+    """Annotations take `Iterable`, `Sequence` and the rest from collections.abc: typing
+    costs a fresh process a few milliseconds of import (test_imports.py checks the run)."""
+    for path in sorted(Path(twoarr.__file__).resolve().parent.rglob("*.py")):
+        imports = [n for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        assert "typing" not in {getattr(n, "module", None) for n in imports} | {a.name for n in imports for a in n.names}, path.name
+
+
 def test_reprs_match_the_dataclass_reprs(arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
     assert repr(parse_arrangement(fixture_text("example22-B"))) == EXAMPLE22_B_REPR
     objs = [
