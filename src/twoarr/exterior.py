@@ -15,7 +15,7 @@ they are.
 """
 
 import itertools
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from math import comb
 
 from ._value import Value
@@ -137,6 +137,8 @@ def ideal_slices(generators: Sequence[ExtElement], n: int) -> Iterator[list[Spar
     so on a relation ideal these are all the pivots, and no step scales or
     divides a row: each basis spans a saturated lattice, and E/I is free
     over Z (Björner–Ziegler). No order changes a reduced echelon form.
+    If the unit-lead rows, independent, lead at every monomial, the slice
+    is all of E^p, and its basis the identity: nothing is eliminated.
     """
     generators = _masked(generators)
     units = [1 << i for i in range(n)]
@@ -154,7 +156,10 @@ def ideal_slices(generators: Sequence[ExtElement], n: int) -> Iterator[list[Spar
 
         # the first factor at each unit lead adds the lead, and in the second pass removes it
         leads: set[int] = set()
-        unit = (f for f in factors() if f[2] is not None and not (f[2] in leads or leads.add(f[2])))
+        unit = [f for f in factors() if f[2] is not None and not (f[2] in leads or leads.add(f[2]))]
+        if len(unit) == len(column):
+            yield [{j: 1} for j in range(len(column))]
+            return
         rest = (f for f in factors() if f[2] not in leads or leads.remove(f[2]))
         rows = (_product(left, [(u, 1)], column) for left, u, _ in itertools.chain(unit, rest))
         echelon = reduced_echelon(filter(None, rows))
@@ -165,15 +170,10 @@ def ideal_slices(generators: Sequence[ExtElement], n: int) -> Iterator[list[Spar
         below = [(masks[min(r)] if r[min(r)] == 1 else None, [(masks[j], c) for j, c in r.items()]) for r in echelon]
 
 
-def _slice_ranks(slices: Iterable[list[SparseRow]], n: int) -> tuple[int, ...]:
-    """Ranks of the degree 0..n slices from those a pass over n generators yields."""
-    ranks = tuple(len(echelon) for echelon in slices)
-    return ranks + tuple(comb(n, p) for p in range(len(ranks), n + 1))
-
-
 def ideal_ranks(generators: Sequence[ExtElement], n: int) -> tuple[int, ...]:
     """Ranks of the degree 0..n slices of the ideal the generators span (`ideal_slices`)."""
-    return _slice_ranks(ideal_slices(generators, n), n)
+    ranks = tuple(len(echelon) for echelon in ideal_slices(generators, n))
+    return ranks + tuple(comb(n, p) for p in range(len(ranks), n + 1))
 
 
 def gram_rows(basis: Sequence[ExtElement], n: int) -> list[SparseRow]:

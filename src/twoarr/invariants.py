@@ -4,29 +4,30 @@ The kappa pairing multiplies two degree-2 relation-ideal elements into
 degree 4; its rank is invariant under graded algebra isomorphism. For
 n = 4 members the degree-4 slice is one-dimensional, since C(4, 4) = 1, so
 kappa is an honest symmetric bilinear form. Its basis is the degree-2
-slice, in reduced echelon form, of the graded pass that also gives the
-ideal's ranks (`exterior.ideal_slices`). Its rank is that of
+slice, in reduced echelon form, of the graded ideal pass
+(`exterior.ideal_slices`), read lazily to degree 2. Its rank is that of
 `sparse_echelon` on the products of the basis, one sparse row per element
 (`exterior.gram_rows`, which multiplies on bitmasks); no dense Gram vector
-is built for it.
+is built for it. That pass is `compare`'s only graded one: its ideal-ranks
+row is C(n, p) - b_p from its Betti row, as E/I is free on the NBC
+monomials (Björner–Ziegler), and `present` keeps the eliminated ranks.
 Pairwise linking signs of the great circles cut out on the unit 3-sphere
 are signs of the Plücker pairing: the determinant of two members' stacked
 forms, expanded along their 2x2 minors, so no elimination runs. Triple
 products of those signs do not depend on the member orientations at all,
 and are read off one pairwise table.
 
-`kappa` and `compare` import the presentation and exterior-algebra
-modules when called, and `compare` the matroid module too, so the linking
-signs load none of them and kappa loads no matroid module. The names are
-also looked up at each call, so a test's `monkeypatch` of them takes
-effect after this module has loaded: `test_invariants.py` patches
-`exterior.ideal_slices` to count `compare`'s graded passes. Imported at
-module level, the name would stay bound to the original, and the spy would
-see no call.
+`kappa` imports the presentation and exterior-algebra modules when
+called, and `compare` the matroid module too, so the linking signs load
+none of them and kappa loads no matroid module. The names are also looked
+up at each call, so a test's `monkeypatch` of them takes effect after this
+module has loaded: `test_invariants.py` patches `exterior.ideal_slices` to
+count `compare`'s graded passes. Imported at module level, the name would
+stay bound to the original, and the spy would see no call.
 """
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from functools import cached_property
 from math import comb
 
@@ -70,28 +71,21 @@ class KappaForm(Value):
 
 
 def kappa(arr: Arrangement) -> KappaForm:
-    """Kappa form of an arrangement, over the reduced echelon basis of the degree-2 slice."""
-    from .exterior import ideal_slices
-    from .presentation import full_presentation
+    """Kappa form of an arrangement, over the reduced echelon basis of the degree-2 slice.
 
-    pres = full_presentation(arr)
-    return _kappa_of(pres.n, ideal_slices(pres.elements(), pres.n))
-
-
-def _kappa_of(n: int, slices: Iterable[list[SparseRow]]) -> KappaForm:
-    """Kappa form over the reduced echelon basis of a pass's degree-2 slice.
-
-    Only degrees 0..2 of `slices` are read, so a lazy pass builds no more.
+    Only degrees 0..2 of the lazy pass are read, so it builds no more.
     A loop, a zero member, has the relation 1: the pass ends on the full
     degree-0 slice, and every degree-2 monomial is a basis element.
     """
-    from .exterior import ExtElement, monomials
+    from .exterior import ExtElement, ideal_slices, monomials
+    from .presentation import full_presentation
 
-    cols = monomials(n, 2)
-    slices = list(itertools.islice(slices, 3))
+    pres = full_presentation(arr)
+    cols = monomials(pres.n, 2)
+    slices = list(itertools.islice(ideal_slices(pres.elements(), pres.n), 3))
     rows = slices[2] if len(slices) == 3 else [{j: 1} for j in range(len(cols))]
     basis = tuple(ExtElement(tuple((cols[j], row[j]) for j in sorted(row))) for row in rows)
-    return KappaForm(n, basis)
+    return KappaForm(pres.n, basis)
 
 
 def kappa_rank(form: KappaForm) -> int:
@@ -153,26 +147,25 @@ def compare(
 
     The verdict is DISTINGUISHED when any invariant differs, and
     OTHERWISE_UNRESOLVED when all agree; agreement of these invariants
-    never establishes that the complements are equivalent. `differing` names
-    the rows whose two values differ, in report order; the CLI marks DIFFER
-    from it alone. Arrangements of different sizes raise
-    `matroid.SizeMismatch`, from `same_labeled_matroid`.
+    never establishes that the complements are equivalent. The ideal-ranks
+    row is C(n, p) - b_p for p = 1..n, from the Betti row, since E/I is free
+    on the NBC monomials (Björner–Ziegler); `present` keeps the eliminated
+    ranks. `differing` names the rows whose two values differ, in report
+    order; the CLI marks DIFFER from it alone. Arrangements of different
+    sizes raise `matroid.SizeMismatch`, from `same_labeled_matroid`.
     """
-    from .exterior import _slice_ranks, ideal_slices
     from .matroid import betti_vector, same_labeled_matroid
-    from .presentation import full_presentation
 
     matroids_equal = same_labeled_matroid(a1, a2, up_to_relabeling=permutation_search)
-    profiles, kappa_ranks = [], []
-    for pres in map(full_presentation, (a1, a2)):
-        slices = list(ideal_slices(pres.elements(), pres.n))  # one pass: kappa reads degrees 0..2
-        kappa_ranks.append(kappa_rank(_kappa_of(pres.n, slices)))
-        profiles.append(_slice_ranks(slices, pres.n)[1:])
+    betti = (betti_vector(a1), betti_vector(a2))
     # the report's rows in order, each a pair or None; `differing` is read off them
     rows = {
-        "betti": (betti_vector(a1), betti_vector(a2)),
-        "ideal-ranks": tuple(profiles),
-        "kappa-rank": tuple(kappa_ranks),
+        "betti": betti,
+        "ideal-ranks": tuple(
+            tuple(comb(a.n, p) - (b[p] if p < len(b) else 0) for p in range(1, a.n + 1))
+            for a, b in zip((a1, a2), betti)
+        ),
+        "kappa-rank": (kappa_rank(kappa(a1)), kappa_rank(kappa(a2))),
         "triple-multiset": None,
     }
     if a1.dim == 4 and a2.dim == 4:

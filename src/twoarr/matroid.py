@@ -88,6 +88,7 @@ def nbc_sets(arr: Arrangement, order: Sequence[int] | None = None) -> NbcComplex
     S = {s_1 < ... < s_k} is one exactly when it is independent and each s_i
     is the least element of cl({s_i, ..., s_k}) (Björner 1992), so each
     level grows by each x < s_1 outside cl(S) that is least in cl(S + x).
+    A loop l has the broken circuit {l} - l = (), so then no set is NBC.
     """
     n = arr.n
     order = tuple(order) if order is not None else tuple(range(1, n + 1))
@@ -96,7 +97,7 @@ def nbc_sets(arr: Arrangement, order: Sequence[int] | None = None) -> NbcComplex
     _, covers = _admissible_walk(arr)
     bits = [1 << (e - 1) for e in order]
     before = [sum(bits[:p]) for p in range(n)]  # the elements before bits[p] in the order
-    level = [(0, covers[0], n)]  # (S, cl(S), position of its least element)
+    level = [(0, covers[0], n)] * (not covers[0])  # (S, cl(S), position of its least element)
     groups = []
     while level:
         groups.append(tuple(sorted(_members(s) for s, _, _ in level)))

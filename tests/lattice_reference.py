@@ -135,7 +135,7 @@ def flats(arr):
 
 def circuits(arr):
     found = []
-    for size in range(2, arr.n + 1):
+    for size in range(1, arr.n + 1):  # a loop, a zero member, is a circuit of size 1
         for comb in itertools.combinations(range(1, arr.n + 1), size):
             s = set(comb)
             if any(set(c) <= s for c in found):

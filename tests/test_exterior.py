@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoarr import exterior
+from twoarr import exterior, linalg
 from twoarr.exterior import (
     ExtElement,
     gram_rows,
@@ -201,6 +201,22 @@ def test_pass_stops_after_the_first_full_slice():
     assert ideal_ranks(gens, 4) == (0, 4, 6, 4, 1)
     assert [len(e) for e in ideal_slices([E(())], 4)] == [1]
     assert ideal_ranks([E(())], 4) == (1, 4, 6, 4, 1)
+
+
+def test_a_full_slice_is_built_with_no_cancel_step(monkeypatch):
+    """A rank-r arrangement's pass ends on its degree r + 1 slice, all of E^(r + 1): its unit-lead
+    rows lead at every monomial, so its basis is the identity and no `linalg._cancel` step runs."""
+    steps = []
+    cancel = linalg._cancel
+    monkeypatch.setattr(linalg, "_cancel", lambda r, b, c: steps.append(c) or cancel(r, b, c))
+    for arr, rank in ((braid_a4(), 4), (generic_lines(7, seed=3), 2)):
+        slices, counts = [], []  # counts[p]: the steps run once slice p is built
+        for echelon in ideal_slices(full_presentation(arr).elements(), arr.n):
+            slices.append(echelon)
+            counts.append(len(steps))
+        assert len(slices) == rank + 2
+        assert slices[-1] == [{j: 1} for j in range(comb(arr.n, rank + 1))]
+        assert counts[-3] < counts[-2] == counts[-1]  # the slice below the full one has steps
 
 
 def test_monomials_lexicographic():

@@ -94,13 +94,18 @@ def test_kappa_empty_degree_two_slice(arr_bhat):
 
 
 def test_kappa_builds_no_slice_above_degree_two(monkeypatch, arr_bprime, arr_bhat):
+    """Nor does `compare`, whose one graded pass per arrangement is kappa's."""
     degrees = []
-    columns = exterior._columns  # called once per degree the pass builds
-    monkeypatch.setattr(exterior, "_columns", lambda n, p: degrees.append(p) or columns(n, p))
-    for arr in (arr_bprime, arr_bhat, generic_lines(7, seed=3)):
+    real = exterior.ideal_slices  # a lazy pass builds each slice when it is read
+    monkeypatch.setattr(
+        exterior, "ideal_slices", lambda gens, n: (degrees.append(p) or s for p, s in enumerate(real(gens, n)))
+    )
+    lines = (generic_lines(7, seed=3), generic_lines(7, seed=3, conjugate_last=True))
+    cases = [(lambda arr=arr: kappa(arr), [0, 1, 2]) for arr in (arr_bprime, arr_bhat, lines[0])]
+    for run, want in cases + [(lambda: compare(*lines), [0, 1, 2] * 2)]:
         degrees.clear()
-        kappa(arr)
-        assert degrees == [0, 1, 2]
+        run()
+        assert degrees == want
 
 
 def test_kappa_basis_after_a_full_lower_slice():
@@ -421,7 +426,8 @@ def test_compare_bprime_with_restriction(arr_bprime, arr_bhat):
 
 
 def test_compare_runs_one_graded_pass_per_arrangement(monkeypatch):
-    """Both the ideal ranks row and the kappa ranks row read it."""
+    """The pass is kappa's; the ideal ranks row is read off the Betti row, and equals the
+    ranks `present`'s elimination gives."""
     passes = []
     real = exterior.ideal_slices
     monkeypatch.setattr(exterior, "ideal_slices", lambda gens, n: passes.append(n) or real(gens, n))

@@ -33,8 +33,18 @@ FIXTURES = ("example22-B", "example22-Bprime", "thm32-Bhat", "thm32-Bhat-complex
 CASES = (
     [f"fixture-{name}" for name in FIXTURES]
     + ["single-subspace", "independent-pair", "braid-A4", "planes-7"]
+    + [f"braid-A4-loop-{position}" for position in (0, 2, 10)]  # a zero member: no set is NBC
     + [f"lines-{n}{tag}" for n in range(7, 13) for tag in ("", "-conj")]
 )
+
+
+def looped_a4(position):
+    """A_4 with a zero member, a loop, inserted at `position`. Parsing rejects a loop;
+    an `Arrangement` built in code may hold one."""
+    a4 = braid_a4()
+    members = list(a4.subspaces)
+    members.insert(position, pair("Z", (0,) * a4.dim, (0,) * a4.dim))
+    return Arrangement(a4.dim, tuple(members))
 
 
 @functools.lru_cache(maxsize=None)
@@ -46,6 +56,8 @@ def build(case):
         return single_subspace()
     if case == "independent-pair":  # no circuit
         return independent_pair()
+    if case.startswith("braid-A4-loop-"):
+        return looped_a4(int(case[len("braid-A4-loop-"):]))
     if case.startswith("braid-A"):
         return braid(int(case[len("braid-A"):]))
     if case == "planes-7":
@@ -246,12 +258,9 @@ def test_walk_inserts_each_closed_set_after_the_sets_it_covers(case):
 
 def test_whitney_numbers_with_a_loop_in_the_bottom_and_fast_on_a6():
     """Weisner's sum skips the loops in cl(()); A_6's 877 flats take one pass over the covers."""
-    a4 = braid_a4()
-    members = list(a4.subspaces)
-    members.insert(2, pair("Z", (0,) * a4.dim, (0,) * a4.dim))
-    looped = Arrangement(a4.dim, tuple(members))
+    looped = looped_a4(2)
     assert looped._walk[1][0] == 1 << 2  # the zero member is cl(())
-    assert whitney_numbers(looped) == ref.whitney_numbers(looped) == whitney_numbers(a4)
+    assert whitney_numbers(looped) == ref.whitney_numbers(looped) == whitney_numbers(braid_a4())
     a6 = braid(6)
     a6._walk  # walk first, so only the pass over the covers is timed
     start = time.perf_counter()
@@ -379,3 +388,22 @@ def test_hyp5_and_its_restriction_known_answers_stay_fast():
     elapsed = time.perf_counter() - start
     assert betti == whitney == (1, 15, 105, 455, 364)
     assert elapsed < 10.0, f"{elapsed:.2f} s"
+
+
+def test_braid_a6_present_known_answer_stays_fast():
+    """`present`'s ideal ranks on A_6, rank I^p + b_p = C(21, p) for p = 1..21 with b_p = 0
+    past the rank, in under 20 s timed from parsing; the pass ends on the full degree-7 slice.
+    `compare`'s row, read off its Betti row, is the same, and it takes under 2 s."""
+    text = serialize_arrangement(braid(6))
+    start = time.perf_counter()
+    arr = parse_arrangement(text)
+    profile = ideal_rank_profile(full_presentation(arr))
+    elapsed = time.perf_counter() - start
+    betti = (1, 21, 175, 735, 1624, 1764, 720)
+    assert profile == tuple(math.comb(21, p) - (betti[p] if p < len(betti) else 0) for p in range(1, 22))
+    assert elapsed < 20.0, f"{elapsed:.2f} s"
+    start = time.perf_counter()
+    report = compare(arr, arr)
+    elapsed = time.perf_counter() - start
+    assert report.betti == (betti, betti) and report.ideal_ranks == (profile, profile)
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
