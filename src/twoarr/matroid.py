@@ -97,7 +97,7 @@ def nbc_sets(arr: Arrangement, order: Sequence[int] | None = None) -> NbcComplex
     _, covers = _admissible_walk(arr)
     bits = [1 << (e - 1) for e in order]
     before = [sum(bits[:p]) for p in range(n)]  # the elements before bits[p] in the order
-    level = [(0, covers[0], n)] * (not covers[0])  # (S, cl(S), position of its least element)
+    level = [] if covers[0] else [(0, 0, n)]  # (S, cl(S), position of its least element)
     groups = []
     while level:
         groups.append(tuple(sorted(_members(s) for s, _, _ in level)))

@@ -94,15 +94,14 @@ def test_kappa_empty_degree_two_slice(arr_bhat):
 
 
 def test_kappa_builds_no_slice_above_degree_two(monkeypatch, arr_bprime, arr_bhat):
-    """Nor does `compare`, whose one graded pass per arrangement is kappa's."""
+    """Nor does `compare`, whose one graded pass per arrangement is kappa's; its
+    `kappa_rank` then builds the degree-4 columns of the Gram rows."""
     degrees = []
-    real = exterior.ideal_slices  # a lazy pass builds each slice when it is read
-    monkeypatch.setattr(
-        exterior, "ideal_slices", lambda gens, n: (degrees.append(p) or s for p, s in enumerate(real(gens, n)))
-    )
+    columns = exterior._columns  # called once per degree the pass builds
+    monkeypatch.setattr(exterior, "_columns", lambda n, p: degrees.append(p) or columns(n, p))
     lines = (generic_lines(7, seed=3), generic_lines(7, seed=3, conjugate_last=True))
     cases = [(lambda arr=arr: kappa(arr), [0, 1, 2]) for arr in (arr_bprime, arr_bhat, lines[0])]
-    for run, want in cases + [(lambda: compare(*lines), [0, 1, 2] * 2)]:
+    for run, want in cases + [(lambda: compare(*lines), [0, 1, 2, 4] * 2)]:
         degrees.clear()
         run()
         assert degrees == want
