@@ -119,10 +119,14 @@ def whitney_numbers(arr: Arrangement) -> tuple[int, ...]:
     """Unsigned Whitney numbers: rank-level sums of |mu| over the lattice.
 
     Weisner (Stanley, EC1 3.9): mu(F) = -sum mu(G) over closed G, a not in G
-    with cl(G + a) = F, a least in F outside cl(()); rank order visits G first.
+    with cl(G + a) = F, a least in F; rank order visits G first. A loop
+    makes the characteristic polynomial 0, so then there are none, as
+    `nbc_sets` gives no set.
     """
     closed, covers = _admissible_walk(arr)
-    below = {covers[0]: -1}  # -mu(F), summed from the G under F
+    if covers[0]:
+        return ()
+    below = {0: -1}  # -mu(F), summed from the G under F
     out: dict[int, int] = {}
     for mask, c in sorted(closed.items(), key=lambda item: item[1]):
         mu = -below.pop(mask)
@@ -130,7 +134,7 @@ def whitney_numbers(arr: Arrangement) -> tuple[int, ...]:
         for a in range(arr.n):
             if not mask >> a & 1:
                 f = covers[mask | 1 << a]
-                if not f & ~covers[0] & (1 << a) - 1:  # a is least in F outside cl(())
+                if not f & (1 << a) - 1:  # a is least in F
                     below[f] = below.get(f, 0) + mu
     return tuple(out.values())
 

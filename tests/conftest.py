@@ -167,6 +167,30 @@ def graphic(d, edges):
     return z_linear(d, ([(c, 0) for c in row] for row in rows))
 
 
+# connected graphs on the vertices 0..d: name -> (d, edges)
+GRAPHS = {
+    "path P_5": (4, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    "cycle C_5": (4, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+    "star K_1,4": (4, [(0, 2), (1, 2), (2, 3), (2, 4)]),
+    "K_4 minus an edge": (3, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    "wheel W_5": (4, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (1, 4)]),  # hub 0
+    "triangular prism": (5, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]),
+    "K_2,3": (4, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]),
+}
+
+
+def chromatic(vertices: frozenset, edges: frozenset) -> list[int]:
+    """Coefficients (constant term first) of the chromatic polynomial, by deletion-contraction."""
+    if not edges:
+        return [0] * len(vertices) + [1]
+    edge = min(edges, key=sorted)
+    u, v = sorted(edge)
+    deleted = chromatic(vertices, edges - {edge})
+    merged = {frozenset(u if w == v else w for w in e) for e in edges - {edge}}
+    contracted = chromatic(vertices - {v}, frozenset(e for e in merged if len(e) == 2))
+    return [a - b for a, b in itertools.zip_longest(deleted, contracted, fillvalue=0)]
+
+
 # kind -> (m, whether z_i = 0 are members): B_d = G(2, 1, d), D_d = G(2, 2, d)
 REFLECTION_KINDS = {"B": (2, True), "D": (2, False), "G(4,1)": (4, True), "G(4,4)": (4, False)}
 

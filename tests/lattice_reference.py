@@ -164,7 +164,10 @@ def nbc_sets(arr, circuits, order=None):
 
 
 def whitney_numbers(arr):
+    """`()` on a loop, a member in cl(()): the characteristic polynomial is then 0."""
     lattice = flats(arr)
+    if lattice.flats_by_rank[0][0].elements:
+        return ()
     mu = {}
     for group in lattice.flats_by_rank:
         for f in group:

@@ -197,10 +197,6 @@ def test_parse_rejects_inadmissible():
 # --- validation --------------------------------------------------------------
 
 
-def test_validate_fixture_clean(arr_bprime):
-    assert validate(arr_bprime).ok
-
-
 def test_validate_odd_rank_witness():
     arr = Arrangement(
         4,
@@ -237,18 +233,6 @@ def test_validate_degenerate_pair():
 # --- codimension -------------------------------------------------------------
 
 
-def test_codim_empty(arr_b):
-    assert codim(arr_b, ()) == 0
-
-
-def test_codim_single(arr_b):
-    assert codim(arr_b, (1,)) == 2
-
-
-def test_codim_triple(arr_bprime):
-    assert codim(arr_bprime, (1, 2, 3)) == 4
-
-
 def test_codim_unknown_label(arr_b):
     with pytest.raises(UnknownLabel):
         codim(arr_b, (9,))
@@ -280,34 +264,12 @@ def test_codim_unknown_label_after_cached_subset(arr_b):
 # --- restriction -------------------------------------------------------------
 
 
-def test_restrict_bhat_at_h3(arr_bhat):
-    r = restrict(arr_bhat, "H3")
-    assert r.dim == 4
-    assert names(r) == ("H1", "H2", "H4", "H5")
-    h5 = r.subspaces[3]
-    assert h5.first == form(1, 0, -2, 0)
-    assert h5.second == form(0, 1, 0, 2)
-    assert validate(r).ok
-
-
-def test_restrict_complex_analog_at_h3(arr_bhat_complex):
-    r = restrict(arr_bhat_complex, "H3")
-    h5 = r.subspaces[3]
-    assert h5.first == form(1, 0, -2, 0)
-    assert h5.second == form(0, 1, 0, -2)
-    assert validate(r).ok
-
-
 def test_restrict_two_subspaces():
     r = restrict(independent_pair(), "H1")
     assert r.dim == 2 and names(r) == ("H2",)
     assert r.subspaces[0].first == form(1, 0)
     assert r.subspaces[0].second == form(0, 1)
     assert validate(r).ok
-
-
-def test_restrict_accepts_index(arr_bhat):
-    assert names(restrict(arr_bhat, 3)) == ("H1", "H2", "H4", "H5")
 
 
 def test_restrict_has_own_closed_sets(arr_bhat):

@@ -163,14 +163,13 @@ COMPLEX_PATTERN_RELATIONS = [
 
 
 def reduced_slices(generators, n):
-    """Rank and reduced echelon basis of each slice the pass builds, as ExtElements."""
+    """Rank and basis of each slice the pass builds, as ExtElements, read as the pass
+    yields it: each must already be a reduced echelon basis."""
     out = []
     for p, echelon in enumerate(ideal_slices(generators, n)):
+        assert reduced_echelon(echelon) == echelon, p
         cols = monomials(n, p)
-        basis = [
-            ExtElement(tuple((cols[j], row[j]) for j in sorted(row)))
-            for row in reduced_echelon(echelon)
-        ]
+        basis = [ExtElement(tuple((cols[j], row[j]) for j in sorted(row))) for row in echelon]
         out.append((len(echelon), basis))
     return out
 
@@ -285,7 +284,7 @@ def reference_span(generators, p, n):
 
 
 def assert_matches_reference(generators, n):
-    """Each slice the pass builds, reduced, is the reference's; the slices past its end are full."""
+    """Each slice the pass builds is the reference's reduced basis; the slices past its end are full."""
     built = reduced_slices(generators, n)
     for p in range(n + 1):
         expected = reference_span(generators, p, n)

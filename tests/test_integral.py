@@ -16,8 +16,7 @@ import math
 
 import pytest
 
-from conftest import braid, elem, generic_hyperplanes, generic_lines, graphic, reflection
-from test_matroid import GRAPHS
+from conftest import GRAPHS, braid, elem, generic_hyperplanes, generic_lines, graphic, reflection
 from twoarr import linalg
 from twoarr.exterior import ExtElement, ideal_slices, monomials
 from twoarr.fixtures import FIXTURES, load_fixture

@@ -12,7 +12,8 @@ import pytest
 
 import lattice_reference as ref
 from conftest import (
-    all_subsets, braid, braid_a4, generic_hyperplanes, generic_lines, independent_pair, pair, single_subspace,
+    GRAPHS, all_subsets, braid, braid_a4, generic_hyperplanes, generic_lines, graphic, independent_pair, pair,
+    reflection, single_subspace,
 )
 from twoarr import arrangement, cli, linalg, matroid, restriction
 from twoarr.arrangement import (
@@ -35,6 +36,9 @@ CASES = (
     + ["single-subspace", "independent-pair", "braid-A4", "planes-7"]
     + [f"braid-A4-loop-{position}" for position in (0, 2, 10)]  # a zero member: no set is NBC
     + [f"lines-{n}{tag}" for n in range(7, 13) for tag in ("", "-conj")]
+    + [f"graphic-{name}" for name in GRAPHS]
+    + ["reflection-B-3", "reflection-D-4", "reflection-G(4,4)-3"]  # not binary; G(4, 4, 3) has complex coefficients
+    + ["fixture-thm32-Bhat-at-H3", "braid-A4-at-1"]  # restrictions: A_4's 9 members at 1 coincide in pairs
 )
 
 
@@ -50,12 +54,20 @@ def looped_a4(position):
 @functools.lru_cache(maxsize=None)
 def build(case):
     """A fresh arrangement per case, shared by the tests below."""
+    base, at, member = case.partition("-at-")
+    if at:
+        return restrict(build(base), int(member) if member.isdigit() else member)
     if case.startswith("fixture-"):
         return load_fixture(case[len("fixture-"):])
     if case == "single-subspace":  # rank 1, no circuit
         return single_subspace()
     if case == "independent-pair":  # no circuit
         return independent_pair()
+    if case.startswith("graphic-"):
+        return graphic(*GRAPHS[case[len("graphic-"):]])
+    if case.startswith("reflection-"):
+        kind, _, d = case[len("reflection-"):].rpartition("-")
+        return reflection(kind, int(d))
     if case.startswith("braid-A4-loop-"):
         return looped_a4(int(case[len("braid-A4-loop-"):]))
     if case.startswith("braid-A"):
@@ -256,11 +268,12 @@ def test_walk_inserts_each_closed_set_after_the_sets_it_covers(case):
                 assert position[covers[f | 1 << b]] > position[f]
 
 
-def test_whitney_numbers_with_a_loop_in_the_bottom_and_fast_on_a6():
-    """Weisner's sum skips the loops in cl(()); A_6's 877 flats take one pass over the covers."""
+def test_whitney_numbers_are_none_on_a_loop_and_fast_on_a6():
+    """A loop makes the characteristic polynomial 0, so Weisner's sum gives no numbers,
+    as `nbc_sets` gives no set; A_6's 877 flats take one pass over the covers."""
     looped = looped_a4(2)
     assert looped._walk[1][0] == 1 << 2  # the zero member is cl(())
-    assert whitney_numbers(looped) == ref.whitney_numbers(looped) == whitney_numbers(braid_a4())
+    assert whitney_numbers(looped) == ref.whitney_numbers(looped) == nbc_sets(looped).counts == ()
     a6 = braid(6)
     a6._walk  # walk first, so only the pass over the covers is timed
     start = time.perf_counter()

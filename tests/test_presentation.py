@@ -115,35 +115,6 @@ def test_full_presentation_does_not_recheck_its_circuits(monkeypatch, arr_bprime
 # --- relations ---------------------------------------------------------------
 
 
-def test_relation_b_123(arr_b):
-    rel = circuit_relation(arr_b, (1, 2, 3))
-    assert rel.signs == (1, 1, 1)
-    assert rel.element == elem(((1, 2), 1), ((1, 3), -1), ((2, 3), 1))
-
-
-def test_relation_bprime_124(arr_bprime):
-    rel = circuit_relation(arr_bprime, (1, 2, 4))
-    assert rel.signs == (1, -1, -1)
-    assert rel.element == elem(((1, 2), -1), ((1, 4), 1), ((2, 4), 1))
-
-
-def test_relation_leading_sign_always_plus(arr_b, arr_bprime, arr_bhat):
-    for arr in (arr_b, arr_bprime, arr_bhat):
-        for c in circuits(arr):
-            assert circuit_relation(arr, c).signs[0] == 1
-
-
-def test_full_presentation_complex_mode(arr_b):
-    pres = full_presentation(arr_b, "complex")
-    assert pres.mode == MODE_COMPLEX
-    assert [str(r.element) for r in pres.relations] == [
-        "+e12 -e13 +e23",
-        "+e12 -e14 +e24",
-        "+e13 -e14 +e34",
-        "+e23 -e24 +e34",
-    ]
-
-
 def test_unknown_mode_is_a_value_error(arr_b):
     with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
         full_presentation(arr_b, "bogus")
@@ -277,14 +248,6 @@ def test_normalize_signs(arr_b, arr_bprime, arr_bhat, arr_bhat_complex):
 
 
 # --- graded ranks of the relation ideal ---------------------------------------
-
-
-def test_ideal_ranks(arr_b, arr_bprime):
-    for arr in (arr_b, arr_bprime):
-        pres = full_presentation(arr)
-        ranks = ideal_ranks(pres.elements(), pres.n)
-        assert [ranks[p] for p in range(1, 5)] == [0, 3, 4, 1]
-        assert ideal_rank_profile(pres) == (0, 3, 4, 1)
 
 
 def profile_cases():

@@ -34,8 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import generic_hyperplanes, generic_lines, graphic, reflection
-from test_matroid import GRAPHS, chromatic
+from conftest import GRAPHS, chromatic, generic_hyperplanes, generic_lines, graphic, reflection
 from test_presentation import circuit_relation, recombined, swapped
 from twoarr import matroid
 from twoarr.arrangement import (
